@@ -28,13 +28,11 @@ from .optimize import (
     OptConfig,
     OptResult,
     minimize_lo,
-    minimize_locc_oneway,
     minimize_lostar,
     ppt_gap_w3,
-    sep_gap_heuristic,
     werner_analytic,
 )
-from .partitions import robustness_scan, robustness_to_csv, scan_partitions
+from .partitions import CLASS_OPTIMIZERS, robustness_scan, robustness_to_csv, scan_partitions
 from .states import CATALOG, from_catalog
 
 LN2 = math.log(2.0)
@@ -132,27 +130,33 @@ def _protocol_to_json(node: ConditionalMeasurement) -> dict:
 # state / config parsing
 
 
-def _parse_state_spec(spec: str) -> DensityMatrix:
+def _split_state_spec(spec: str) -> tuple[str, list, dict]:
+    """Split "name(a, b, key=c)" into (name, positional args, keyword args)."""
     spec = spec.strip()
-    if "(" in spec:
-        name, rest = spec.split("(", 1)
-        if not rest.endswith(")"):
-            raise ValidationError(f"malformed state spec {spec!r}")
-        args = []
-        kwargs = {}
-        body = rest[:-1].strip()
-        if body:
-            for token in body.split(","):
-                token = token.strip()
-                if "=" in token:
-                    key, val = token.split("=", 1)
-                    kwargs[key.strip()] = _parse_number(val)
-                else:
-                    args.append(_parse_number(token))
-        if "lambda" in kwargs:  # python keyword; catalog uses lam
-            kwargs["lam"] = kwargs.pop("lambda")
-        return from_catalog(name, *args, **kwargs)
-    return from_catalog(spec)
+    if "(" not in spec:
+        return spec, [], {}
+    name, rest = spec.split("(", 1)
+    if not rest.endswith(")"):
+        raise ValidationError(f"malformed state spec {spec!r}")
+    args = []
+    kwargs = {}
+    body = rest[:-1].strip()
+    if body:
+        for token in body.split(","):
+            token = token.strip()
+            if "=" in token:
+                key, val = token.split("=", 1)
+                kwargs[key.strip()] = _parse_number(val)
+            else:
+                args.append(_parse_number(token))
+    if "lambda" in kwargs:  # python keyword; catalog uses lam
+        kwargs["lam"] = kwargs.pop("lambda")
+    return name, args, kwargs
+
+
+def _parse_state_spec(spec: str) -> DensityMatrix:
+    name, args, kwargs = _split_state_spec(spec)
+    return from_catalog(name, *args, **kwargs)
 
 
 def _parse_number(text: str):
@@ -279,9 +283,10 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
         elif klass == "werner-exact":
             if state is None or not state.startswith("werner"):
                 raise ValidationError('class "werner-exact" requires --state "werner(d,lambda)"')
-            rho = _parse_state_spec(state)
-            d = rho.dims[0]
-            exact = werner_analytic(d, _werner_lambda(state))
+            name, args, kwargs = _split_state_spec(state)
+            rho = from_catalog(name, *args, **kwargs)
+            lam = kwargs["lam"] if "lam" in kwargs else args[1]
+            exact = werner_analytic(rho.dims[0], float(lam))
             result = OptResult(
                 exact.s_measured_bits, exact.gap_bits, exact.witness, (exact.s_measured_bits,), True
             )
@@ -289,14 +294,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
             rho = _load_state(state, file)
             part = PartitionSpec.from_string(partition, len(rho.dims))
             cfg = _config_from_flags(seed, restarts, max_iters, workers)
-            if klass == "lostar":
-                result = minimize_lostar(rho, part, cfg)
-            elif klass == "lo":
-                result = minimize_lo(rho, part, cfg)
-            elif klass == "locc1":
-                result = minimize_locc_oneway(rho, part, cfg=cfg)
-            else:
-                result = sep_gap_heuristic(rho, part, cfg=cfg)
+            result = CLASS_OPTIMIZERS[klass](rho, part, cfg)
     except (ValidationError, KeyError, json.JSONDecodeError) as err:
         _echo_fail(err)
         sys.exit(EXIT_VALIDATION)
@@ -329,23 +327,6 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
         )
         _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
     sys.exit(EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
-
-
-def _werner_lambda(spec: str) -> float:
-    body = spec.split("(", 1)[1].rstrip(")")
-    vals = {}
-    pos = []
-    for p in (tok.strip() for tok in body.split(",")):
-        if "=" in p:
-            k, v = p.split("=", 1)
-            vals[k.strip()] = float(v)
-        else:
-            pos.append(float(p))
-    if "lambda" in vals:
-        return vals["lambda"]
-    if "lam" in vals:
-        return vals["lam"]
-    return pos[1]
 
 
 @main.command()

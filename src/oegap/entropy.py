@@ -289,12 +289,27 @@ def _chain(
     rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
     rest_dims = tuple(dims[j] for j in rest_pos)
     rest_live = tuple(live[j] for j in rest_pos)
-    for i, child in enumerate(node.then):
-        lifted = embed(node.povm.effects[i], pos, dims)
-        p_i = float(np.real(np.trace(lifted @ mat)))
-        if p_i <= P_EPS:
-            continue
-        cond = partial_trace(lifted @ mat, dims, rest_pos) / p_i
-        cond = 0.5 * (cond + dagger(cond))
-        total += p_i * _chain(child, cond, rest_dims, rest_live)
+    for effect, child in zip(node.povm.effects, node.then):
+        p_i, cond = conditional_state(mat, dims, pos, effect)
+        if p_i > P_EPS:
+            total += p_i * _chain(child, cond, rest_dims, rest_live)
     return total
+
+
+def conditional_state(
+    mat: np.ndarray, dims: tuple[int, ...], pos: tuple[int, ...], effect: np.ndarray, p=None
+) -> tuple[float, np.ndarray]:
+    """Weight p and state Tr_pos[(E (x) 1) rho] / p of the subsystems outside ``pos``.
+
+    ``p`` defaults to Tr[(E (x) 1) rho]; callers that already know it pass it
+    in.  At p <= P_EPS the conditional state is maximally mixed.
+    """
+    lifted = embed(effect, pos, dims) @ mat
+    if p is None:
+        p = float(np.real(np.trace(lifted)))
+    rest = tuple(j for j in range(len(dims)) if j not in pos)
+    if p <= P_EPS:
+        n = int(np.prod([dims[j] for j in rest]))
+        return p, np.eye(n) / n
+    cond = partial_trace(lifted, dims, rest) / p
+    return p, 0.5 * (cond + dagger(cond))

@@ -1,8 +1,10 @@
 """Minimizers of observational entropy over locality-restricted measurement classes.
 
-Every search-based minimizer reports an upper bound on the true class minimum:
-Haar-random restarts (plus two deterministic warm starts: computational bases
-and marginal eigenbases) feed a derivative-free Nelder-Mead polish, and the
+Every search-based minimizer reports an upper bound on the true class minimum.
+The LO*, LO, one-way LOCC and CQ searches share one restart engine,
+``_search``: deterministic warm starts (computational bases, marginal
+eigenbases and, for LO, the polished LO* bases) come first, seeded random
+starts follow, each restart runs a blockwise Nelder-Mead descent, and the
 best restart wins with ties resolved to the lowest restart index, so results
 are reproducible bit-for-bit for a fixed seed.  ``werner_analytic`` and
 ``ppt_gap_w3`` are certified exact.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,6 @@ from .core import (
     Povm,
     ValidationError,
     dagger,
-    embed,
     opnorm,
     partial_trace,
     partial_transpose,
@@ -46,6 +47,7 @@ from .entropy import (
     P_EPS,
     binary_entropy,
     chain_entropy,
+    conditional_state,
     entropy_from_stats,
     observational_entropy,
     shannon,
@@ -87,20 +89,20 @@ class OptResult:
     bounds: tuple[float, float] | None = None
 
 
+def _result(rho: DensityMatrix, s_best: float, witness, values, converged: bool) -> OptResult:
+    """OptResult for a witness with entropy s_best; a gap short of 0 by float rounding is 0."""
+    gap = s_best - von_neumann(rho)
+    if -1e-12 < gap < 0:
+        gap = 0.0
+    return OptResult(s_best, gap, witness, tuple(values), converged)
+
+
 def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
-
-
-def _haar_stiefel(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """m x d matrix with orthonormal columns (m >= d), Haar on the Stiefel manifold."""
+def _haar_frame(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """m x d matrix with orthonormal columns (m >= d), Haar-distributed; unitary if m == d."""
     z = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
@@ -118,15 +120,6 @@ def _complete_unitary(q: np.ndarray) -> np.ndarray:
     diag[~safe] = 1.0
     diag[safe] = diag[safe] / np.abs(diag[safe])
     return full * diag
-
-
-def _frame_from_params(theta: np.ndarray, m: int, d: int, base: np.ndarray) -> np.ndarray:
-    """First d columns of base @ exp(iH(theta)); smooth chart around a start frame."""
-    if not np.any(theta):
-        return base[:, :d]
-    h = _hermitian_from_params(theta, m)
-    vals, vecs = np.linalg.eigh(h)
-    return (base @ (vecs * np.exp(1j * vals)) @ dagger(vecs))[:, :d]
 
 
 def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
@@ -150,166 +143,17 @@ def _unitary_from_params(theta: np.ndarray, d: int, base: np.ndarray) -> np.ndar
     return base @ (vecs * np.exp(1j * vals)) @ dagger(vecs)
 
 
-def _polish(objective, x0: np.ndarray, cfg: OptConfig, max_iters=None, rounds: int = 1):
-    """Nelder-Mead refinement; extra rounds restart the simplex at the optimum."""
-    options = {
-        "maxiter": max_iters if max_iters is not None else cfg.max_iters,
-        "xatol": cfg.step_tol,
-        "fatol": 1e-12,
-        "adaptive": x0.size > 10,
-    }
-    x, fun = x0, None
-    for _ in range(rounds):
-        res = scipy.optimize.minimize(objective, x, method="Nelder-Mead", options=options)
-        if fun is not None and fun - float(res.fun) < 1e-12:
-            if float(res.fun) < fun:
-                x, fun = res.x, float(res.fun)
-            break
-        x, fun = res.x, float(res.fun)
-    return x, fun
+def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
+    return np.vstack([q, np.zeros((m - q.shape[0], q.shape[1]), dtype=complex)])
 
 
-def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
-    """Index of the best restart and a convergence flag.
-
-    Restarts within 1e-12 of the minimum count as ties and the lowest index
-    wins, so deterministic warm starts beat float dust from Haar restarts.
-    """
-    lo = min(values)
-    best = next(i for i, v in enumerate(values) if v <= lo + 1e-12)
-    if len(values) == 1:
-        return best, True
-    rest = sorted(v for i, v in enumerate(values) if i != best)
-    converged = bool(rest and rest[0] - values[best] <= cfg.entropy_tol)
-    return best, converged
-
-
-def _coordinate_descent(eval_frames, charts, sizes, starts, cfg: OptConfig, sweeps: int = 4):
-    """Blockwise simplex descent: polish one block's parameters at a time.
-
-    ``charts[k](theta, base_frame)`` maps a parameter vector of length
-    ``sizes[k]`` to a new frame for block k, smoothly, with theta=0 giving
-    the base frame back.  Sweeps stop early once a full pass stops helping.
-    """
-    frames = list(starts)
-    best = eval_frames(frames)
-    for _ in range(sweeps):
-        gained = 0.0
-        for k in range(len(frames)):
-            base = frames[k]
-
-            def objective(theta, k=k, base=base):
-                trial = list(frames)
-                trial[k] = charts[k](theta, base)
-                return eval_frames(trial)
-
-            x, fun = _polish(objective, np.zeros(sizes[k]), cfg)
-            if fun < best - 1e-13:
-                gained += best - fun
-                frames[k] = charts[k](x, base)
-                best = fun
-        if gained < 1e-10:
-            break
-    return best, frames
-
-
-def _run_restarts(tasks, cfg: OptConfig):
-    """Run restart closures (index -> (value, payload)) honoring cfg.workers."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
-    else:
-        results = [t() for t in tasks]
-    return results
-
-
-def _marginal_eigenbases(rho: DensityMatrix, partition: PartitionSpec) -> list[np.ndarray]:
-    """Per-block eigenbases of the reduced states (descending eigenvalue order)."""
-    bases = []
-    for block in partition.blocks:
-        red = rho.reduced(block).mat
-        vals, vecs = np.linalg.eigh(red)
-        bases.append(vecs[:, ::-1].copy())
-    return bases
-
-
-# ---------------------------------------------------------------------------
-# LO*: local projective measurements
-
-
-def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig):
-    """Shared LO* basis search; returns (per-restart values, best bases, flags)."""
-    dims = rho.dims
-    bdims = partition.block_dims(dims)
-    n_blocks = partition.n_blocks
-    order = [i for b in partition.blocks for i in b]
-    rho_perm = permute_subsystems(rho.mat, dims, order)
-    pure_vec = None
-    if rho.is_pure():
-        pure_vec = permute_vector(rho.pure_vector(), dims, order)
-
-    sizes = [d * d for d in bdims]
-
-    def value(us: list[np.ndarray]) -> float:
-        u = us[0]
-        for extra in us[1:]:
-            u = np.kron(u, extra)
-        if pure_vec is not None:
-            p = np.abs(dagger(u) @ pure_vec) ** 2
-        else:
-            p = np.real(np.einsum("ai,ab,bi->i", u.conj(), rho_perm, u))
-        return shannon(np.clip(p, 0.0, None))
-
-    charts = [
-        (lambda theta, base, d=d: _unitary_from_params(theta, d, base)) for d in bdims
-    ]
-    eig_bases = _marginal_eigenbases(rho, partition)
-
-    def start_bases(idx: int) -> list[np.ndarray]:
-        if idx == 0:
-            return [np.eye(d, dtype=complex) for d in bdims]
-        if idx == 1:
-            return list(eig_bases)
-        gen = _rng(cfg.seed, idx)
-        bases = []
-        for k in range(n_blocks):
-            if n_blocks > 1 and gen.uniform() < 0.35:
-                bases.append(eig_bases[k])
-            else:
-                bases.append(_haar_unitary(bdims[k], gen))
-        return bases
-
-    def make_task(idx: int):
-        def task():
-            return _coordinate_descent(value, charts, sizes, start_bases(idx), cfg)
-
-        return task
-
-    n_restarts = max(cfg.restarts, 2)
-    results = _run_restarts([make_task(i) for i in range(n_restarts)], cfg)
-    values = [r[0] for r in results]
-    best, converged = _reduce_restarts(values, cfg)
-    return values, results[best][1], converged
-
-
-def minimize_lostar(
-    rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig = DEFAULT_CONFIG
-) -> OptResult:
-    """Upper bound on the minimal OE over local projective measurements.
-
-    The search runs over one basis per block, each parameterized as
-    U0 @ exp(iH); restart 0 starts from the computational bases, restart 1
-    from the marginal eigenbases, the rest from Haar-random bases.
-    """
-    values, bases, converged = _lostar_search(rho, partition, cfg)
-    witness = lostar_povm(bases, partition, rho.dims)
-    s_best = observational_entropy(rho, witness)
-    s_rho = von_neumann(rho)
-    return OptResult(s_best, s_best - s_rho, witness, tuple(values), converged)
-
-
-# ---------------------------------------------------------------------------
-# LO: local POVMs
+def _frame_povm(q: np.ndarray) -> Povm:
+    """POVM of a frame's rows (effects |row><row|), dropped rows' deficit reabsorbed."""
+    effects = [np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > 1e-7]
+    deficit = np.eye(q.shape[1]) - sum(effects)
+    if opnorm(deficit) > 1e-10:
+        effects.append(deficit)
+    return Povm(np.array(effects))
 
 
 def _extremal_qubit_povm(m: int, rng: np.random.Generator) -> np.ndarray | None:
@@ -320,7 +164,7 @@ def _extremal_qubit_povm(m: int, rng: np.random.Generator) -> np.ndarray | None:
     and infeasible direction samples are rejected.
     """
     if m == 2:
-        return dagger(_haar_unitary(2, rng))  # rows are the two basis bras
+        return dagger(_haar_frame(2, 2, rng))  # rows are the two basis bras
     if m == 3:
         # three coplanar unit vectors: zero only lies in the span of <= 3
         # positive-weighted directions when they share a plane through 0
@@ -345,48 +189,199 @@ def _bloch_ket(n: np.ndarray) -> np.ndarray:
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
-def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
-    if q.shape[0] == m:
-        return q
-    return np.vstack([q, np.zeros((m - q.shape[0], q.shape[1]), dtype=complex)])
+def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
+    """Random m x d start frame: an extremal POVM on a qubit, else a Haar basis or Stiefel frame."""
+    if d == 2:
+        want = int(gen.integers(2, m + 1))
+        q = _extremal_qubit_povm(want, gen)
+        while q is None:
+            q = _extremal_qubit_povm(want, gen)
+        return _pad_rows(q, m)
+    if gen.uniform() < 0.5:
+        return _pad_rows(dagger(_haar_frame(d, d, gen)), m)
+    return _haar_frame(m, d, gen)
+
+
+# ---------------------------------------------------------------------------
+# the restart engine
+
+
+def _polish(objective, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
+    """Nelder-Mead refinement; extra rounds restart the simplex at the optimum."""
+    options = {
+        "maxiter": cfg.max_iters,
+        "xatol": cfg.step_tol,
+        "fatol": 1e-12,
+        "adaptive": x0.size > 10,
+    }
+    x, fun = x0, None
+    for _ in range(rounds):
+        res = scipy.optimize.minimize(objective, x, method="Nelder-Mead", options=options)
+        if fun is not None and fun - float(res.fun) < 1e-12:
+            if float(res.fun) < fun:
+                x, fun = res.x, float(res.fun)
+            break
+        x, fun = res.x, float(res.fun)
+    return x, fun
+
+
+def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
+    """Index of the best of at least two restarts and a convergence flag.
+
+    Restarts within 1e-12 of the minimum count as ties and the lowest index
+    wins, so deterministic warm starts beat float dust from Haar restarts.
+    The search counts as converged when the runner-up is within entropy_tol.
+    """
+    lo = min(values)
+    best = next(i for i, v in enumerate(values) if v <= lo + 1e-12)
+    runner_up = min(v for i, v in enumerate(values) if i != best)
+    return best, runner_up - values[best] <= cfg.entropy_tol
+
+
+def _descent(value, frames: list[np.ndarray], cfg: OptConfig):
+    """Blockwise simplex descent: polish one block's frame at a time.
+
+    An m x d block frame is charted as U exp(iH(theta)), first d columns,
+    where U is the frame itself when square (a basis) and its completion to
+    an m x m unitary otherwise (a POVM frame); theta = 0 gives the frame
+    back.  A lone block gets one two-round polish; several blocks get up to
+    four sweeps, which stop early once a full pass stops helping.
+    """
+    frames = list(frames)
+    best = float(value(frames))
+    rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
+    for _ in range(sweeps):
+        gained = 0.0
+        for k in range(len(frames)):
+            m, d = frames[k].shape
+            base = frames[k] if m == d else _complete_unitary(frames[k])
+
+            def chart(theta, base=base, m=m, d=d):
+                return _unitary_from_params(theta, m, base)[:, :d]
+
+            def objective(theta, k=k, chart=chart):
+                trial = list(frames)
+                trial[k] = chart(theta)
+                return value(trial)
+
+            x, fun = _polish(objective, np.zeros(m * m), cfg, rounds)
+            if fun < best - 1e-13:
+                gained += best - fun
+                frames[k] = chart(x)
+                best = fun
+        if gained < 1e-10:
+            break
+    return best, frames
+
+
+def _search(value, warm: list[list[np.ndarray]], sample, offset: int, cfg: OptConfig):
+    """Restarted blockwise descent over one frame per block.
+
+    ``value`` maps a list of block frames to the objective.  Restart
+    i < len(warm) starts from ``warm[i]``.  Each later restart seeds its own
+    generator with (seed, offset + i) and draws each block from
+    ``sample(k, gen)``, except that with several blocks a block keeps the
+    last warm start's frame with probability 0.35.  Returns the per-restart
+    values, the best restart's frames and the convergence flag.
+    """
+    n_blocks = len(warm[0])
+
+    def restart(idx: int):
+        if idx < len(warm):
+            return _descent(value, warm[idx], cfg)
+        gen = _rng(cfg.seed, offset + idx)
+        start = [
+            warm[-1][k] if n_blocks > 1 and gen.uniform() < 0.35 else sample(k, gen)
+            for k in range(n_blocks)
+        ]
+        return _descent(value, start, cfg)
+
+    n_restarts = max(cfg.restarts, len(warm))
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(restart, range(n_restarts)))
+    else:
+        results = [restart(i) for i in range(n_restarts)]
+    values = [r[0] for r in results]
+    best, converged = _reduce_restarts(values, cfg)
+    return values, results[best][1], converged
+
+
+def _marginal_eigenbases(rho: DensityMatrix, partition: PartitionSpec) -> list[np.ndarray]:
+    """Per-block eigenbases of the reduced states (descending eigenvalue order)."""
+    bases = []
+    for block in partition.blocks:
+        red = rho.reduced(block).mat
+        vals, vecs = np.linalg.eigh(red)
+        bases.append(vecs[:, ::-1].copy())
+    return bases
+
+
+def _block_ordered(rho: DensityMatrix, partition: PartitionSpec):
+    """rho with its subsystems reordered block by block, and its pure vector or None."""
+    order = [i for b in partition.blocks for i in b]
+    pure_vec = None
+    if rho.is_pure():
+        pure_vec = permute_vector(rho.pure_vector(), rho.dims, order)
+    return permute_subsystems(rho.mat, rho.dims, order), pure_vec
+
+
+# ---------------------------------------------------------------------------
+# LO*: local projective measurements
+
+
+def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig):
+    """LO* basis search; returns (per-restart values, best bases, converged)."""
+    bdims = partition.block_dims(rho.dims)
+    rho_perm, pure_vec = _block_ordered(rho, partition)
+
+    def value(us: list[np.ndarray]) -> float:
+        u = us[0]
+        for extra in us[1:]:
+            u = np.kron(u, extra)
+        if pure_vec is not None:
+            p = np.abs(dagger(u) @ pure_vec) ** 2
+        else:
+            p = np.real(np.einsum("ai,ab,bi->i", u.conj(), rho_perm, u))
+        return shannon(np.clip(p, 0.0, None))
+
+    warm = [[np.eye(d, dtype=complex) for d in bdims], _marginal_eigenbases(rho, partition)]
+    return _search(value, warm, lambda k, gen: _haar_frame(bdims[k], bdims[k], gen), 0, cfg)
+
+
+def minimize_lostar(
+    rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig = DEFAULT_CONFIG
+) -> OptResult:
+    """Upper bound on the minimal OE over local projective measurements.
+
+    The search runs over one basis per block, each parameterized as
+    U0 @ exp(iH); restart 0 starts from the computational bases, restart 1
+    from the marginal eigenbases, the rest from Haar-random bases.
+    """
+    values, bases, converged = _lostar_search(rho, partition, cfg)
+    witness = lostar_povm(bases, partition, rho.dims)
+    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
+
+
+# ---------------------------------------------------------------------------
+# LO: local POVMs
 
 
 def minimize_lo(
-    rho: DensityMatrix,
-    partition: PartitionSpec,
-    cfg: OptConfig = DEFAULT_CONFIG,
-    outcome_budget=None,
-    mode: str = "auto",
+    rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig = DEFAULT_CONFIG
 ) -> OptResult:
     """Upper bound on the minimal OE over local (tensor product) POVMs.
 
-    Each block carries up to m rank-1 effects, encoded as the rows of an
-    m x d isometry-style matrix Q (Q^dag Q = 1); qubit blocks draw restarts
-    from the extremal families (2 to 4 rank-1 effects), other blocks from
-    Haar bases and Haar Stiefel frames.  ``mode="extremal"`` rejects
-    non-qubit blocks.
+    Each block carries up to m rank-1 effects (m = 4 on qubits, d + 1
+    otherwise), encoded as the rows of an m x d isometry-style matrix Q
+    (Q^dag Q = 1); qubit blocks draw restarts from the extremal families
+    (2 to 4 rank-1 effects), other blocks from Haar bases and Haar Stiefel
+    frames.
     """
     dims = rho.dims
     bdims = partition.block_dims(dims)
-    n_blocks = partition.n_blocks
-    if mode not in ("auto", "extremal", "budget"):
-        raise ValidationError(f"unknown LO search mode {mode!r}")
-    if mode == "extremal" and any(d != 2 for d in bdims):
-        raise ValidationError("extremal LO search supports qubit blocks only")
-    if outcome_budget is None:
-        ms = [4 if d == 2 else d + 1 for d in bdims]
-    elif np.isscalar(outcome_budget):
-        ms = [max(int(outcome_budget), d) for d in bdims]
-    else:
-        ms = [max(int(m), d) for m, d in zip(outcome_budget, bdims)]
-
-    order = [i for b in partition.blocks for i in b]
-    rho_perm = permute_subsystems(rho.mat, dims, order)
-    pure_vec = None
-    if rho.is_pure():
-        pure_vec = permute_vector(rho.pure_vector(), dims, order)
-
-    sizes = [m * m for m in ms]
+    ms = [4 if d == 2 else d + 1 for d in bdims]
+    rho_perm, pure_vec = _block_ordered(rho, partition)
 
     def value(qs: list[np.ndarray]) -> float:
         b = qs[0]  # rows index outcomes; kron of row frames is the joint row frame
@@ -399,74 +394,19 @@ def minimize_lo(
             p = np.real(np.einsum("ia,ab,ib->i", b, rho_perm, b.conj()))
         return entropy_from_stats(np.clip(p, 0.0, None), vols)
 
-    eig_frames = [
-        _pad_rows(dagger(u), m) for u, m in zip(_marginal_eigenbases(rho, partition), ms)
-    ]
-
-    def random_frame(k: int, gen: np.random.Generator) -> np.ndarray:
-        d, m = bdims[k], ms[k]
-        if d == 2 and mode != "budget":
-            want = int(gen.integers(2, m + 1))
-            q = _extremal_qubit_povm(want, gen)
-            while q is None:
-                q = _extremal_qubit_povm(want, gen)
-            return _pad_rows(q, m)
-        if gen.uniform() < 0.5:
-            return _pad_rows(dagger(_haar_unitary(d, gen)), m)
-        return _haar_stiefel(m, d, gen)
-
     # the polished LO* bases seed one restart, so the LO result can only
     # improve on the projective optimum found with the same budget
     _, star_bases, _ = _lostar_search(rho, partition, cfg)
-    star_frames = [_pad_rows(dagger(u), m) for u, m in zip(star_bases, ms)]
-
-    def start_frames(idx: int) -> list[np.ndarray]:
-        if idx == 0:
-            return [_pad_rows(np.eye(d, dtype=complex), m) for d, m in zip(bdims, ms)]
-        if idx == 1:
-            return list(star_frames)
-        if idx == 2:
-            return list(eig_frames)
-        gen = _rng(cfg.seed, 10_000 + idx)
-        qs = []
-        for k in range(n_blocks):
-            if n_blocks > 1 and gen.uniform() < 0.35:
-                qs.append(eig_frames[k])  # hold this block at its marginal eigenbasis
-            else:
-                qs.append(random_frame(k, gen))
-        return qs
-
-    charts = [
-        (
-            lambda theta, base, m=m, d=d: _frame_from_params(
-                theta, m, d, _complete_unitary(base)
-            )
-        )
-        for m, d in zip(ms, bdims)
+    warm = [
+        [_pad_rows(np.eye(d, dtype=complex), m) for d, m in zip(bdims, ms)],
+        [_pad_rows(dagger(u), m) for u, m in zip(star_bases, ms)],
+        [_pad_rows(dagger(u), m) for u, m in zip(_marginal_eigenbases(rho, partition), ms)],
     ]
-
-    def make_task(idx: int):
-        def task():
-            return _coordinate_descent(value, charts, sizes, start_frames(idx), cfg)
-
-        return task
-
-    n_restarts = max(cfg.restarts, 3)
-    results = _run_restarts([make_task(i) for i in range(n_restarts)], cfg)
-    values = [r[0] for r in results]
-    best, converged = _reduce_restarts(values, cfg)
-    locals_ = []
-    for q in results[best][1]:
-        effects = [np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > 1e-7]
-        total = sum(effects)
-        deficit = np.eye(q.shape[1]) - total
-        if opnorm(deficit) > 1e-10:
-            effects.append(deficit)  # reabsorb rows dropped as numerically tiny
-        locals_.append(Povm(np.array(effects)))
-    witness = lo_povm(locals_, partition, dims)
-    s_best = observational_entropy(rho, witness)
-    s_rho = von_neumann(rho)
-    return OptResult(s_best, s_best - s_rho, witness, tuple(values), converged)
+    values, frames, converged = _search(
+        value, warm, lambda k, gen: _random_frame(bdims[k], ms[k], gen), 10_000, cfg
+    )
+    witness = lo_povm([_frame_povm(q) for q in frames], partition, dims)
+    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +418,24 @@ def _eigenbasis_protocol(
     dims: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
     live: tuple[int, ...],
+    first: Povm | None = None,
 ) -> ConditionalMeasurement:
     """Greedy protocol measuring each block in its conditional marginal eigenbasis.
 
     ``blocks`` hold positions within the current frame; ``live`` maps those
     positions to original subsystem labels, which is what the emitted
-    protocol nodes carry.
+    protocol nodes carry.  ``first``, when given, replaces the eigenbasis
+    measurement of the first block.
     """
     pos = tuple(blocks[0])
-    reduced = partial_trace(mat, dims, pos)
-    tr = float(np.real(np.trace(reduced)))
-    if tr > P_EPS:
-        reduced = reduced / tr
-    vals, vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))
-    povm = Povm.from_basis(vecs[:, ::-1].copy())
+    povm = first
+    if povm is None:
+        reduced = partial_trace(mat, dims, pos)
+        tr = float(np.real(np.trace(reduced)))
+        if tr > P_EPS:
+            reduced = reduced / tr
+        vals, vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))
+        povm = Povm.from_basis(vecs[:, ::-1].copy())
     label_block = tuple(live[j] for j in pos)
     if len(blocks) == 1:
         return ConditionalMeasurement(label_block, povm, None)
@@ -499,17 +443,13 @@ def _eigenbasis_protocol(
     rest_dims = tuple(dims[j] for j in rest_pos)
     rest_live = tuple(live[j] for j in rest_pos)
     rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
-    children = []
-    for i in range(povm.n_outcomes):
-        lifted = embed(povm.effects[i], pos, dims)
-        p_i = float(np.real(np.trace(lifted @ mat)))
-        if p_i <= P_EPS:
-            cond = np.eye(int(np.prod(rest_dims))) / int(np.prod(rest_dims))
-        else:
-            cond = partial_trace(lifted @ mat, dims, rest_pos) / p_i
-            cond = 0.5 * (cond + dagger(cond))
-        children.append(_eigenbasis_protocol(cond, rest_dims, rest_blocks, rest_live))
-    return ConditionalMeasurement(label_block, povm, tuple(children))
+    children = tuple(
+        _eigenbasis_protocol(
+            conditional_state(mat, dims, pos, eff)[1], rest_dims, rest_blocks, rest_live
+        )
+        for eff in povm.effects
+    )
+    return ConditionalMeasurement(label_block, povm, children)
 
 
 def minimize_locc_oneway(
@@ -517,7 +457,6 @@ def minimize_locc_oneway(
     partition: PartitionSpec,
     ordering=None,
     cfg: OptConfig = DEFAULT_CONFIG,
-    first_budget=None,
 ) -> OptResult:
     """Upper bound on the minimal OE over one-way LOCC protocols.
 
@@ -533,91 +472,36 @@ def minimize_locc_oneway(
         if sorted(ordering) != list(range(partition.n_blocks)):
             raise ValidationError("ordering must be a permutation of the partition blocks")
     blocks = tuple(partition.blocks[k] for k in ordering)
-    first = blocks[0]
-    d0 = int(np.prod([dims[i] for i in first]))
-    m = first_budget or (4 if d0 == 2 else d0 + 1)
-    m = max(int(m), d0)
-    rest_blocks = blocks[1:]
-
-    s_rho = von_neumann(rho)
-    pos = tuple(first)
+    pos = tuple(blocks[0])
+    d0 = int(np.prod([dims[i] for i in pos]))
+    m = 4 if d0 == 2 else d0 + 1
     rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
     rest_dims = tuple(dims[j] for j in rest_pos)
+    rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
     reduced_first = partial_trace(rho.mat, dims, pos)
-    rest_blocks_pos = tuple(tuple(rest_pos.index(i) for i in b) for b in rest_blocks)
 
-    def value(q: np.ndarray) -> float:
-        effects = np.einsum("ia,ib->iab", q.conj(), q)
+    def value(qs: list[np.ndarray]) -> float:
+        effects = np.einsum("ia,ib->iab", qs[0].conj(), qs[0])
         vols = np.real(np.trace(effects, axis1=1, axis2=2))
         p = np.clip(np.real(np.einsum("iab,ba->i", effects, reduced_first)), 0.0, None)
         total = entropy_from_stats(p, vols)
         if not rest_blocks:
             return total
-        for i in range(q.shape[0]):
+        for i in range(len(p)):
             if p[i] <= P_EPS:
                 continue
-            lifted = embed(effects[i], pos, dims)
-            cond = partial_trace(lifted @ rho.mat, dims, rest_pos) / p[i]
-            cond = 0.5 * (cond + dagger(cond))
-            total += p[i] * _greedy_chain_value(cond, rest_dims, rest_blocks_pos)
+            _, cond = conditional_state(rho.mat, dims, pos, effects[i], p[i])
+            total += p[i] * _greedy_chain_value(cond, rest_dims, rest_blocks)
         return total
 
-    def start_frame(idx: int) -> np.ndarray:
-        if idx == 0:
-            return _pad_rows(np.eye(d0, dtype=complex), m)
-        if idx == 1:
-            vals, vecs = np.linalg.eigh(reduced_first)
-            return _pad_rows(dagger(vecs[:, ::-1]), m)
-        gen = _rng(cfg.seed, 20_000 + idx)
-        if d0 == 2:
-            want = int(gen.integers(2, m + 1))
-            q = _extremal_qubit_povm(want, gen)
-            while q is None:
-                q = _extremal_qubit_povm(want, gen)
-            return _pad_rows(q, m)
-        if gen.uniform() < 0.5:
-            return _pad_rows(dagger(_haar_unitary(d0, gen)), m)
-        return _haar_stiefel(m, d0, gen)
-
-    def make_task(idx: int):
-        def task():
-            q0 = start_frame(idx)
-            base = _complete_unitary(q0)
-            objective = lambda theta: value(_frame_from_params(theta, m, d0, base))
-            x0 = np.zeros(m * m)
-            x, fun = _polish(objective, x0, cfg, rounds=2)
-            return fun, _frame_from_params(x, m, d0, base)
-
-        return task
-
-    n_restarts = max(cfg.restarts, 2)
-    results = _run_restarts([make_task(i) for i in range(n_restarts)], cfg)
-    values = [r[0] for r in results]
-    best, converged = _reduce_restarts(values, cfg)
-    q_best = results[best][1]
-
-    effects = [np.outer(row.conj(), row) for row in q_best if np.linalg.norm(row) > 1e-7]
-    total = sum(effects)
-    deficit = np.eye(d0) - total
-    if opnorm(deficit) > 1e-10:
-        effects.append(deficit)
-    first_povm = Povm(np.array(effects))
-    if not rest_blocks:
-        witness = ConditionalMeasurement(first, first_povm, None)
-    else:
-        children = []
-        for i in range(first_povm.n_outcomes):
-            lifted = embed(first_povm.effects[i], pos, dims)
-            p_i = float(np.real(np.trace(lifted @ rho.mat)))
-            if p_i <= P_EPS:
-                cond = np.eye(int(np.prod(rest_dims))) / int(np.prod(rest_dims))
-            else:
-                cond = partial_trace(lifted @ rho.mat, dims, rest_pos) / p_i
-                cond = 0.5 * (cond + dagger(cond))
-            children.append(_eigenbasis_protocol(cond, rest_dims, rest_blocks_pos, rest_pos))
-        witness = ConditionalMeasurement(first, first_povm, tuple(children))
-    s_best = chain_entropy(witness, rho)
-    return OptResult(s_best, s_best - s_rho, witness, tuple(values), converged)
+    vals, vecs = np.linalg.eigh(reduced_first)
+    warm = [[_pad_rows(np.eye(d0, dtype=complex), m)], [_pad_rows(dagger(vecs[:, ::-1]), m)]]
+    values, (q_best,), converged = _search(
+        value, warm, lambda k, gen: _random_frame(d0, m, gen), 20_000, cfg
+    )
+    first = _frame_povm(q_best)
+    witness = _eigenbasis_protocol(rho.mat, dims, blocks, tuple(range(len(dims))), first)
+    return _result(rho, chain_entropy(witness, rho), witness, values, converged)
 
 
 def _greedy_chain_value(
@@ -638,13 +522,9 @@ def _greedy_chain_value(
         if p[k] <= P_EPS:
             continue
         ket = vecs[:, len(p) - 1 - k]
-        proj = np.outer(ket, ket.conj())
-        lifted = embed(proj, pos, dims)
-        cond = partial_trace(lifted @ mat, dims, rest_pos) / p[k]
-        cond = 0.5 * (cond + dagger(cond))
+        _, cond = conditional_state(mat, dims, pos, np.outer(ket, ket.conj()), p[k])
         total += p[k] * _greedy_chain_value(cond, rest_dims, rest_blocks)
     return total
-
 
 # ---------------------------------------------------------------------------
 # analytic Werner solver
@@ -745,8 +625,6 @@ def cq_gap(
     weights, conds, (dc, dq) = _extract_cq(rho, basis, classical_block)
     s_conds = [von_neumann(c) for c in conds]
 
-    m = dq if klass == "lostar" else (4 if dq == 2 else dq + 1)
-
     def gap_value(q: np.ndarray) -> float:
         effects = np.einsum("ia,ib->iab", q.conj(), q)
         vols = np.real(np.trace(effects, axis1=1, axis2=2))
@@ -758,64 +636,35 @@ def cq_gap(
             total += w * (entropy_from_stats(p, vols) - s_c)
         return total
 
-    def start_frame(idx: int) -> np.ndarray:
-        if idx == 0:
-            return _pad_rows(np.eye(dq, dtype=complex), m)
-        if idx == 1:
-            avg = sum(w * c for w, c in zip(weights, conds))
-            vals, vecs = np.linalg.eigh(avg)
-            return _pad_rows(dagger(vecs[:, ::-1]), m)
-        gen = _rng(cfg.seed, 30_000 + idx)
-        if klass == "lostar":
-            return _pad_rows(dagger(_haar_unitary(dq, gen)), m)
-        if dq == 2:
-            want = int(gen.integers(2, m + 1))
-            q = _extremal_qubit_povm(want, gen)
-            while q is None:
-                q = _extremal_qubit_povm(want, gen)
-            return _pad_rows(q, m)
-        if gen.uniform() < 0.5:
-            return _pad_rows(dagger(_haar_unitary(dq, gen)), m)
-        return _haar_stiefel(m, dq, gen)
-
-    def make_task(idx: int):
-        def task():
-            q0 = start_frame(idx)
-            if klass == "lostar":
-                base = dagger(q0[:dq])
-                objective = lambda theta: gap_value(
-                    dagger(_unitary_from_params(theta, dq, base))
-                )
-                x0 = np.zeros(dq * dq)
-                x, fun = _polish(objective, x0, cfg, rounds=2)
-                return fun, dagger(_unitary_from_params(x, dq, base))
-            base = _complete_unitary(q0)
-            objective = lambda theta: gap_value(_frame_from_params(theta, m, dq, base))
-            x0 = np.zeros(m * m)
-            x, fun = _polish(objective, x0, cfg, rounds=2)
-            return fun, _frame_from_params(x, m, dq, base)
-
-        return task
-
-    n_restarts = max(cfg.restarts, 2)
-    results = _run_restarts([make_task(i) for i in range(n_restarts)], cfg)
-    values = [r[0] for r in results]
-    best, converged = _reduce_restarts(values, cfg)
-    q_best = results[best][1]
-    effects = [np.outer(row.conj(), row) for row in q_best if np.linalg.norm(row) > 1e-7]
-    total = sum(effects)
-    deficit = np.eye(dq) - total
-    if opnorm(deficit) > 1e-10:
-        effects.append(deficit)
-    n_povm = Povm(np.array(effects))
+    vals, vecs = np.linalg.eigh(sum(w * c for w, c in zip(weights, conds)))
+    eig = vecs[:, ::-1]
+    if klass == "lostar":
+        # the search runs over bases (kets in columns); the effects' rows are their bras
+        values, (u,), converged = _search(
+            lambda us: gap_value(dagger(us[0])),
+            [[np.eye(dq, dtype=complex)], [eig]],
+            lambda k, gen: _haar_frame(dq, dq, gen),
+            30_000,
+            cfg,
+        )
+        q_best = dagger(u)
+    else:
+        m = 4 if dq == 2 else dq + 1
+        values, (q_best,), converged = _search(
+            lambda qs: gap_value(qs[0]),
+            [[_pad_rows(np.eye(dq, dtype=complex), m)], [_pad_rows(dagger(eig), m)]],
+            lambda k, gen: _random_frame(dq, m, gen),
+            30_000,
+            cfg,
+        )
     cb_povm = Povm.from_basis(basis)
+    n_povm = _frame_povm(q_best)
     pair = [cb_povm, n_povm] if classical_block == 0 else [n_povm, cb_povm]
     witness = lo_povm(pair, PartitionSpec.full(2), rho.dims)
     if klass == "lostar" and witness.is_projective():
         witness = witness.retag("LOStar")
-    gap = values[best]
-    s_rho = von_neumann(rho)
-    return OptResult(gap + s_rho, gap, witness, tuple(values), converged)
+    gap = gap_value(q_best)  # the winning restart's value, re-evaluated
+    return OptResult(gap + von_neumann(rho), gap, witness, tuple(values), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +834,6 @@ def eigenseparability(rho: DensityMatrix, partition: PartitionSpec) -> Eigensepa
 def sep_gap_heuristic(
     rho: DensityMatrix,
     partition: PartitionSpec,
-    outcome_budget: int | None = None,
     cfg: OptConfig = DEFAULT_CONFIG,
     ppt_lower_bits: float | None = None,
 ) -> OptResult:
@@ -995,26 +843,13 @@ def sep_gap_heuristic(
     come from a non-negative least-squares completeness solve, and direction
     sets whose cone misses the identity are rejected, so every accepted
     iterate is a genuine POVM.  Candidate sets seed from the LO* witness and
-    the flattened one-way LOCC witness, then local perturbations polish.
+    the flattened one-way LOCC witness, both searched with ``cfg`` itself,
+    then local perturbations polish.
     The returned ``bounds`` records the sandwich
     [max(ppt_lower_bits, 0), heuristic gap].
     """
     dims = rho.dims
-    bdims = partition.block_dims(dims)
     d = rho.d
-    budget = outcome_budget if outcome_budget is not None else max(d, 2 * d)
-    if budget < d:
-        raise ValidationError(f"outcome budget {budget} cannot complete identity at dimension {d}")
-
-    light = OptConfig(
-        seed=cfg.seed,
-        restarts=max(4, cfg.restarts // 2),
-        max_iters=max(500, cfg.max_iters // 2),
-        step_tol=cfg.step_tol,
-        entropy_tol=cfg.entropy_tol,
-        workers=cfg.workers,
-    )
-    s_rho = von_neumann(rho)
 
     def directions_from_povm(povm: Povm) -> list[list[np.ndarray]] | None:
         dirs = []
@@ -1051,17 +886,12 @@ def sep_gap_heuristic(
         val = entropy_from_stats(np.clip(p, 0.0, None), np.where(w > 0, w, 1.0))
         return val, w, projs
 
-    candidates: list[list[list[np.ndarray]]] = []
-    lostar_res = minimize_lostar(rho, partition, light)
-    seed_dirs = directions_from_povm(lostar_res.witness)
-    if seed_dirs is not None:
-        candidates.append(seed_dirs)
+    seeds = [minimize_lostar(rho, partition, cfg)]
+    seed_povms = [seeds[0].witness]
     if partition.n_blocks >= 2:
-        locc_res = minimize_locc_oneway(rho, partition, None, light)
-        flat = flatten_locc(locc_res.witness, dims)
-        seed_dirs = directions_from_povm(flat)
-        if seed_dirs is not None:
-            candidates.append(seed_dirs)
+        seeds.append(minimize_locc_oneway(rho, partition, None, cfg))
+        seed_povms.append(flatten_locc(seeds[1].witness, dims))
+    candidates = [c for c in map(directions_from_povm, seed_povms) if c is not None]
     if not candidates:
         raise RuntimeError("no feasible product POVM seed found")
 
@@ -1100,13 +930,11 @@ def sep_gap_heuristic(
     effects = np.array([wk * pk for wk, pk in zip(w[keep], np.asarray(projs)[keep])])
     witness = Povm(effects, class_tag="SEP")
     s_best = observational_entropy(rho, witness)
-    gap = s_best - s_rho
+    # the seed witnesses are separable too; when the reassembly did not beat
+    # them, one is returned, so SEP never reports more than LO* or LOCC1
+    for seed, povm in zip(seeds, seed_povms):
+        if seed.entropy_bits < s_best:
+            s_best, witness = seed.entropy_bits, povm.retag("SEP")
+    res = _result(rho, s_best, witness, trace_vals, True)
     lower = max(ppt_lower_bits if ppt_lower_bits is not None else 0.0, 0.0)
-    return OptResult(
-        s_best,
-        gap,
-        witness,
-        tuple(trace_vals),
-        converged=True,
-        bounds=(lower, gap),
-    )
+    return replace(res, bounds=(lower, res.gap_bits))

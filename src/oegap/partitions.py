@@ -21,12 +21,24 @@ from .optimize import (
     sep_gap_heuristic,
 )
 
+# class name -> minimizer(rho, partition, cfg); each entry looks its function up
+# at call time, so a wrapper installed on this module's globals is honoured
 CLASS_OPTIMIZERS = {
-    "lostar": minimize_lostar,
-    "lo": minimize_lo,
-    "locc1": minimize_locc_oneway,
-    "sep": sep_gap_heuristic,
+    "lostar": lambda rho, partition, cfg: minimize_lostar(rho, partition, cfg),
+    "lo": lambda rho, partition, cfg: minimize_lo(rho, partition, cfg),
+    "locc1": lambda rho, partition, cfg: minimize_locc_oneway(rho, partition, cfg=cfg),
+    "sep": lambda rho, partition, cfg: sep_gap_heuristic(rho, partition, cfg=cfg),
 }
+
+
+def _class_optimizer(klass: str):
+    """The registered minimizer for a class name (case-insensitive)."""
+    try:
+        return CLASS_OPTIMIZERS[klass.lower()]
+    except KeyError:
+        raise ValidationError(
+            f"unknown class {klass!r}; scans support {', '.join(sorted(CLASS_OPTIMIZERS))}"
+        ) from None
 
 
 def enumerate_partitions(n: int, shape: str | None = None) -> list[PartitionSpec]:
@@ -119,21 +131,6 @@ class PartitionScan:
         return json.dumps(payload, indent=2)
 
 
-def _run_class(rho, partition, klass, cfg):
-    k = klass.lower()
-    if k == "lostar":
-        return minimize_lostar(rho, partition, cfg)
-    if k == "lo":
-        return minimize_lo(rho, partition, cfg)
-    if k == "locc1":
-        return minimize_locc_oneway(rho, partition, cfg=cfg)
-    if k == "sep":
-        return sep_gap_heuristic(rho, partition, cfg=cfg)
-    raise ValidationError(
-        f"unknown class {klass!r}; scans support {', '.join(sorted(CLASS_OPTIMIZERS))}"
-    )
-
-
 def scan_partitions(
     rho: DensityMatrix,
     klass: str,
@@ -150,6 +147,7 @@ def scan_partitions(
     valid coarser-partition measurement), after which partition monotonicity
     is asserted.
     """
+    minimize = _class_optimizer(klass)
     n = len(rho.dims)
     partitions = [
         p
@@ -160,10 +158,10 @@ def scan_partitions(
     raw: dict[PartitionSpec, OptResult] = {}
     for p in partitions:
         fast = _schmidt_fast_path(rho, p) if use_fast_path else None
-        if fast is not None and klass.lower() in CLASS_OPTIMIZERS:
+        if fast is not None:
             raw[p] = OptResult(fast + s_rho, fast, None, (fast + s_rho,), True)
         else:
-            raw[p] = _run_class(rho, p, klass, cfg)
+            raw[p] = minimize(rho, p, cfg)
 
     # lattice repair: every finer partition's optimum is feasible for coarser ones
     repaired: dict[PartitionSpec, OptResult] = {}
@@ -199,6 +197,7 @@ def robustness_scan(
     cfg: OptConfig = DEFAULT_CONFIG,
 ) -> dict[tuple[int, ...], OptResult]:
     """Fully partitioned gap of every reduced state (each nonempty discard set)."""
+    minimize = _class_optimizer(klass)
     n = len(rho.dims)
     out: dict[tuple[int, ...], OptResult] = {}
     for r in range(1, n):
@@ -211,7 +210,7 @@ def robustness_scan(
                 s = von_neumann(reduced)
                 out[discard] = OptResult(s, 0.0, None, (s,), True)
             else:
-                out[discard] = _run_class(reduced, part, klass, cfg)
+                out[discard] = minimize(reduced, part, cfg)
     return out
 
 

@@ -278,10 +278,6 @@ def twirl_uu_state(rho: DensityMatrix) -> DensityMatrix:
 # catalog registry for the CLI
 
 
-def _entry_bell():
-    return bell()
-
-
 CATALOG = {
     "bell": (bell, "Bell pair |phi+> on 2 qubits"),
     "ghz": (ghz, "ghz(n): n-qubit GHZ state"),
