@@ -22,7 +22,15 @@ import numpy as np
 
 from . import __version__
 from .classes import ConditionalMeasurement
-from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, validate_povm, validate_state
+from .core import (
+    DensityMatrix,
+    PartitionSpec,
+    Povm,
+    ValidationError,
+    opnorm,
+    validate_povm,
+    validate_state,
+)
 from .entropy import certify_optimal, observational_entropy, recovery_bounds, von_neumann
 from .optimize import (
     OptConfig,
@@ -275,11 +283,18 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
     t0 = time.time()
     try:
         if klass == "ppt-w3":
+            rho = from_catalog("w", 3)
+            if state is not None or file is not None:
+                given = _load_state(state, file)
+                if given.dims != rho.dims or opnorm(given.mat - rho.mat) > 1e-9:
+                    raise ValidationError(
+                        'class "ppt-w3" is exact for the three-qubit W state only; '
+                        "pass no state or --state w(3)"
+                    )
             res_w3 = ppt_gap_w3()
             result = OptResult(
                 res_w3.gap_bits, res_w3.gap_bits, res_w3.witness, (res_w3.gap_bits,), True
             )
-            rho = from_catalog("w", 3)
         elif klass == "werner-exact":
             if state is None or not state.startswith("werner"):
                 raise ValidationError('class "werner-exact" requires --state "werner(d,lambda)"')
@@ -347,6 +362,9 @@ def scan(state, file, klass, seed, restarts, max_iters, workers, out):
     except (ValidationError, json.JSONDecodeError) as err:
         _echo_fail(err)
         sys.exit(EXIT_VALIDATION)
+    except RuntimeError as err:  # partition monotonicity failed: a search fell short
+        _echo_fail(err)
+        sys.exit(EXIT_NO_CONVERGENCE)
     out_path = Path(out)
     out_path.write_text(result.to_csv())
     json_path = out_path.with_suffix(".json")

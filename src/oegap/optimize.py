@@ -12,6 +12,7 @@ are reproducible bit-for-bit for a fixed seed.  ``werner_analytic`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -122,16 +123,22 @@ def _complete_unitary(q: np.ndarray) -> np.ndarray:
     return full * diag
 
 
+@functools.cache
+def _upper_flat_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the upper triangle of a d x d matrix, by rows, and of its mirror."""
+    rows, cols = np.triu_indices(d, 1)
+    return rows * d + cols, cols * d + rows
+
+
 def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = theta[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = theta[k] + 1j * theta[k + 1]
-            h[j, i] = theta[k] - 1j * theta[k + 1]
-            k += 2
-    return h
+    """Hermitian matrix: diagonal theta[:d], then (re, im) pairs of the upper triangle by rows."""
+    upper_idx, lower_idx = _upper_flat_indices(d)
+    upper = theta[d::2] + 1j * theta[d + 1 :: 2]
+    h = np.zeros(d * d, dtype=complex)
+    h[:: d + 1] = theta[:d]
+    h[upper_idx] = upper
+    h[lower_idx] = upper.conj()
+    return h.reshape(d, d)
 
 
 def _unitary_from_params(theta: np.ndarray, d: int, base: np.ndarray) -> np.ndarray:
@@ -463,6 +470,8 @@ def minimize_locc_oneway(
     Only the first block's POVM is searched (rank-1 effects, Stiefel-row
     encoding); each later block is measured in the eigenbasis of its
     conditional reduced state, which is exactly optimal for the final round.
+    The objective conditions on all outcomes at once (``_greedy_chain_values``);
+    the winning protocol is rebuilt and re-evaluated with ``chain_entropy``.
     """
     dims = rho.dims
     if ordering is None:
@@ -472,59 +481,73 @@ def minimize_locc_oneway(
         if sorted(ordering) != list(range(partition.n_blocks)):
             raise ValidationError("ordering must be a permutation of the partition blocks")
     blocks = tuple(partition.blocks[k] for k in ordering)
-    pos = tuple(blocks[0])
-    d0 = int(np.prod([dims[i] for i in pos]))
+    d0 = int(np.prod([dims[i] for i in blocks[0]]))
     m = 4 if d0 == 2 else d0 + 1
-    rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
-    rest_dims = tuple(dims[j] for j in rest_pos)
-    rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
-    reduced_first = partial_trace(rho.mat, dims, pos)
-
-    def value(qs: list[np.ndarray]) -> float:
-        effects = np.einsum("ia,ib->iab", qs[0].conj(), qs[0])
-        vols = np.real(np.trace(effects, axis1=1, axis2=2))
-        p = np.clip(np.real(np.einsum("iab,ba->i", effects, reduced_first)), 0.0, None)
-        total = entropy_from_stats(p, vols)
-        if not rest_blocks:
-            return total
-        for i in range(len(p)):
-            if p[i] <= P_EPS:
-                continue
-            _, cond = conditional_state(rho.mat, dims, pos, effects[i], p[i])
-            total += p[i] * _greedy_chain_value(cond, rest_dims, rest_blocks)
-        return total
-
-    vals, vecs = np.linalg.eigh(reduced_first)
+    vals, vecs = np.linalg.eigh(partial_trace(rho.mat, dims, blocks[0]))
     warm = [[_pad_rows(np.eye(d0, dtype=complex), m)], [_pad_rows(dagger(vecs[:, ::-1]), m)]]
     values, (q_best,), converged = _search(
-        value, warm, lambda k, gen: _random_frame(d0, m, gen), 20_000, cfg
+        _oneway_objective(rho, blocks), warm, lambda k, gen: _random_frame(d0, m, gen), 20_000, cfg
     )
     first = _frame_povm(q_best)
     witness = _eigenbasis_protocol(rho.mat, dims, blocks, tuple(range(len(dims))), first)
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)
 
 
-def _greedy_chain_value(
-    mat: np.ndarray, dims: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
-) -> float:
-    """Chain entropy of the greedy conditional-eigenbasis protocol, computed directly."""
-    pos = tuple(blocks[0])
-    reduced = partial_trace(mat, dims, pos)
-    vals, vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))
-    p = np.clip(vals[::-1], 0.0, None)
-    total = shannon(p)
-    if len(blocks) == 1:
-        return total
-    rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
-    rest_dims = tuple(dims[j] for j in rest_pos)
-    rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
-    for k in range(len(p)):
-        if p[k] <= P_EPS:
-            continue
-        ket = vecs[:, len(p) - 1 - k]
-        _, cond = conditional_state(mat, dims, pos, np.outer(ket, ket.conj()), p[k])
-        total += p[k] * _greedy_chain_value(cond, rest_dims, rest_blocks)
-    return total
+def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
+    """Chain entropy of a one-way protocol as a function of the first block's frame.
+
+    ``blocks`` lists the partition blocks in measurement order.  Frame row
+    q_i gives the first block's effect |q_i^*><q_i^*|; every later block is
+    measured in its conditional marginal eigenbasis.  The objective takes
+    the frame as the only entry of a list, as ``_search`` passes it.
+    """
+    bdims = tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
+    d0, d_rest = bdims[0], rho.d // bdims[0]
+    order = [i for b in blocks for i in b]
+    rho4 = permute_subsystems(rho.mat, rho.dims, order).reshape(d0, d_rest, d0, d_rest)
+
+    def value(qs: list[np.ndarray]) -> float:
+        q = qs[0]
+        sigma = np.einsum("ia,axby,ib->ixy", q, rho4, q.conj())
+        p = np.clip(np.real(np.einsum("ixx->i", sigma)), 0.0, None)
+        total = entropy_from_stats(p, np.sum(np.abs(q) ** 2, axis=1))
+        if len(bdims) == 1:
+            return total
+        live = p > P_EPS
+        follow = _greedy_chain_values(sigma[live] / p[live, None, None], bdims[1:])
+        return total + float(np.dot(p[live], follow))
+
+    return value
+
+
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of p, terms at or below P_EPS dropped."""
+    return np.maximum(0.0, -np.sum(p * np.log2(np.where(p > P_EPS, p, 1.0)), axis=-1))
+
+
+def _greedy_chain_values(states: np.ndarray, bdims: tuple[int, ...]) -> np.ndarray:
+    """Chain entropy of the greedy conditional-eigenbasis protocol on each state of a stack.
+
+    ``states`` is an (n, D, D) stack of normalised states on blocks of
+    dimensions ``bdims`` in measurement order.  Each block is measured in
+    the eigenbasis of its conditional reduced state: one eigh per level
+    serves the whole stack, and outcomes of weight <= P_EPS are masked out.
+    """
+    n, dim = states.shape[:2]
+    d1 = bdims[0]
+    dr = dim // d1
+    if len(bdims) == 1:
+        return _shannon_rows(np.clip(np.linalg.eigvalsh(states), 0.0, None))
+    s5 = states.reshape(n, d1, dr, d1, dr)
+    p, vecs = np.linalg.eigh(np.einsum("nxaya->nxy", s5))
+    p = np.clip(p, 0.0, None)
+    live = p > P_EPS
+    # state of the rest after the block's outcome |v_k><v_k|, for every (n, k)
+    cond = np.einsum("nyk,nyaxb,nxk->nkab", vecs.conj(), s5, vecs)
+    cond /= np.where(live, p, 1.0)[:, :, None, None]
+    follow = _greedy_chain_values(cond.reshape(n * d1, dr, dr), bdims[1:]).reshape(n, d1)
+    return _shannon_rows(p) + np.sum(np.where(live, p * follow, 0.0), axis=1)
+
 
 # ---------------------------------------------------------------------------
 # analytic Werner solver

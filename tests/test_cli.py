@@ -95,6 +95,14 @@ def test_cmd_gap_ppt_w3():
     assert payload["gap"] == pytest.approx(math.log2(9 / 4), abs=1e-9)
 
 
+def test_cmd_gap_ppt_w3_rejects_other_states():
+    runner = CliRunner()
+    result = runner.invoke(main, ["gap", "--state", "bell", "--class", "ppt-w3"])
+    assert result.exit_code == 2
+    assert "ppt-w3" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_cmd_gap_werner_exact_and_witness(tmp_path):
     runner = CliRunner()
     out = tmp_path / "witness.json"
@@ -169,6 +177,21 @@ def test_cmd_scan_and_manifest(tmp_path):
     assert manifest["seed"] == 2025
     assert str(out) in manifest["outputs"]
     assert (tmp_path / "scan.json").exists()
+
+
+def test_cmd_scan_monotonicity_failure_exits_3(tmp_path, monkeypatch):
+    def failing_scan(*args, **kwargs):
+        raise RuntimeError("partition monotonicity violated: gap(A|B|C) < gap(AB|C)")
+
+    monkeypatch.setattr("oegap.cli.scan_partitions", failing_scan)
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["scan", "--state", "ghz(3)", "--out", str(tmp_path / "scan.csv")]
+    )
+    assert result.exit_code == 3
+    assert "partition monotonicity violated" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_cmd_scan_seeded_byte_identical(tmp_path):

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_pure
+from helpers import random_density, random_pure
 from oegap.classes import ConditionalMeasurement, flatten_locc, is_ppt
-from oegap.core import DensityMatrix, PartitionSpec
+from oegap.core import DensityMatrix, PartitionSpec, dagger
 from oegap.entropy import (
+    chain_entropy,
     observational_entropy,
     quantum_relative_entropy,
     coarse_grain,
@@ -20,6 +21,13 @@ from oegap.entropy import (
 )
 from oegap.optimize import (
     OptConfig,
+    _eigenbasis_protocol,
+    _frame_povm,
+    _haar_frame,
+    _hermitian_from_params,
+    _oneway_objective,
+    _pad_rows,
+    _random_frame,
     cq_gap,
     eigenseparability,
     minimize_lo,
@@ -35,6 +43,7 @@ from oegap.states import (
     cq,
     cq_example,
     domino_state,
+    ghz,
     tiles_upb_state,
     trine_cq,
     w,
@@ -175,6 +184,66 @@ def test_minimize_locc_cq_states_zero():
     res = minimize_locc_oneway(rho, FULL2, cfg=FAST)
     assert res.gap_bits == pytest.approx(0.0, abs=1e-6)
     assert res.witness.povm.d == 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_chart_matches_loop(d):
+    theta = np.random.default_rng(d).normal(size=d * d)
+    h = np.zeros((d, d), dtype=complex)
+    h[np.diag_indices(d)] = theta[:d]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            h[i, j] = theta[k] + 1j * theta[k + 1]
+            h[j, i] = theta[k] - 1j * theta[k + 1]
+            k += 2
+    assert np.array_equal(_hermitian_from_params(theta, d), h)
+
+
+ONEWAY_CASES = {
+    "w3": (w(3), FULL3, (0, 1, 2)),
+    "w3-ordered-201": (w(3), FULL3, (2, 0, 1)),
+    "ghz3-AC|B": (ghz(3), PartitionSpec.from_string("AC|B", 3), (0, 1)),
+    "trine": (trine_cq().state, FULL2, (0, 1)),
+    # no permutation symmetry, unequal dimensions: block order and placement show
+    "mixed-232-ordered-201": (random_density(np.random.default_rng(4), (2, 3, 2)), FULL3, (2, 0, 1)),
+    "mixed-232-B-then-AC": (
+        random_density(np.random.default_rng(4), (2, 3, 2)),
+        PartitionSpec.from_string("AC|B", 3),
+        (1, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONEWAY_CASES))
+def test_oneway_objective_matches_chain_entropy(case):
+    # the batched objective against the protocol it stands for, rebuilt node by node
+    rho, part, ordering = ONEWAY_CASES[case]
+    blocks = tuple(part.blocks[k] for k in ordering)
+    d0 = int(np.prod([rho.dims[i] for i in blocks[0]]))
+    m = 4 if d0 == 2 else d0 + 1
+    value = _oneway_objective(rho, blocks)
+    gen = np.random.default_rng(17)
+    frames = [_random_frame(d0, m, gen) for _ in range(12)]
+    # a Haar basis padded with a zero row: that outcome has p = 0 and V = 0
+    frames.append(_pad_rows(dagger(_haar_frame(d0, d0, gen)), m))
+    # the computational basis: on GHZ3 under AC|B two outcomes have p = 0 and V = 1
+    frames.append(_pad_rows(np.eye(d0, dtype=complex), m))
+    for q in frames:
+        protocol = _eigenbasis_protocol(
+            rho.mat, rho.dims, blocks, tuple(range(len(rho.dims))), _frame_povm(q)
+        )
+        assert value([q]) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+
+
+def test_minimize_locc_non_default_ordering():
+    rho = w(3)
+    res = minimize_locc_oneway(rho, FULL3, ordering=(1, 2, 0), cfg=OptConfig(11, 3, 300))
+    assert res.witness.block == (1,)
+    assert {child.block for child in res.witness.then} == {(2,)}
+    assert res.entropy_bits == chain_entropy(res.witness, rho)
+    marginal = max(von_neumann(rho.reduced([k])) for k in range(3))
+    assert res.gap_bits >= marginal - von_neumann(rho) - 1e-9
 
 
 def test_minimize_locc_ordering_validation():
