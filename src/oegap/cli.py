@@ -202,10 +202,6 @@ def _write_manifest(path: Path, manifest: RunManifest):
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
-def _config_from_flags(seed, restarts, max_iters, workers) -> OptConfig:
-    return OptConfig(seed=seed, restarts=restarts, max_iters=max_iters, workers=workers)
-
-
 def _echo_fail(err: Exception):
     click.echo(f"error: {err}", err=True)
 
@@ -275,10 +271,9 @@ GAP_CLASSES = ("lostar", "lo", "locc1", "sep", "ppt-w3", "werner-exact")
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=16, show_default=True)
 @click.option("--max-iters", default=1200, show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--nats", is_flag=True)
 @click.option("--witness-out", default=None, type=click.Path(), help="write the witness JSON here")
-def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats, witness_out):
+def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_out):
     """Minimize the entropy gap of a state over a measurement class."""
     t0 = time.time()
     try:
@@ -308,7 +303,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
         else:
             rho = _load_state(state, file)
             part = PartitionSpec.from_string(partition, len(rho.dims))
-            cfg = _config_from_flags(seed, restarts, max_iters, workers)
+            cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
             result = CLASS_OPTIMIZERS[klass](rho, part, cfg)
     except (ValidationError, KeyError, json.JSONDecodeError) as err:
         _echo_fail(err)
@@ -334,7 +329,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
         manifest = RunManifest(
             command=" ".join(sys.argv),
             config={"seed": seed, "restarts": restarts, "max_iters": max_iters,
-                    "workers": workers, "class": klass, "partition": partition},
+                    "class": klass, "partition": partition},
             seed=seed,
             version=__version__,
             wall_time_s=time.time() - t0,
@@ -350,14 +345,13 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, workers, nats,
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--max-iters", default=800, show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", default="scan.csv", type=click.Path(), show_default=True)
-def scan(state, file, klass, seed, restarts, max_iters, workers, out):
+def scan(state, file, klass, seed, restarts, max_iters, out):
     """Per-partition gap scan of a state (CSV + JSON + manifest)."""
     t0 = time.time()
     try:
         rho = _load_state(state, file)
-        cfg = _config_from_flags(seed, restarts, max_iters, workers)
+        cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
         result = scan_partitions(rho, klass, cfg, state_name=state or file)
     except (ValidationError, json.JSONDecodeError) as err:
         _echo_fail(err)
@@ -371,7 +365,7 @@ def scan(state, file, klass, seed, restarts, max_iters, workers, out):
     json_path.write_text(result.to_json() + "\n")
     manifest = RunManifest(
         command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "workers": workers, "class": klass},
+        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass},
         seed=seed,
         version=__version__,
         wall_time_s=time.time() - t0,
@@ -388,14 +382,13 @@ def scan(state, file, klass, seed, restarts, max_iters, workers, out):
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--max-iters", default=800, show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", default="robustness.csv", type=click.Path(), show_default=True)
-def robustness(state, file, klass, seed, restarts, max_iters, workers, out):
+def robustness(state, file, klass, seed, restarts, max_iters, out):
     """Fully partitioned gap of every reduced state after subsystem loss."""
     t0 = time.time()
     try:
         rho = _load_state(state, file)
-        cfg = _config_from_flags(seed, restarts, max_iters, workers)
+        cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
         result = robustness_scan(rho, klass, cfg)
     except (ValidationError, json.JSONDecodeError) as err:
         _echo_fail(err)
@@ -405,7 +398,7 @@ def robustness(state, file, klass, seed, restarts, max_iters, workers, out):
     out_path.write_text(csv_text)
     manifest = RunManifest(
         command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "workers": workers, "class": klass},
+        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass},
         seed=seed,
         version=__version__,
         wall_time_s=time.time() - t0,
@@ -425,13 +418,12 @@ REPRODUCE_IDS = ("werner-curves", "multipartite-scan", "trine", "w-family")
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--max-iters", default=800, show_default=True)
-@click.option("--workers", default=1, show_default=True)
-def reproduce(figure, out_dir, seed, restarts, max_iters, workers):
+def reproduce(figure, out_dir, seed, restarts, max_iters):
     """Regenerate a paper example as CSV files with a manifest."""
     t0 = time.time()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _config_from_flags(seed, restarts, max_iters, workers)
+    cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
     outputs: list[str] = []
     if figure == "werner-curves":
         lines = ["d,lambda,s_measured_bits,s_state_bits,gap_bits"]
@@ -476,7 +468,7 @@ def reproduce(figure, out_dir, seed, restarts, max_iters, workers):
         outputs.append(str(path))
     manifest = RunManifest(
         command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "workers": workers},
+        config={"seed": seed, "restarts": restarts, "max_iters": max_iters},
         seed=seed,
         version=__version__,
         wall_time_s=time.time() - t0,

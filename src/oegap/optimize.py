@@ -6,8 +6,12 @@ The LO*, LO, one-way LOCC and CQ searches share one restart engine,
 eigenbases and, for LO, the polished LO* bases) come first, seeded random
 starts follow, each restart runs a blockwise Nelder-Mead descent, and the
 best restart wins with ties resolved to the lowest restart index, so results
-are reproducible bit-for-bit for a fixed seed.  ``werner_analytic`` and
-``ppt_gap_w3`` are certified exact.
+are reproducible bit-for-bit for a fixed seed.  The LO*, LO and CQ searches
+minimize one objective, ``_product_objective``: the entropy of a product
+measurement with one row frame per block, applied block by block to a factor
+rho = L L^dag taken once per search (the CQ search fixes the classical
+block's frame to the declared basis).  ``werner_analytic`` and ``ppt_gap_w3``
+are certified exact.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -25,11 +28,14 @@ import scipy.optimize
 from .classes import (
     ConditionalMeasurement,
     SeparabilityVerdict,
+    _product_effect,
     effect_is_ppt,
     flatten_locc,
     is_separable_effect,
     lo_povm,
     lostar_povm,
+    product_vector_factors,
+    rank1_refine,
 )
 from .core import (
     DensityMatrix,
@@ -41,7 +47,6 @@ from .core import (
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    permute_vector,
     spectral,
 )
 from .entropy import (
@@ -51,7 +56,6 @@ from .entropy import (
     conditional_state,
     entropy_from_stats,
     observational_entropy,
-    shannon,
     von_neumann,
 )
 from .states import w_vector
@@ -66,7 +70,6 @@ class OptConfig:
     max_iters: int = 2000
     step_tol: float = 1e-7
     entropy_tol: float = 1e-6
-    workers: int = 1
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -303,12 +306,7 @@ def _search(value, warm: list[list[np.ndarray]], sample, offset: int, cfg: OptCo
         ]
         return _descent(value, start, cfg)
 
-    n_restarts = max(cfg.restarts, len(warm))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(restart, range(n_restarts)))
-    else:
-        results = [restart(i) for i in range(n_restarts)]
+    results = [restart(i) for i in range(max(cfg.restarts, len(warm)))]
     values = [r[0] for r in results]
     best, converged = _reduce_restarts(values, cfg)
     return values, results[best][1], converged
@@ -324,13 +322,34 @@ def _marginal_eigenbases(rho: DensityMatrix, partition: PartitionSpec) -> list[n
     return bases
 
 
-def _block_ordered(rho: DensityMatrix, partition: PartitionSpec):
-    """rho with its subsystems reordered block by block, and its pure vector or None."""
-    order = [i for b in partition.blocks for i in b]
-    pure_vec = None
-    if rho.is_pure():
-        pure_vec = permute_vector(rho.pure_vector(), rho.dims, order)
-    return permute_subsystems(rho.mat, rho.dims, order), pure_vec
+def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """L with L L^dag = rho, subsystems reordered block by block; eigenvalues <= P_EPS dropped."""
+    order = [i for b in blocks for i in b]
+    vals, vecs = np.linalg.eigh(permute_subsystems(rho.mat, rho.dims, order))
+    keep = vals > P_EPS
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
+    """S_M(rho) as a function of one row frame per block, M the product of their effects.
+
+    Row q_i of block k's frame gives the effect |q_i^*><q_i^*| on that block;
+    the outcomes run over the blocks' rows in ``blocks`` order, the first
+    block slowest, as in ``lostar_povm`` and ``lo_povm``.  Each frame acts on
+    the factor of rho with one matmul, p is the squared norm of each
+    outcome's row of the result, and each volume is the product of the
+    rows' squared norms.
+    """
+    factor = _block_factor(rho, blocks)
+
+    def value(qs: list[np.ndarray]) -> float:
+        t, vols = factor, np.ones(1)
+        for q in qs:
+            t = q @ t.reshape(vols.size, q.shape[1], -1)
+            vols = np.multiply.outer(vols, (abs(q) ** 2).sum(axis=1)).ravel()
+        return entropy_from_stats((abs(t) ** 2).sum(axis=-1).ravel(), vols)
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +359,15 @@ def _block_ordered(rho: DensityMatrix, partition: PartitionSpec):
 def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig):
     """LO* basis search; returns (per-restart values, best bases, converged)."""
     bdims = partition.block_dims(rho.dims)
-    rho_perm, pure_vec = _block_ordered(rho, partition)
-
-    def value(us: list[np.ndarray]) -> float:
-        u = us[0]
-        for extra in us[1:]:
-            u = np.kron(u, extra)
-        if pure_vec is not None:
-            p = np.abs(dagger(u) @ pure_vec) ** 2
-        else:
-            p = np.real(np.einsum("ai,ab,bi->i", u.conj(), rho_perm, u))
-        return shannon(np.clip(p, 0.0, None))
-
+    value = _product_objective(rho, partition.blocks)
     warm = [[np.eye(d, dtype=complex) for d in bdims], _marginal_eigenbases(rho, partition)]
-    return _search(value, warm, lambda k, gen: _haar_frame(bdims[k], bdims[k], gen), 0, cfg)
+    return _search(
+        lambda us: value([dagger(u) for u in us]),  # a basis's bras are its frame's rows
+        warm,
+        lambda k, gen: _haar_frame(bdims[k], bdims[k], gen),
+        0,
+        cfg,
+    )
 
 
 def minimize_lostar(
@@ -388,19 +402,6 @@ def minimize_lo(
     dims = rho.dims
     bdims = partition.block_dims(dims)
     ms = [4 if d == 2 else d + 1 for d in bdims]
-    rho_perm, pure_vec = _block_ordered(rho, partition)
-
-    def value(qs: list[np.ndarray]) -> float:
-        b = qs[0]  # rows index outcomes; kron of row frames is the joint row frame
-        for extra in qs[1:]:
-            b = np.kron(b, extra)
-        vols = np.sum(np.abs(b) ** 2, axis=1)
-        if pure_vec is not None:
-            p = np.abs(b @ pure_vec) ** 2
-        else:
-            p = np.real(np.einsum("ia,ab,ib->i", b, rho_perm, b.conj()))
-        return entropy_from_stats(np.clip(p, 0.0, None), vols)
-
     # the polished LO* bases seed one restart, so the LO result can only
     # improve on the projective optimum found with the same budget
     _, star_bases, _ = _lostar_search(rho, partition, cfg)
@@ -410,7 +411,11 @@ def minimize_lo(
         [_pad_rows(dagger(u), m) for u, m in zip(_marginal_eigenbases(rho, partition), ms)],
     ]
     values, frames, converged = _search(
-        value, warm, lambda k, gen: _random_frame(bdims[k], ms[k], gen), 10_000, cfg
+        _product_objective(rho, partition.blocks),
+        warm,
+        lambda k, gen: _random_frame(bdims[k], ms[k], gen),
+        10_000,
+        cfg,
     )
     witness = lo_povm([_frame_povm(q) for q in frames], partition, dims)
     return _result(rho, observational_entropy(rho, witness), witness, values, converged)
@@ -503,14 +508,14 @@ def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
     """
     bdims = tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
     d0, d_rest = bdims[0], rho.d // bdims[0]
-    order = [i for b in blocks for i in b]
-    rho4 = permute_subsystems(rho.mat, rho.dims, order).reshape(d0, d_rest, d0, d_rest)
+    factor = _block_factor(rho, blocks).reshape(d0, -1)
 
     def value(qs: list[np.ndarray]) -> float:
         q = qs[0]
-        sigma = np.einsum("ia,axby,ib->ixy", q, rho4, q.conj())
-        p = np.clip(np.real(np.einsum("ixx->i", sigma)), 0.0, None)
-        total = entropy_from_stats(p, np.sum(np.abs(q) ** 2, axis=1))
+        t = (q @ factor).reshape(len(q), d_rest, -1)  # sigma_i = t_i t_i^dag
+        sigma = t @ t.conj().transpose(0, 2, 1)
+        p = (abs(t) ** 2).sum(axis=(1, 2))
+        total = entropy_from_stats(p, (abs(q) ** 2).sum(axis=1))
         if len(bdims) == 1:
             return total
         live = p > P_EPS
@@ -594,38 +599,19 @@ def werner_analytic(d: int, lam: float) -> WernerAnalytic:
 # CQ states
 
 
-def _extract_cq(rho: DensityMatrix, basis: np.ndarray, classical_block: int, tol: float = 1e-9):
-    """Split a CQ state into (weights, conditional states); raise when not CQ."""
-    dims = rho.dims
-    if len(dims) != 2:
-        raise ValidationError("cq_gap handles bipartite states")
-    if classical_block not in (0, 1):
-        raise ValidationError("classical_block must be 0 or 1")
-    mat = rho.mat
-    if classical_block == 1:
-        mat = permute_subsystems(mat, dims, (1, 0))
-        dims = (dims[1], dims[0])
-    dc, dq = dims
-    u = np.kron(basis, np.eye(dq))
-    mat = dagger(u) @ mat @ u
-    blocks = mat.reshape(dc, dq, dc, dq)
-    weights = []
-    conds = []
-    for k in range(dc):
-        for l in range(dc):
-            if k == l:
-                continue
-            if opnorm(blocks[k, :, l, :]) > tol:
-                raise ValidationError(
-                    "state is not classical-quantum in the declared basis "
-                    f"(off-diagonal block ({k},{l}) has norm {opnorm(blocks[k, :, l, :]):.3e})"
-                )
-    for k in range(dc):
-        b = blocks[k, :, k, :]
-        w = float(np.real(np.trace(b)))
-        weights.append(w)
-        conds.append(b / w if w > P_EPS else np.eye(dq) / dq)
-    return np.array(weights), conds, (dc, dq)
+def _check_cq(rho: DensityMatrix, basis: np.ndarray, classical_block: int, tol: float = 1e-9):
+    """Raise unless rho is block diagonal in ``basis`` on its subsystem ``classical_block``."""
+    order = (classical_block, 1 - classical_block)
+    dc, dq = (rho.dims[i] for i in order)
+    rho4 = permute_subsystems(rho.mat, rho.dims, order).reshape(dc, dq, dc, dq)
+    blocks = np.einsum("ak,axby,bl->kxly", basis.conj(), rho4, basis)
+    for k, l in itertools.permutations(range(dc), 2):
+        norm = opnorm(blocks[k, :, l, :])
+        if norm > tol:
+            raise ValidationError(
+                "state is not classical-quantum in the declared basis "
+                f"(off-diagonal block ({k},{l}) has norm {norm:.3e})"
+            )
 
 
 def cq_gap(
@@ -637,34 +623,36 @@ def cq_gap(
 ) -> OptResult:
     """Entropy gap of a CQ state, optimizing only the quantum-side measurement.
 
-    The classical side is measured in its declared basis (provably optimal),
-    so the gap reduces to inf_N sum_k w_k (S_N(rho_k) - S(rho_k)) over
-    projective (klass="lostar") or general (klass="lo") measurements N.
+    The classical side is measured in its declared basis (provably optimal):
+    S_{C(x)N}(rho) - S(rho) = sum_k w_k (S_N(rho_k) - S(rho_k)), so the search
+    runs over the quantum side's projective (klass="lostar") or general
+    (klass="lo") measurement N alone.
     """
     klass = klass.lower()
     if klass not in ("lostar", "lo"):
         raise ValidationError("cq_gap optimizes the LOStar or LO class only")
+    if len(rho.dims) != 2:
+        raise ValidationError("cq_gap handles bipartite states")
+    if classical_block not in (0, 1):
+        raise ValidationError("classical_block must be 0 or 1")
+    dc, dq = rho.dims[classical_block], rho.dims[1 - classical_block]
     basis = np.asarray(classical_basis, dtype=complex)
-    weights, conds, (dc, dq) = _extract_cq(rho, basis, classical_block)
-    s_conds = [von_neumann(c) for c in conds]
+    if basis.shape != (dc, dc) or not opnorm(basis @ dagger(basis) - np.eye(dc)) <= 1e-9:
+        raise ValidationError(f"classical_basis must be a {dc} x {dc} unitary")
+    _check_cq(rho, basis, classical_block)
 
-    def gap_value(q: np.ndarray) -> float:
-        effects = np.einsum("ia,ib->iab", q.conj(), q)
-        vols = np.real(np.trace(effects, axis1=1, axis2=2))
-        total = 0.0
-        for w, cond, s_c in zip(weights, conds, s_conds):
-            if w <= P_EPS:
-                continue
-            p = np.clip(np.real(np.einsum("iab,ba->i", effects, cond)), 0.0, None)
-            total += w * (entropy_from_stats(p, vols) - s_c)
-        return total
+    full2 = PartitionSpec.full(2)
+    value = _product_objective(rho, full2.blocks)
 
-    vals, vecs = np.linalg.eigh(sum(w * c for w, c in zip(weights, conds)))
+    def frames(q: np.ndarray) -> list[np.ndarray]:
+        """Both blocks' frames: the classical basis's bras in its slot, q in the other."""
+        return [dagger(basis), q] if classical_block == 0 else [q, dagger(basis)]
+
+    _, vecs = np.linalg.eigh(rho.reduced([1 - classical_block]).mat)
     eig = vecs[:, ::-1]
     if klass == "lostar":
-        # the search runs over bases (kets in columns); the effects' rows are their bras
         values, (u,), converged = _search(
-            lambda us: gap_value(dagger(us[0])),
+            lambda us: value(frames(dagger(us[0]))),
             [[np.eye(dq, dtype=complex)], [eig]],
             lambda k, gen: _haar_frame(dq, dq, gen),
             30_000,
@@ -674,7 +662,7 @@ def cq_gap(
     else:
         m = 4 if dq == 2 else dq + 1
         values, (q_best,), converged = _search(
-            lambda qs: gap_value(qs[0]),
+            lambda qs: value(frames(qs[0])),
             [[_pad_rows(np.eye(dq, dtype=complex), m)], [_pad_rows(dagger(eig), m)]],
             lambda k, gen: _random_frame(dq, m, gen),
             30_000,
@@ -683,11 +671,10 @@ def cq_gap(
     cb_povm = Povm.from_basis(basis)
     n_povm = _frame_povm(q_best)
     pair = [cb_povm, n_povm] if classical_block == 0 else [n_povm, cb_povm]
-    witness = lo_povm(pair, PartitionSpec.full(2), rho.dims)
+    witness = lo_povm(pair, full2, rho.dims)
     if klass == "lostar" and witness.is_projective():
         witness = witness.retag("LOStar")
-    gap = gap_value(q_best)  # the winning restart's value, re-evaluated
-    return OptResult(gap + von_neumann(rho), gap, witness, tuple(values), converged)
+    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +863,6 @@ def sep_gap_heuristic(
 
     def directions_from_povm(povm: Povm) -> list[list[np.ndarray]] | None:
         dirs = []
-        from .classes import product_vector_factors, rank1_refine
-
         refined = rank1_refine(povm)
         for eff in refined.effects:
             scale = float(np.real(np.trace(eff)))
@@ -893,8 +878,6 @@ def sep_gap_heuristic(
 
     def assemble(dirs: list[list[np.ndarray]]):
         """NNLS weight solve; returns (entropy, weights, projectors) or None if infeasible."""
-        from .classes import _product_effect
-
         projs = []
         for factors in dirs:
             parts = [np.outer(f, f.conj()) for f in factors]

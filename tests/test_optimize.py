@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import random_density, random_pure
-from oegap.classes import ConditionalMeasurement, flatten_locc, is_ppt
-from oegap.core import DensityMatrix, PartitionSpec, dagger
+from oegap.classes import ConditionalMeasurement, flatten_locc, is_ppt, lo_povm, lostar_povm
+from oegap.core import DensityMatrix, PartitionSpec, ValidationError, dagger, permute_subsystems
 from oegap.entropy import (
     chain_entropy,
     observational_entropy,
@@ -27,6 +27,7 @@ from oegap.optimize import (
     _hermitian_from_params,
     _oneway_objective,
     _pad_rows,
+    _product_objective,
     _random_frame,
     cq_gap,
     eigenseparability,
@@ -101,16 +102,6 @@ def test_minimize_lostar_deterministic():
     assert np.array_equal(a.witness.effects, b.witness.effects)
 
 
-def test_minimize_lostar_workers_match_sequential():
-    cfg1 = OptConfig(seed=21, restarts=6, max_iters=400, workers=1)
-    cfg2 = OptConfig(seed=21, restarts=6, max_iters=400, workers=3)
-    a = minimize_lostar(werner(2, 0.7), FULL2, cfg1)
-    b = minimize_lostar(werner(2, 0.7), FULL2, cfg2)
-    assert a.entropy_bits == b.entropy_bits
-    assert a.trace == b.trace
-    assert np.array_equal(a.witness.effects, b.witness.effects)
-
-
 CQX = cq_example()
 SEARCHES = {
     "lo": lambda cfg: minimize_lo(CQX.state, FULL2, cfg),
@@ -136,13 +127,6 @@ def _assert_same_result(a, b):
 def test_search_deterministic(search):
     cfg = OptConfig(seed=21, restarts=3, max_iters=200)
     _assert_same_result(SEARCHES[search](cfg), SEARCHES[search](cfg))
-
-
-@pytest.mark.parametrize("search", sorted(SEARCHES))
-def test_search_workers_match_sequential(search):
-    a = SEARCHES[search](OptConfig(seed=21, restarts=3, max_iters=200, workers=1))
-    b = SEARCHES[search](OptConfig(seed=21, restarts=3, max_iters=200, workers=3))
-    _assert_same_result(a, b)
 
 
 def test_minimize_locc_gap_not_below_zero():
@@ -198,6 +182,41 @@ def test_hermitian_chart_matches_loop(d):
             h[j, i] = theta[k] - 1j * theta[k + 1]
             k += 2
     assert np.array_equal(_hermitian_from_params(theta, d), h)
+
+
+PRODUCT_CASES = {
+    "w3": (w(3), FULL3),
+    "w3-AC|B": (w(3), PartitionSpec.from_string("AC|B", 3)),
+    "ghz4": (ghz(4), PartitionSpec.full(4)),
+    # W3 and GHZ4 are permutation-symmetric; this state shows a wrong block order
+    "mixed-232-rank2-AC|B": (
+        random_density(np.random.default_rng(4), (2, 3, 2), rank=2),
+        PartitionSpec.from_string("AC|B", 3),
+    ),
+    "trine": (trine_cq().state, FULL2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_product_objective_matches_observational_entropy(case):
+    # the factor-and-matmul objective against the product POVM it stands for
+    rho, part = PRODUCT_CASES[case]
+    bdims = part.block_dims(rho.dims)
+    ms = [4 if d == 2 else d + 1 for d in bdims]
+    value = _product_objective(rho, part.blocks)
+    gen = np.random.default_rng(23)
+    frame_sets = [[_random_frame(d, m, gen) for d, m in zip(bdims, ms)] for _ in range(6)]
+    # Haar bases padded with zero rows: those outcomes have p = 0 and V = 0
+    frame_sets.append([_pad_rows(dagger(_haar_frame(d, d, gen)), m) for d, m in zip(bdims, ms)])
+    for qs in frame_sets:
+        witness = lo_povm([_frame_povm(q) for q in qs], part, rho.dims)
+        assert value(qs) == pytest.approx(observational_entropy(rho, witness), abs=1e-12)
+    for _ in range(4):
+        us = [_haar_frame(d, d, gen) for d in bdims]
+        witness = lostar_povm(us, part, rho.dims)
+        assert value([dagger(u) for u in us]) == pytest.approx(
+            observational_entropy(rho, witness), abs=1e-12
+        )
 
 
 ONEWAY_CASES = {
@@ -294,6 +313,30 @@ def test_cq_gap_commuting_conditionals_zero():
     rho = cq([0.6, 0.4], [np.diag([0.8, 0.2]), np.diag([0.3, 0.7])]).state
     res = cq_gap(rho, np.eye(2, dtype=complex), "lostar", FAST)
     assert res.gap_bits == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("klass", ["lostar", "lo"])
+def test_cq_gap_reports_its_witness_entropy(klass):
+    res = cq_gap(CQX.state, CQX.classical_basis, klass, FAST)
+    assert res.entropy_bits == observational_entropy(CQX.state, res.witness)
+    assert res.gap_bits >= 0.0
+
+
+def test_cq_gap_classical_block_one():
+    swapped = DensityMatrix(permute_subsystems(CQX.state.mat, (2, 2), (1, 0)), (2, 2))
+    a = cq_gap(CQX.state, CQX.classical_basis, "lostar", FAST)
+    b = cq_gap(swapped, CQX.classical_basis, "lostar", FAST, classical_block=1)
+    assert b.gap_bits == pytest.approx(a.gap_bits, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [np.eye(3), [[1, 1], [0, 1]], 2 * np.eye(2)],
+    ids=["wrong-size", "not-unitary", "scaled-identity"],
+)
+def test_cq_gap_rejects_bad_classical_basis(basis):
+    with pytest.raises(ValidationError, match="classical_basis"):
+        cq_gap(CQX.state, basis, "lostar", FAST)
 
 
 def test_cq_gap_rejects_non_cq_input():
