@@ -45,7 +45,6 @@ from .states import CATALOG, from_catalog
 
 LN2 = math.log(2.0)
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
@@ -258,7 +257,6 @@ def entropy(state, file, povm_file, nats):
         f"recovery  : {_units(sandwich.lower, nats):.9f} <= S_M <= {_units(sandwich.upper, nats):.9f}"
     )
     click.echo(f"optimal   : {'yes' if cert.optimal else 'no'} ({cert.reason})")
-    sys.exit(EXIT_OK)
 
 
 GAP_CLASSES = ("lostar", "lo", "locc1", "sep", "ppt-w3", "werner-exact")
@@ -336,7 +334,8 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
             outputs=[str(out_path)],
         )
         _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
-    sys.exit(EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
+    if not result.converged:
+        sys.exit(EXIT_NO_CONVERGENCE)
 
 
 @main.command()
@@ -373,7 +372,6 @@ def scan(state, file, klass, seed, restarts, max_iters, out):
     )
     _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
     click.echo(result.to_csv(), nl=False)
-    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -406,7 +404,6 @@ def robustness(state, file, klass, seed, restarts, max_iters, out):
     )
     _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
     click.echo(csv_text, nl=False)
-    sys.exit(EXIT_OK)
 
 
 REPRODUCE_IDS = ("werner-curves", "multipartite-scan", "trine", "w-family")
@@ -477,7 +474,6 @@ def reproduce(figure, out_dir, seed, restarts, max_iters):
     _write_manifest(out_dir / f"{figure}.manifest.json", manifest)
     for o in outputs:
         click.echo(o)
-    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -485,7 +481,6 @@ def catalog():
     """List the named states the CLI can build."""
     for name, (_, desc) in sorted(CATALOG.items()):
         click.echo(f"{name:16s} {desc}")
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

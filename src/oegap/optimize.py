@@ -3,15 +3,21 @@
 Every search-based minimizer reports an upper bound on the true class minimum.
 The LO*, LO, one-way LOCC and CQ searches share one restart engine,
 ``_search``: deterministic warm starts (computational bases, marginal
-eigenbases and, for LO, the polished LO* bases) come first, seeded random
-starts follow, each restart runs a blockwise Nelder-Mead descent, and the
-best restart wins with ties resolved to the lowest restart index, so results
-are reproducible bit-for-bit for a fixed seed.  The LO*, LO and CQ searches
-minimize one objective, ``_product_objective``: the entropy of a product
-measurement with one row frame per block, applied block by block to a factor
-rho = L L^dag taken once per search (the CQ search fixes the classical
-block's frame to the declared basis).  ``werner_analytic`` and ``ppt_gap_w3``
-are certified exact.
+eigenbases and, for LO and CQ LO, the polished LO* bases) come first, seeded
+random starts follow, each restart runs a blockwise descent, and the best
+restart wins with ties resolved to the lowest restart index, so results are
+reproducible bit-for-bit for a fixed seed.  Each block's frame is charted as
+U exp(iH(theta)).  The LO*, LO and CQ searches minimize one objective,
+``_product_objective``: the entropy of a product measurement with one row
+frame per block, applied block by block to a factor rho = L L^dag taken once
+per search (the CQ search fixes the classical block's frame to the declared
+basis).  It has a closed-form gradient, pulled back through the chart by the
+Daleckii-Krein formula, so those blocks are polished with L-BFGS-B.  The
+one-way LOCC objective, whose later blocks follow their conditional
+eigenbases, has no gradient yet and keeps gradient-free Nelder-Mead.
+``werner_analytic`` is exact in closed form, and ``ppt_gap_w3`` is proven
+optimal by a primal point and a dual certificate checked in rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
@@ -45,7 +52,6 @@ from .core import (
     dagger,
     opnorm,
     partial_trace,
-    partial_transpose,
     permute_subsystems,
     spectral,
 )
@@ -58,7 +64,8 @@ from .entropy import (
     observational_entropy,
     von_neumann,
 )
-from .states import w_vector
+
+LOG2_E = 1 / math.log(2)
 
 
 @dataclass(frozen=True)
@@ -144,13 +151,40 @@ def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     return h.reshape(d, d)
 
 
-def _unitary_from_params(theta: np.ndarray, d: int, base: np.ndarray) -> np.ndarray:
-    """base @ exp(iH(theta)); smooth chart covering the full unitary group."""
-    if not np.any(theta):
-        return base
-    h = _hermitian_from_params(theta, d)
-    vals, vecs = np.linalg.eigh(h)
-    return base @ (vecs * np.exp(1j * vals)) @ dagger(vecs)
+def _hermitian_gradient_params(g: np.ndarray) -> np.ndarray:
+    """Gradient in theta of f(H(theta)), from the gradient g of f in an unconstrained H."""
+    d = g.shape[0]
+    upper_idx, _ = _upper_flat_indices(d)
+    pairs = (g + dagger(g)).ravel()[upper_idx]
+    out = np.empty(d * d)
+    out[:d] = np.real(np.diag(g))
+    out[d::2] = pairs.real
+    out[d + 1 :: 2] = pairs.imag
+    return out
+
+
+def _chart(theta: np.ndarray, base: np.ndarray):
+    """base @ exp(iH(theta)), a smooth chart of the unitary group, and its pullback.
+
+    The pullback maps a gradient G with respect to the first columns of the
+    unitary to the gradient in theta, by the Daleckii-Krein formula on the
+    eigh of H in the stable form Phi_jk = e^{i(l_j + l_k)/2} sinc((l_j - l_k)/2),
+    so a degenerate H (theta = 0 included) needs no special case.
+    """
+    m = base.shape[0]
+    if np.any(theta):
+        vals, vecs = np.linalg.eigh(_hermitian_from_params(theta, m))
+        u = base @ (vecs * np.exp(1j * vals)) @ dagger(vecs)
+    else:
+        vals, vecs, u = np.zeros(m), np.eye(m), base
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        half = np.exp(0.5j * vals)
+        phi = np.outer(half, half) * np.sinc(np.subtract.outer(vals, vals) / (2 * np.pi))
+        inner = dagger(base @ vecs) @ g @ vecs[: g.shape[1]]
+        return _hermitian_gradient_params(-1j * vecs @ (phi.conj() * inner) @ dagger(vecs))
+
+    return u, pullback
 
 
 def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
@@ -216,17 +250,58 @@ def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
 # the restart engine
 
 
-def _polish(objective, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
-    """Nelder-Mead refinement; extra rounds restart the simplex at the optimum."""
-    options = {
-        "maxiter": cfg.max_iters,
-        "xatol": cfg.step_tol,
-        "fatol": 1e-12,
-        "adaptive": x0.size > 10,
-    }
+@dataclass(frozen=True)
+class _Objective:
+    """A function of one frame per block and, when it has one, its gradient.
+
+    ``grad(frames)`` returns the value and, for each frame Q_k, the matrix G_k
+    with dS = Re Tr(G_k^dag dQ_k).
+    """
+
+    value: Callable[[list[np.ndarray]], float]
+    grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]] | None = None
+
+    def __call__(self, frames: list[np.ndarray]) -> float:
+        return self.value(frames)
+
+    def composed(self, into, back) -> _Objective:
+        """This objective at ``into(xs)``, ``into`` linear; ``back`` maps its gradients to xs's."""
+
+        def grad(xs):
+            s, gs = self.grad(into(xs))
+            return s, back(gs)
+
+        return _Objective(lambda xs: self.value(into(xs)), grad)
+
+
+def _over_bases(objective: _Objective) -> _Objective:
+    """``objective`` over one basis U per block, whose bras (the rows of U^dag) form the frame.
+
+    The gradient in U is G^dag of the frame gradient G.
+    """
+    return objective.composed(lambda us: [dagger(u) for u in us], lambda gs: [dagger(g) for g in gs])
+
+
+def _polish(objective, x0: np.ndarray, cfg: OptConfig, rounds: int = 1, jac: bool = False):
+    """L-BFGS-B when ``objective`` also returns its gradient, else Nelder-Mead.
+
+    Extra rounds restart the minimizer at the optimum.
+    """
+    if jac:
+        # step_tol bounds the projected gradient, as it bounds the simplex for Nelder-Mead
+        method = "L-BFGS-B"
+        options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.step_tol}
+    else:
+        method = "Nelder-Mead"
+        options = {
+            "maxiter": cfg.max_iters,
+            "xatol": cfg.step_tol,
+            "fatol": 1e-12,
+            "adaptive": x0.size > 10,
+        }
     x, fun = x0, None
     for _ in range(rounds):
-        res = scipy.optimize.minimize(objective, x, method="Nelder-Mead", options=options)
+        res = scipy.optimize.minimize(objective, x, method=method, jac=jac or None, options=options)
         if fun is not None and fun - float(res.fun) < 1e-12:
             if float(res.fun) < fun:
                 x, fun = res.x, float(res.fun)
@@ -248,37 +323,52 @@ def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
     return best, runner_up - values[best] <= cfg.entropy_tol
 
 
-def _descent(value, frames: list[np.ndarray], cfg: OptConfig):
-    """Blockwise simplex descent: polish one block's frame at a time.
+def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, rounds: int):
+    """Polish frame k alone on its chart; returns (value, polished frame).
 
-    An m x d block frame is charted as U exp(iH(theta)), first d columns,
+    An m x d frame is charted as the first d columns of U exp(iH(theta)),
     where U is the frame itself when square (a basis) and its completion to
-    an m x m unitary otherwise (a POVM frame); theta = 0 gives the frame
-    back.  A lone block gets one two-round polish; several blocks get up to
-    four sweeps, which stop early once a full pass stops helping.
+    an m x m unitary otherwise (a POVM frame); theta = 0 gives the frame back.
+    """
+    m, d = frames[k].shape
+    base = frames[k] if m == d else _complete_unitary(frames[k])
+
+    def with_frame(q: np.ndarray) -> list[np.ndarray]:
+        return frames[:k] + [q] + frames[k + 1 :]
+
+    if objective.grad is None:
+
+        def fun(theta):
+            return objective(with_frame(_chart(theta, base)[0][:, :d]))
+
+    else:
+
+        def fun(theta):
+            u, pullback = _chart(theta, base)
+            s, grads = objective.grad(with_frame(u[:, :d]))
+            return s, pullback(grads[k])
+
+    x, value = _polish(fun, np.zeros(m * m), cfg, rounds, jac=objective.grad is not None)
+    return value, _chart(x, base)[0][:, :d]
+
+
+def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig):
+    """Blockwise descent: polish one block's frame at a time.
+
+    A lone block gets one two-round polish; several blocks get up to four
+    sweeps, which stop early once a full pass stops helping.
     """
     frames = list(frames)
-    best = float(value(frames))
+    best = float(objective(frames))
     rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
     for _ in range(sweeps):
         gained = 0.0
         for k in range(len(frames)):
-            m, d = frames[k].shape
-            base = frames[k] if m == d else _complete_unitary(frames[k])
-
-            def chart(theta, base=base, m=m, d=d):
-                return _unitary_from_params(theta, m, base)[:, :d]
-
-            def objective(theta, k=k, chart=chart):
-                trial = list(frames)
-                trial[k] = chart(theta)
-                return value(trial)
-
-            x, fun = _polish(objective, np.zeros(m * m), cfg, rounds)
-            if fun < best - 1e-13:
-                gained += best - fun
-                frames[k] = chart(x)
-                best = fun
+            value, frame = _polish_block(objective, frames, k, cfg, rounds)
+            if value < best - 1e-13:
+                gained += best - value
+                frames[k] = frame
+                best = value
         if gained < 1e-10:
             break
     return best, frames
@@ -330,7 +420,7 @@ def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
+def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> _Objective:
     """S_M(rho) as a function of one row frame per block, M the product of their effects.
 
     Row q_i of block k's frame gives the effect |q_i^*><q_i^*| on that block;
@@ -339,17 +429,48 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
     the factor of rho with one matmul, p is the squared norm of each
     outcome's row of the result, and each volume is the product of the
     rows' squared norms.
+
+    The gradient reuses that forward pass.  With dS/dp_i = -(log2(p_i/V_i)
+    + 1/ln 2) and dS/dV_i = p_i / (V_i ln 2), outcomes with p <= P_EPS masked
+    as in ``entropy_from_stats``, it runs the frames' adjoints back through
+    the stages; the volume term of a row is the block's marginal
+    probability of that row over its squared norm, times 2 q_i / ln 2.
     """
     factor = _block_factor(rho, blocks)
 
-    def value(qs: list[np.ndarray]) -> float:
-        t, vols = factor, np.ones(1)
+    def forward(qs: list[np.ndarray]):
+        stages, norms, vols = [factor], [], np.ones(1)
         for q in qs:
-            t = q @ t.reshape(vols.size, q.shape[1], -1)
-            vols = np.multiply.outer(vols, (abs(q) ** 2).sum(axis=1)).ravel()
-        return entropy_from_stats((abs(t) ** 2).sum(axis=-1).ravel(), vols)
+            stages.append(q @ stages[-1].reshape(vols.size, q.shape[1], -1))
+            norms.append((abs(q) ** 2).sum(axis=1))
+            vols = np.multiply.outer(vols, norms[-1]).ravel()
+        return stages, norms, (abs(stages[-1]) ** 2).sum(axis=-1).ravel(), vols
 
-    return value
+    def value(qs: list[np.ndarray]) -> float:
+        _, _, p, vols = forward(qs)
+        return entropy_from_stats(p, vols)
+
+    def grad(qs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        stages, norms, p, vols = forward(qs)
+        live = p > P_EPS
+        ratio = np.where(live, p, 1.0) / np.where(live, vols, 1.0)
+        ds_dp = np.where(live, -(np.log2(ratio) + LOG2_E), 0.0)
+        p_live = np.where(live, p, 0.0).reshape([len(n) for n in norms])
+        g = 2 * ds_dp[:, None] * stages[-1].reshape(p.size, -1)  # gradient in the last stage
+        grads = []
+        for k in range(len(qs) - 1, -1, -1):
+            q = qs[k]
+            g = g.reshape(stages[k + 1].shape)
+            x = stages[k].reshape(g.shape[0], q.shape[1], -1)
+            marginal = p_live.sum(axis=tuple(j for j in range(len(qs)) if j != k))
+            ds_dn = np.divide(marginal, norms[k], out=np.zeros_like(marginal), where=norms[k] > 0)
+            g_q = np.tensordot(g, x.conj(), axes=([0, 2], [0, 2]))
+            grads.append(g_q + 2 * LOG2_E * ds_dn[:, None] * q)
+            if k:
+                g = dagger(q) @ g
+        return entropy_from_stats(p, vols), grads[::-1]
+
+    return _Objective(value, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +480,9 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
 def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig):
     """LO* basis search; returns (per-restart values, best bases, converged)."""
     bdims = partition.block_dims(rho.dims)
-    value = _product_objective(rho, partition.blocks)
     warm = [[np.eye(d, dtype=complex) for d in bdims], _marginal_eigenbases(rho, partition)]
     return _search(
-        lambda us: value([dagger(u) for u in us]),  # a basis's bras are its frame's rows
+        _over_bases(_product_objective(rho, partition.blocks)),
         warm,
         lambda k, gen: _haar_frame(bdims[k], bdims[k], gen),
         0,
@@ -522,7 +642,7 @@ def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
         follow = _greedy_chain_values(sigma[live] / p[live, None, None], bdims[1:])
         return total + float(np.dot(p[live], follow))
 
-    return value
+    return _Objective(value)
 
 
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
@@ -642,28 +762,32 @@ def cq_gap(
     _check_cq(rho, basis, classical_block)
 
     full2 = PartitionSpec.full(2)
-    value = _product_objective(rho, full2.blocks)
+    slot = 1 - classical_block
 
     def frames(q: np.ndarray) -> list[np.ndarray]:
         """Both blocks' frames: the classical basis's bras in its slot, q in the other."""
         return [dagger(basis), q] if classical_block == 0 else [q, dagger(basis)]
 
-    _, vecs = np.linalg.eigh(rho.reduced([1 - classical_block]).mat)
+    quantum = _product_objective(rho, full2.blocks).composed(
+        lambda qs: frames(qs[0]), lambda gs: [gs[slot]]
+    )
+    star = _over_bases(quantum)
+    _, vecs = np.linalg.eigh(rho.reduced([slot]).mat)
     eig = vecs[:, ::-1]
-    if klass == "lostar":
-        values, (u,), converged = _search(
-            lambda us: value(frames(dagger(us[0]))),
-            [[np.eye(dq, dtype=complex)], [eig]],
-            lambda k, gen: _haar_frame(dq, dq, gen),
-            30_000,
-            cfg,
-        )
-        q_best = dagger(u)
-    else:
+    values, (u,), converged = _search(
+        star,
+        [[np.eye(dq, dtype=complex)], [eig]],
+        lambda k, gen: _haar_frame(dq, dq, gen),
+        30_000,
+        cfg,
+    )
+    q_best = dagger(u)
+    if klass == "lo":
+        # the polished LO* basis seeds one restart, as in minimize_lo
         m = 4 if dq == 2 else dq + 1
         values, (q_best,), converged = _search(
-            lambda qs: value(frames(qs[0])),
-            [[_pad_rows(np.eye(dq, dtype=complex), m)], [_pad_rows(dagger(eig), m)]],
+            quantum,
+            [[_pad_rows(q, m)] for q in (np.eye(dq, dtype=complex), q_best, dagger(eig))],
             lambda k, gen: _random_frame(dq, m, gen),
             30_000,
             cfg,
@@ -689,106 +813,109 @@ class PptW3Result:
     witness: Povm
 
 
-def _w3_invariant_projectors() -> list[np.ndarray]:
-    """The six projectors spanning operators invariant under local phases and permutations."""
-    w3 = w_vector(3)
-    wbar = np.zeros(8, dtype=complex)
-    for idx in (0b011, 0b101, 0b110):
-        wbar[idx] = 1 / np.sqrt(3)
-    q1 = np.outer(w3, w3.conj())
-    q2 = np.outer(wbar, wbar.conj())
-    p1 = np.zeros((8, 8), dtype=complex)
-    for idx in (0b100, 0b010, 0b001):
-        p1[idx, idx] = 1.0
-    p2 = np.zeros((8, 8), dtype=complex)
-    for idx in (0b011, 0b101, 0b110):
-        p2[idx, idx] = 1.0
-    q3 = p1 - q1
-    q4 = p2 - q2
-    q5 = np.zeros((8, 8), dtype=complex)
-    q5[0, 0] = 1.0
-    q6 = np.zeros((8, 8), dtype=complex)
-    q6[7, 7] = 1.0
-    return [q1, q2, q3, q4, q5, q6]
+def _w3_invariant_projectors() -> list[list[list[Fraction]]]:
+    """The six projectors spanning operators invariant under local phases and permutations.
+
+    Exact 8 x 8 rational matrices on |abc> (index 4a + 2b + c): Q1 = |W><W|,
+    Q2 = |Wbar><Wbar|, Q3 and Q4 the rest of the one- and two-excitation
+    sectors, Q5 = |000><000| and Q6 = |111><111|.
+    """
+
+    def uniform(sector):  # |v><v|, v the normalised uniform superposition over the sector
+        return [[Fraction(1, 3) if i in sector and j in sector else Fraction(0) for j in range(8)]
+                for i in range(8)]
+
+    def diagonal(sector):
+        return [[Fraction(int(i == j and i in sector)) for j in range(8)] for i in range(8)]
+
+    def minus(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    one, two = (1, 2, 4), (3, 5, 6)
+    q1, q2 = uniform(one), uniform(two)
+    return [q1, q2, minus(diagonal(one), q1), minus(diagonal(two), q2), diagonal((0,)), diagonal((7,))]
+
+
+def _pt_first_qubit(x: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Partial transpose of a three-qubit operator on its first qubit."""
+    return [[x[(j & 4) | (i & 3)][(i & 4) | (j & 3)] for j in range(8)] for i in range(8)]
+
+
+def _is_psd_exact(a: list[list[Fraction]]) -> bool:
+    """Whether a real symmetric rational matrix is positive semidefinite, by exact elimination."""
+    a = [row[:] for row in a]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
 
 
 EXACT_W3_COEFFS = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2, 3), Fraction(1, 12))
+# the dual certificate Y = sum_j w_j y_j y_j^T, which lies on the kernel of PT(M')
+EXACT_W3_DUAL = (
+    (Fraction(1), (-1, 0, 0, 0, 0, 1, 1, 0)),  # |101> + |110> - |000>
+    (Fraction(1, 4), (0, -1, 0, 0, 0, 0, 0, 2)),  # 2|111> - |001>
+)
+
+
+def _certify_ppt_w3(coeffs, dual) -> Fraction:
+    """Proven minimum of Tr M' over M' = Q1 + sum_a t_a Q_a, t >= 0, PT(M') >= 0.
+
+    Primal: t = ``coeffs`` is feasible, so its Tr M' bounds the minimum from
+    above.  Dual: ``dual`` lists weights w_j >= 0 and vectors y_j of
+    Y = sum_j w_j y_j y_j^T >= 0; when Tr(Y PT(Q_a)) <= Tr Q_a for a = 2..6,
+    every feasible M' has Tr M' >= Tr Q1 - Tr(Y PT(Q1)) + Tr(Y PT(M')) >=
+    Tr Q1 - Tr(Y PT(Q1)).  All of it runs in exact rational arithmetic;
+    RuntimeError unless both parts hold and the two bounds meet.
+    """
+    qs = _w3_invariant_projectors()
+    traces = [sum(q[i][i] for i in range(8)) for q in qs]
+    pts = [_pt_first_qubit(q) for q in qs]
+    t = [Fraction(1)] + [Fraction(c) for c in coeffs]
+    pt_m = [[sum(ta * pt[i][j] for ta, pt in zip(t, pts)) for j in range(8)] for i in range(8)]
+    if min(t) < 0 or not _is_psd_exact(pt_m):
+        raise RuntimeError("W3 PPT primal point is infeasible")
+    upper = sum(ta * tr for ta, tr in zip(t, traces))
+
+    def against_y(x):  # Tr(Y x)
+        return sum(w * sum(y[i] * x[i][j] * y[j] for i in range(8) for j in range(8)) for w, y in dual)
+
+    if any(w < 0 for w, _ in dual) or any(against_y(pt) > tr for pt, tr in zip(pts[1:], traces[1:])):
+        raise RuntimeError("W3 PPT dual certificate is infeasible")
+    lower = traces[0] - against_y(pts[0])
+    if lower != upper:
+        raise RuntimeError(f"W3 PPT bounds do not meet: dual {lower} < primal {upper}")
+    return upper
 
 
 def ppt_gap_w3() -> PptW3Result:
     """Exact PPT-class gap of the three-qubit W state, log2(9/4) bits.
 
-    Minimizes Tr M' over M' = Q1 + sum_a t_a Q_a subject to M' >= 0 and
-    PPT on the first qubit, by grid search plus COBYLA polish; the paper's
-    rational optimum is then verified and returned exactly.  A failure here
-    signals an implementation bug, not an unlucky search.
+    The gap is log2 min Tr M' over M' = Q1 + sum_a t_a Q_a with M' >= 0 and
+    PPT on the first qubit; ``_certify_ppt_w3`` proves that EXACT_W3_COEFFS
+    attains the minimum 9/4 with the dual certificate EXACT_W3_DUAL.
     """
-    qs = _w3_invariant_projectors()
-    traces = np.array([np.real(np.trace(q)) for q in qs])  # [1, 1, 2, 2, 1, 1]
-    dims = (2, 2, 2)
-
-    def build(t: np.ndarray) -> np.ndarray:
-        m = np.array(qs[0])
-        for ta, qa in zip(t, qs[1:]):
-            m = m + ta * qa
-        return m
-
-    def feasible(t: np.ndarray, slack: float = 1e-9) -> bool:
-        if np.any(t < -slack):
-            return False
-        pt = partial_transpose(build(t), dims, (0,))
-        return float(np.linalg.eigvalsh(pt)[0]) >= -slack
-
-    def trace_of(t: np.ndarray) -> float:
-        return float(1.0 + np.dot(traces[1:], t))
-
-    grid = np.linspace(0.0, 1.0, 7)
-    best_t = None
-    best_trace = np.inf
-    for combo in itertools.product(grid, repeat=5):
-        t = np.array(combo)
-        if trace_of(t) >= best_trace:
-            continue
-        if feasible(t, slack=1e-7):
-            best_trace = trace_of(t)
-            best_t = t
-    if best_t is None:
-        raise RuntimeError("no feasible point found on the PPT grid; implementation bug")
-
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda t: float(
-                np.linalg.eigvalsh(partial_transpose(build(t), dims, (0,)))[0]
-            ),
-        },
-        {"type": "ineq", "fun": lambda t: np.min(t)},
-    ]
-    res = scipy.optimize.minimize(
-        trace_of, best_t, method="COBYLA", constraints=cons, options={"maxiter": 4000, "rhobeg": 0.1, "tol": 1e-12}
-    )
-    polished = float(res.fun) if feasible(res.x, slack=1e-7) else best_trace
-
-    exact = np.array([float(f) for f in EXACT_W3_COEFFS])
-    if not feasible(exact, slack=1e-12):
-        raise RuntimeError("exact W3 coefficient vector is infeasible; implementation bug")
-    exact_trace = trace_of(exact)
-    if polished < exact_trace - 1e-6:
-        raise RuntimeError(
-            f"search found trace {polished:.9f} below the exact optimum {exact_trace:.9f}; "
-            "implementation bug"
-        )
-    if np.max(exact) > 1.0:
+    trace = _certify_ppt_w3(EXACT_W3_COEFFS, EXACT_W3_DUAL)
+    if max(EXACT_W3_COEFFS) > 1:
         raise RuntimeError("exact coefficients exceed 1; witness would not be a POVM")
-    m_opt = build(exact)
+    qs = [np.array(q, dtype=float).astype(complex) for q in _w3_invariant_projectors()]
+    m_opt = qs[0] + sum(float(ta) * qa for ta, qa in zip(EXACT_W3_COEFFS, qs[1:]))
     complement = np.eye(8) - m_opt
-    part = PartitionSpec.full(3)
-    if not effect_is_ppt(complement, part, dims):
+    dims = (2, 2, 2)
+    if not effect_is_ppt(complement, PartitionSpec.full(3), dims):
         raise RuntimeError("identity complement of the W3 witness is not PPT")
     witness = Povm(np.array([m_opt, complement]), ("W3", "rest"), "PPT")
     return PptW3Result(
-        gap_bits=math.log2(exact_trace),
-        trace_value=exact_trace,
+        gap_bits=math.log2(float(trace)),
+        trace_value=float(trace),
         coefficients=tuple(float(f) for f in EXACT_W3_COEFFS),
         witness=witness,
     )

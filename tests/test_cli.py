@@ -1,5 +1,6 @@
 """CLI: parsing, JSON round-trips, commands, exit codes, deterministic outputs."""
 
+import gc
 import json
 import math
 
@@ -17,6 +18,7 @@ from oegap.cli import (
 )
 from oegap.classes import lostar_povm
 from oegap.core import PartitionSpec, Povm
+from oegap.optimize import OptResult
 from oegap.states import bell, werner
 
 
@@ -192,6 +194,27 @@ def test_cmd_scan_monotonicity_failure_exits_3(tmp_path, monkeypatch):
     assert "partition monotonicity violated" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_cmd_scan_leaves_no_results_alive(tmp_path):
+    # a command that ends in sys.exit on success keeps its frame, and with it every
+    # result it made, in a reference cycle through the SystemExit traceback
+    runner = CliRunner()
+    args = ["scan", "--state", "ghz(3)", "--restarts", "2", "--max-iters", "100",
+            "--out", str(tmp_path / "scan.csv")]
+
+    def live_results():
+        return sum(isinstance(obj, OptResult) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert runner.invoke(main, args).exit_code == 0
+        after_one = live_results()
+        assert runner.invoke(main, args).exit_code == 0
+        assert live_results() <= after_one
+    finally:
+        gc.enable()
 
 
 def test_cmd_scan_seeded_byte_identical(tmp_path):

@@ -4,9 +4,11 @@ Full-scale optimizer runs at the spec's tolerances live in test_acceptance.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from helpers import random_density, random_pure
 from oegap.classes import ConditionalMeasurement, flatten_locc, is_ppt, lo_povm, lostar_povm
@@ -20,12 +22,17 @@ from oegap.entropy import (
     von_neumann,
 )
 from oegap.optimize import (
+    EXACT_W3_COEFFS,
+    EXACT_W3_DUAL,
     OptConfig,
+    _certify_ppt_w3,
+    _chart,
     _eigenbasis_protocol,
     _frame_povm,
     _haar_frame,
     _hermitian_from_params,
     _oneway_objective,
+    _over_bases,
     _pad_rows,
     _product_objective,
     _random_frame,
@@ -129,6 +136,26 @@ def test_search_deterministic(search):
     _assert_same_result(SEARCHES[search](cfg), SEARCHES[search](cfg))
 
 
+def test_polish_method_follows_the_objective(monkeypatch):
+    # L-BFGS-B where the objective has a gradient (LO*, LO, CQ), Nelder-Mead for LOCC1
+    methods = []
+    real = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    cfg = OptConfig(seed=3, restarts=2, max_iters=50)
+    for run in (SEARCHES["lo"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
+        methods.clear()
+        run(cfg)
+        assert methods and set(methods) == {"L-BFGS-B"}
+    methods.clear()
+    SEARCHES["locc1"](cfg)
+    assert methods and set(methods) == {"Nelder-Mead"}
+
+
 def test_minimize_locc_gap_not_below_zero():
     # float rounding used to leave S_M - S at -4.4e-16 on the CQ trine state
     cfg = OptConfig(seed=107, restarts=3, max_iters=300)
@@ -217,6 +244,100 @@ def test_product_objective_matches_observational_entropy(case):
         assert value([dagger(u) for u in us]) == pytest.approx(
             observational_entropy(rho, witness), abs=1e-12
         )
+
+
+def _finite_difference_gradient(f, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central differences of a real f at a complex matrix z, as d/dRe + i d/dIm."""
+    g = np.zeros(z.shape, dtype=complex)
+    for idx in np.ndindex(z.shape):
+        for unit in (1.0, 1j):
+            step = np.zeros(z.shape, dtype=complex)
+            step[idx] = unit * h
+            g[idx] += unit * (f(z + step) - f(z - step)) / (2 * h)
+    return g
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_product_objective_gradient_matches_finite_differences(case):
+    rho, part = PRODUCT_CASES[case]
+    bdims = part.block_dims(rho.dims)
+    ms = [4 if d == 2 else d + 1 for d in bdims]
+    objective = _product_objective(rho, part.blocks)
+    gen = np.random.default_rng(29)
+    frame_sets = [
+        [_random_frame(d, m, gen) for d, m in zip(bdims, ms)],
+        # Haar bases padded with zero rows: those outcomes have p = 0 and V = 0
+        [_pad_rows(dagger(_haar_frame(d, d, gen)), m) for d, m in zip(bdims, ms)],
+    ]
+    for qs in frame_sets:
+        value, grads = objective.grad(qs)
+        assert value == objective(qs)
+        for k in range(len(qs)):
+            numeric = _finite_difference_gradient(
+                lambda z, k=k: objective(qs[:k] + [z] + qs[k + 1 :]), qs[k]
+            )
+            assert _relative_error(grads[k], numeric) <= 1e-6
+
+
+def test_lostar_objective_gradient_matches_finite_differences():
+    # the basis U enters through its frame U^dag, so the gradient in U is G^dag
+    rho, part = PRODUCT_CASES["mixed-232-rank2-AC|B"]
+    objective = _over_bases(_product_objective(rho, part.blocks))
+    gen = np.random.default_rng(31)
+    us = [_haar_frame(d, d, gen) for d in part.block_dims(rho.dims)]
+    value, grads = objective.grad(us)
+    assert value == objective(us)
+    for k in range(len(us)):
+        numeric = _finite_difference_gradient(lambda z, k=k: objective(us[:k] + [z] + us[k + 1 :]), us[k])
+        assert _relative_error(grads[k], numeric) <= 1e-6
+
+
+def _hermitian_params(h: np.ndarray) -> np.ndarray:
+    """theta with _hermitian_from_params(theta, d) == h."""
+    d = h.shape[0]
+    rows, cols = np.triu_indices(d, 1)
+    theta = np.empty(d * d)
+    theta[:d] = np.real(np.diag(h))
+    theta[d::2] = h[rows, cols].real
+    theta[d + 1 :: 2] = h[rows, cols].imag
+    return theta
+
+
+def _chart_theta(kind: str, m: int, gen) -> np.ndarray:
+    if kind == "random":
+        return gen.normal(size=m * m)
+    if kind == "zero":
+        return np.zeros(m * m)
+    # H = V diag(0.4, ..., 0.4, -0.9) V^dag, or 0.4 I when m = 2: a repeated eigenvalue
+    vals = np.full(m, 0.4)
+    if m > 2:
+        vals[-1] = -0.9
+    v = _haar_frame(m, m, gen)
+    return _hermitian_params((v * vals) @ dagger(v))
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "repeated"])
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 3), (4, 2), (4, 3)])
+def test_chart_gradient_matches_finite_differences(kind, m, d):
+    gen = np.random.default_rng(37 + m + d)
+    base = _haar_frame(m, m, gen)
+    theta = _chart_theta(kind, m, gen)
+    if kind == "repeated":
+        assert np.sum(np.isclose(np.linalg.eigvalsh(_hermitian_from_params(theta, m)), 0.4)) >= 2
+    g = gen.normal(size=(m, d)) + 1j * gen.normal(size=(m, d))
+
+    def f(t):  # Re Tr(G^dag Q), Q the first d columns of the chart
+        return float(np.real(np.vdot(g, _chart(t, base)[0][:, :d])))
+
+    u, pullback = _chart(theta, base)
+    assert np.allclose(dagger(u) @ u, np.eye(m), atol=1e-12)
+    h = 1e-6
+    numeric = np.array([(f(theta + h * e) - f(theta - h * e)) / (2 * h) for e in np.eye(m * m)])
+    assert _relative_error(pullback(g), numeric) <= 1e-6
 
 
 ONEWAY_CASES = {
@@ -309,6 +430,15 @@ def test_cq_gap_trine_lo():
     assert res.gap_bits == pytest.approx(2 - math.log2(3), abs=1e-4)
 
 
+def test_cq_gap_lo_not_above_lostar():
+    # LO contains LO*: the LO search starts from the polished LO* basis
+    state = trine_cq()
+    cfg = OptConfig(seed=107, restarts=3, max_iters=300)
+    star = cq_gap(state.state, state.classical_basis, "lostar", cfg)
+    lo = cq_gap(state.state, state.classical_basis, "lo", cfg)
+    assert lo.gap_bits <= star.gap_bits
+
+
 def test_cq_gap_commuting_conditionals_zero():
     rho = cq([0.6, 0.4], [np.diag([0.8, 0.2]), np.diag([0.3, 0.7])]).state
     res = cq_gap(rho, np.eye(2, dtype=complex), "lostar", FAST)
@@ -361,6 +491,45 @@ def test_ppt_gap_w3_witness_properties():
     s_m = observational_entropy(w(3), res.witness)
     assert s_m == pytest.approx(math.log2(9 / 4), abs=1e-10)
     assert res.witness.volumes()[0] == pytest.approx(9 / 4, abs=1e-10)
+
+
+def test_ppt_w3_certificate_exact():
+    assert _certify_ppt_w3(EXACT_W3_COEFFS, EXACT_W3_DUAL) == Fraction(9, 4)
+
+
+def _perturbed_coeffs(index: int, delta: Fraction):
+    coeffs = list(EXACT_W3_COEFFS)
+    coeffs[index] += delta
+    return tuple(coeffs)
+
+
+def _perturbed_dual(index: int, weight_delta: Fraction, vector_delta=None):
+    dual = list(EXACT_W3_DUAL)
+    weight, vector = dual[index]
+    if vector_delta is not None:
+        vector = tuple(a + b for a, b in zip(vector, vector_delta))
+    dual[index] = (weight + weight_delta, vector)
+    return tuple(dual)
+
+
+@pytest.mark.parametrize(
+    "coeffs,dual,why",
+    [
+        (_perturbed_coeffs(0, Fraction(1, 100)), EXACT_W3_DUAL, "primal point is infeasible"),
+        (_perturbed_coeffs(2, Fraction(-1, 100)), EXACT_W3_DUAL, "primal point is infeasible"),
+        (_perturbed_coeffs(3, Fraction(-1, 100)), EXACT_W3_DUAL, "primal point is infeasible"),
+        (_perturbed_coeffs(4, Fraction(-1, 1000)), EXACT_W3_DUAL, "primal point is infeasible"),
+        (_perturbed_coeffs(1, Fraction(1, 100)), EXACT_W3_DUAL, "bounds do not meet"),
+        (EXACT_W3_COEFFS, _perturbed_dual(0, Fraction(1, 100)), "dual certificate is infeasible"),
+        (EXACT_W3_COEFFS, _perturbed_dual(1, Fraction(-1, 100)), "dual certificate is infeasible"),
+        (EXACT_W3_COEFFS, _perturbed_dual(1, Fraction(0), (0, 0, 0, 0, 1, 0, 0, 0)), "bounds do not meet"),
+        (EXACT_W3_COEFFS, ((Fraction(-1), (0,) * 7 + (1,)),) + EXACT_W3_DUAL, "dual certificate is infeasible"),
+    ],
+    ids=["t2-high", "t4-negative", "t5-low", "t6-low", "t3-high", "y1-heavy", "y2-light", "y2-vector", "y-negative"],
+)
+def test_ppt_w3_certificate_rejects_perturbations(coeffs, dual, why):
+    with pytest.raises(RuntimeError, match=f"W3 PPT {why}"):
+        _certify_ppt_w3(coeffs, dual)
 
 
 def test_eigenseparability_domino():
