@@ -4,19 +4,20 @@ Every search-based minimizer reports an upper bound on the true class minimum.
 The LO*, LO, one-way LOCC and CQ searches share one restart engine,
 ``_search``: deterministic warm starts (computational bases, marginal
 eigenbases and, for LO and CQ LO, the polished LO* bases) come first, seeded
-random starts follow, each restart runs a blockwise descent, and the best
-restart wins with ties resolved to the lowest restart index, so results are
-reproducible bit-for-bit for a fixed seed.  Each block's frame is charted as
-U exp(iH(theta)).  The LO*, LO and CQ searches minimize one objective,
+random starts follow, and the best restart wins with ties resolved to the
+lowest restart index, so results are reproducible bit-for-bit for a fixed
+seed.  Each frame is charted as U exp(iH(theta)), and every objective has a
+closed-form gradient, pulled back through the chart by the Daleckii-Krein
+formula, so every polish is L-BFGS-B.  The LO*, LO and CQ searches minimize
 ``_product_objective``: the entropy of a product measurement with one row
 frame per block, applied block by block to a factor rho = L L^dag taken once
 per search (the CQ search fixes the classical block's frame to the declared
-basis).  It has a closed-form gradient, pulled back through the chart by the
-Daleckii-Krein formula, so those blocks are polished with L-BFGS-B.  The
-one-way LOCC objective, whose later blocks follow their conditional
-eigenbases, has no gradient yet and keeps gradient-free Nelder-Mead.
-``werner_analytic`` is exact in closed form, and ``ppt_gap_w3`` is proven
-optimal by a primal point and a dual certificate checked in rational
+basis); they polish one block at a time.  The one-way LOCC search minimizes
+``_oneway_objective`` over a tree of frames, the first block's POVM and one
+basis per outcome path at each later level but the last, whose block is
+measured in its conditional eigenbasis; it polishes all of a restart's frames
+together.  ``werner_analytic`` is exact in closed form, and ``ppt_gap_w3`` is
+proven optimal by a primal point and a dual certificate checked in rational
 arithmetic.
 """
 
@@ -140,27 +141,42 @@ def _upper_flat_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows * d + cols, cols * d + rows
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix: diagonal theta[:d], then (re, im) pairs of the upper triangle by rows."""
+    """Hermitian matrix: diagonal theta[:d], then (re, im) pairs of the upper triangle by rows.
+
+    A stack of parameter vectors (n, d * d) gives a stack of matrices; the
+    work runs on the transposes, with the parameter axis first.
+    """
     upper_idx, lower_idx = _upper_flat_indices(d)
-    upper = theta[d::2] + 1j * theta[d + 1 :: 2]
-    h = np.zeros(d * d, dtype=complex)
-    h[:: d + 1] = theta[:d]
+    t = theta.T
+    upper = t[d::2] + 1j * t[d + 1 :: 2]
+    h = np.zeros(t.shape, dtype=complex)
+    h[:: d + 1] = t[:d]
     h[upper_idx] = upper
     h[lower_idx] = upper.conj()
-    return h.reshape(d, d)
+    return h.T.reshape(theta.shape[:-1] + (d, d))
 
 
 def _hermitian_gradient_params(g: np.ndarray) -> np.ndarray:
-    """Gradient in theta of f(H(theta)), from the gradient g of f in an unconstrained H."""
-    d = g.shape[0]
-    upper_idx, _ = _upper_flat_indices(d)
-    pairs = (g + dagger(g)).ravel()[upper_idx]
-    out = np.empty(d * d)
-    out[:d] = np.real(np.diag(g))
+    """Gradient in theta of f(H(theta)), from the gradient g of f in an unconstrained H.
+
+    A stack of gradients (n, d, d) gives a stack of parameter gradients.
+    """
+    d = g.shape[-1]
+    upper_idx, lower_idx = _upper_flat_indices(d)
+    gt = g.T  # gt[j, i] = g[i, j], for each matrix of a stack
+    flat = gt.reshape((d * d,) + gt.shape[2:])
+    pairs = flat[lower_idx] + flat[upper_idx].conj()  # g[i, j] + conj(g[j, i]) for i < j
+    out = np.empty(flat.shape)
+    out[:d] = flat[:: d + 1].real
     out[d::2] = pairs.real
     out[d + 1 :: 2] = pairs.imag
-    return out
+    return out.T
 
 
 def _chart(theta: np.ndarray, base: np.ndarray):
@@ -169,20 +185,22 @@ def _chart(theta: np.ndarray, base: np.ndarray):
     The pullback maps a gradient G with respect to the first columns of the
     unitary to the gradient in theta, by the Daleckii-Krein formula on the
     eigh of H in the stable form Phi_jk = e^{i(l_j + l_k)/2} sinc((l_j - l_k)/2),
-    so a degenerate H (theta = 0 included) needs no special case.
+    so a degenerate H (theta = 0 included) needs no special case.  A stack
+    of parameter vectors (n, m * m) and bases (n, m, m) charts n unitaries.
     """
-    m = base.shape[0]
+    m = base.shape[-1]
     if np.any(theta):
         vals, vecs = np.linalg.eigh(_hermitian_from_params(theta, m))
-        u = base @ (vecs * np.exp(1j * vals)) @ dagger(vecs)
+        u = base @ (vecs * np.exp(1j * vals)[..., None, :]) @ _adjoint(vecs)
     else:
-        vals, vecs, u = np.zeros(m), np.eye(m), base
+        vals, vecs, u = np.zeros(theta.shape[:-1] + (m,)), np.eye(m), base
 
     def pullback(g: np.ndarray) -> np.ndarray:
         half = np.exp(0.5j * vals)
-        phi = np.outer(half, half) * np.sinc(np.subtract.outer(vals, vals) / (2 * np.pi))
-        inner = dagger(base @ vecs) @ g @ vecs[: g.shape[1]]
-        return _hermitian_gradient_params(-1j * vecs @ (phi.conj() * inner) @ dagger(vecs))
+        diff = vals[..., :, None] - vals[..., None, :]
+        phi = half[..., :, None] * half[..., None, :] * np.sinc(diff / (2 * np.pi))
+        inner = _adjoint(base @ vecs) @ g @ vecs[..., : g.shape[-1], :]
+        return _hermitian_gradient_params(-1j * vecs @ (phi.conj() * inner) @ _adjoint(vecs))
 
     return u, pullback
 
@@ -252,14 +270,14 @@ def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Objective:
-    """A function of one frame per block and, when it has one, its gradient.
+    """A function of a list of frames and its gradient.
 
     ``grad(frames)`` returns the value and, for each frame Q_k, the matrix G_k
     with dS = Re Tr(G_k^dag dQ_k).
     """
 
     value: Callable[[list[np.ndarray]], float]
-    grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]] | None = None
+    grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
 
     def __call__(self, frames: list[np.ndarray]) -> float:
         return self.value(frames)
@@ -282,32 +300,22 @@ def _over_bases(objective: _Objective) -> _Objective:
     return objective.composed(lambda us: [dagger(u) for u in us], lambda gs: [dagger(g) for g in gs])
 
 
-def _polish(objective, x0: np.ndarray, cfg: OptConfig, rounds: int = 1, jac: bool = False):
-    """L-BFGS-B when ``objective`` also returns its gradient, else Nelder-Mead.
+def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
+    """L-BFGS-B on ``fun``, which returns its value and gradient.
 
     Extra rounds restart the minimizer at the optimum.
     """
-    if jac:
-        # step_tol bounds the projected gradient, as it bounds the simplex for Nelder-Mead
-        method = "L-BFGS-B"
-        options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.step_tol}
-    else:
-        method = "Nelder-Mead"
-        options = {
-            "maxiter": cfg.max_iters,
-            "xatol": cfg.step_tol,
-            "fatol": 1e-12,
-            "adaptive": x0.size > 10,
-        }
-    x, fun = x0, None
+    # step_tol bounds the projected gradient
+    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.step_tol}
+    x, value = x0, None
     for _ in range(rounds):
-        res = scipy.optimize.minimize(objective, x, method=method, jac=jac or None, options=options)
-        if fun is not None and fun - float(res.fun) < 1e-12:
-            if float(res.fun) < fun:
-                x, fun = res.x, float(res.fun)
+        res = scipy.optimize.minimize(fun, x, method="L-BFGS-B", jac=True, options=options)
+        if value is not None and value - float(res.fun) < 1e-12:
+            if float(res.fun) < value:
+                x, value = res.x, float(res.fun)
             break
-        x, fun = res.x, float(res.fun)
-    return x, fun
+        x, value = res.x, float(res.fun)
+    return x, value
 
 
 def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
@@ -324,7 +332,7 @@ def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
 
 
 def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, rounds: int):
-    """Polish frame k alone on its chart; returns (value, polished frame).
+    """Polish frame k alone on its chart from theta = 0; returns (value, polished frame).
 
     An m x d frame is charted as the first d columns of U exp(iH(theta)),
     where U is the frame itself when square (a basis) and its completion to
@@ -333,33 +341,54 @@ def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, 
     m, d = frames[k].shape
     base = frames[k] if m == d else _complete_unitary(frames[k])
 
-    def with_frame(q: np.ndarray) -> list[np.ndarray]:
-        return frames[:k] + [q] + frames[k + 1 :]
+    def fun(theta):
+        u, pullback = _chart(theta, base)
+        s, grads = objective.grad(frames[:k] + [u[:, :d]] + frames[k + 1 :])
+        return s, pullback(grads[k])
 
-    if objective.grad is None:
-
-        def fun(theta):
-            return objective(with_frame(_chart(theta, base)[0][:, :d]))
-
-    else:
-
-        def fun(theta):
-            u, pullback = _chart(theta, base)
-            s, grads = objective.grad(with_frame(u[:, :d]))
-            return s, pullback(grads[k])
-
-    x, value = _polish(fun, np.zeros(m * m), cfg, rounds, jac=objective.grad is not None)
+    x, value = _polish(fun, np.zeros(m * m), cfg, rounds)
     return value, _chart(x, base)[0][:, :d]
 
 
-def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig):
-    """Blockwise descent: polish one block's frame at a time.
+def _polish_joint(objective: _Objective, frames: list[np.ndarray], cfg, gen: np.random.Generator):
+    """Polish all frames together from a seeded theta0 = 1e-2 N(0, 1); returns (value, frames).
 
-    A lone block gets one two-round polish; several blocks get up to four
-    sweeps, which stop early once a full pass stops helping.
+    Each frame is charted as in ``_polish_block``, a stack of bases as one
+    stacked chart, and the charts take consecutive slices of one parameter
+    vector.  The nudged start leaves the saddle that zero padded rows sit on
+    at theta = 0.
+    """
+    bases = [f if f.shape[-2] == f.shape[-1] else _complete_unitary(f) for f in frames]
+    ends = list(itertools.accumulate(b.size for b in bases))  # one theta entry per unitary entry
+
+    def charted(theta):
+        charts = [
+            _chart(theta[end - base.size : end].reshape(base.shape[:-2] + (-1,)), base)
+            for base, end in zip(bases, ends)
+        ]
+        return [u[..., : f.shape[-1]] for (u, _), f in zip(charts, frames)], charts
+
+    def fun(theta):
+        new, charts = charted(theta)
+        s, grads = objective.grad(new)
+        return s, np.concatenate([pullback(g).ravel() for (_, pullback), g in zip(charts, grads)])
+
+    x, value = _polish(fun, 1e-2 * gen.normal(size=ends[-1]), cfg, rounds=2)
+    return value, charted(x)[0]
+
+
+def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, gen=None):
+    """Descent from ``frames``; the start is kept unless a polish beats it.
+
+    Without ``gen`` it is blockwise: a lone block gets one two-round polish,
+    several blocks get up to four sweeps, which stop early once a full pass
+    stops helping.  With a generator ``gen``, one ``_polish_joint``.
     """
     frames = list(frames)
     best = float(objective(frames))
+    if gen is not None:
+        value, polished = _polish_joint(objective, frames, cfg, gen)
+        return (value, polished) if value < best - 1e-13 else (best, frames)
     rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
     for _ in range(sweeps):
         gained = 0.0
@@ -374,27 +403,30 @@ def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig):
     return best, frames
 
 
-def _search(value, warm: list[list[np.ndarray]], sample, offset: int, cfg: OptConfig):
-    """Restarted blockwise descent over one frame per block.
+def _blockwise_sampler(last: list[np.ndarray], draw):
+    """Start sampler for ``_search``: block k from ``draw(k, gen)``, except that
+    with several blocks a block keeps its frame in ``last`` with probability 0.35."""
+    n = len(last)
+    return lambda gen: [last[k] if n > 1 and gen.uniform() < 0.35 else draw(k, gen) for k in range(n)]
 
-    ``value`` maps a list of block frames to the objective.  Restart
-    i < len(warm) starts from ``warm[i]``.  Each later restart seeds its own
-    generator with (seed, offset + i) and draws each block from
-    ``sample(k, gen)``, except that with several blocks a block keeps the
-    last warm start's frame with probability 0.35.  Returns the per-restart
-    values, the best restart's frames and the convergence flag.
+
+def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig, joint: bool = False):
+    """Restarted descent over a list of frames.
+
+    Restart i < len(warm) starts from ``warm[i]``; each later one from
+    ``sample(gen)``, with gen seeded by (seed, offset + i).  The descent is
+    blockwise, or, when ``joint``, one polish of all the frames together
+    from a start nudged by that generator (drawn for the warm starts too).
+    Returns the per-restart values, the best restart's frames and the
+    convergence flag.
     """
-    n_blocks = len(warm[0])
 
     def restart(idx: int):
-        if idx < len(warm):
-            return _descent(value, warm[idx], cfg)
+        if idx < len(warm) and not joint:  # a blockwise warm start draws nothing
+            return _descent(objective, warm[idx], cfg)
         gen = _rng(cfg.seed, offset + idx)
-        start = [
-            warm[-1][k] if n_blocks > 1 and gen.uniform() < 0.35 else sample(k, gen)
-            for k in range(n_blocks)
-        ]
-        return _descent(value, start, cfg)
+        start = warm[idx] if idx < len(warm) else sample(gen)
+        return _descent(objective, start, cfg, gen if joint else None)
 
     results = [restart(i) for i in range(max(cfg.restarts, len(warm)))]
     values = [r[0] for r in results]
@@ -484,7 +516,7 @@ def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig)
     return _search(
         _over_bases(_product_objective(rho, partition.blocks)),
         warm,
-        lambda k, gen: _haar_frame(bdims[k], bdims[k], gen),
+        _blockwise_sampler(warm[-1], lambda k, gen: _haar_frame(bdims[k], bdims[k], gen)),
         0,
         cfg,
     )
@@ -533,7 +565,7 @@ def minimize_lo(
     values, frames, converged = _search(
         _product_objective(rho, partition.blocks),
         warm,
-        lambda k, gen: _random_frame(bdims[k], ms[k], gen),
+        _blockwise_sampler(warm[-1], lambda k, gen: _random_frame(bdims[k], ms[k], gen)),
         10_000,
         cfg,
     )
@@ -550,24 +582,32 @@ def _eigenbasis_protocol(
     dims: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
     live: tuple[int, ...],
-    first: Povm | None = None,
+    levels: list[np.ndarray] = (),
+    path: int = 0,
 ) -> ConditionalMeasurement:
-    """Greedy protocol measuring each block in its conditional marginal eigenbasis.
+    """Protocol measuring each block in its frame from ``levels``, else in its conditional eigenbasis.
 
     ``blocks`` hold positions within the current frame; ``live`` maps those
     positions to original subsystem labels, which is what the emitted
-    protocol nodes carry.  ``first``, when given, replaces the eigenbasis
-    measurement of the first block.
+    protocol nodes carry.  ``levels[0][path]`` is the frame of the first
+    block on this outcome path; its row i leads to path
+    ``path * rows + i`` of ``levels[1]``, as in ``_tree_levels``.  A block
+    with no level left, and the outcome that reabsorbs a frame's dropped
+    rows, is measured in the eigenbasis of its conditional marginal.
     """
     pos = tuple(blocks[0])
-    povm = first
-    if povm is None:
+    if levels:
+        frame = levels[0][path]
+        povm = _frame_povm(frame)
+        rows = [i for i, row in enumerate(frame) if np.linalg.norm(row) > 1e-7]
+    else:
         reduced = partial_trace(mat, dims, pos)
         tr = float(np.real(np.trace(reduced)))
         if tr > P_EPS:
             reduced = reduced / tr
         vals, vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))
         povm = Povm.from_basis(vecs[:, ::-1].copy())
+        rows = []
     label_block = tuple(live[j] for j in pos)
     if len(blocks) == 1:
         return ConditionalMeasurement(label_block, povm, None)
@@ -575,13 +615,17 @@ def _eigenbasis_protocol(
     rest_dims = tuple(dims[j] for j in rest_pos)
     rest_live = tuple(live[j] for j in rest_pos)
     rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
-    children = tuple(
-        _eigenbasis_protocol(
-            conditional_state(mat, dims, pos, eff)[1], rest_dims, rest_blocks, rest_live
-        )
-        for eff in povm.effects
-    )
-    return ConditionalMeasurement(label_block, povm, children)
+    children = []
+    for i, eff in enumerate(povm.effects):
+        cond = conditional_state(mat, dims, pos, eff)[1]
+        if i < len(rows):
+            child = _eigenbasis_protocol(
+                cond, rest_dims, rest_blocks, rest_live, levels[1:], path * len(frame) + rows[i]
+            )
+        else:
+            child = _eigenbasis_protocol(cond, rest_dims, rest_blocks, rest_live)
+        children.append(child)
+    return ConditionalMeasurement(label_block, povm, tuple(children))
 
 
 def minimize_locc_oneway(
@@ -592,11 +636,15 @@ def minimize_locc_oneway(
 ) -> OptResult:
     """Upper bound on the minimal OE over one-way LOCC protocols.
 
-    Only the first block's POVM is searched (rank-1 effects, Stiefel-row
-    encoding); each later block is measured in the eigenbasis of its
-    conditional reduced state, which is exactly optimal for the final round.
-    The objective conditions on all outcomes at once (``_greedy_chain_values``);
-    the winning protocol is rebuilt and re-evaluated with ``chain_entropy``.
+    The search runs over a tree of frames (``_oneway_objective``): the first
+    block's POVM (rank-1 effects, Stiefel-row encoding) and, at each later
+    level but the last, one basis per outcome path; the last block is
+    measured in the eigenbasis of its conditional state, which is exactly
+    optimal there.  Each start is a first-block frame and the conditional
+    eigenbases of its paths: the computational basis, the marginal
+    eigenbasis, then random frames.  All of a restart's frames are polished
+    together with L-BFGS-B.  The winning tree is rebuilt as a protocol and
+    re-evaluated with ``chain_entropy``.
     """
     dims = rho.dims
     if ordering is None:
@@ -606,72 +654,122 @@ def minimize_locc_oneway(
         if sorted(ordering) != list(range(partition.n_blocks)):
             raise ValidationError("ordering must be a permutation of the partition blocks")
     blocks = tuple(partition.blocks[k] for k in ordering)
-    d0 = int(np.prod([dims[i] for i in blocks[0]]))
+    d0 = _block_dims(rho, blocks)[0]
     m = 4 if d0 == 2 else d0 + 1
-    vals, vecs = np.linalg.eigh(partial_trace(rho.mat, dims, blocks[0]))
-    warm = [[_pad_rows(np.eye(d0, dtype=complex), m)], [_pad_rows(dagger(vecs[:, ::-1]), m)]]
-    values, (q_best,), converged = _search(
-        _oneway_objective(rho, blocks), warm, lambda k, gen: _random_frame(d0, m, gen), 20_000, cfg
+    _, vecs = np.linalg.eigh(partial_trace(rho.mat, dims, blocks[0]))
+    firsts = [_pad_rows(np.eye(d0, dtype=complex), m), _pad_rows(dagger(vecs[:, ::-1]), m)]
+    values, tree, converged = _search(
+        _oneway_objective(rho, blocks),
+        [_eigenbasis_tree(rho, blocks, q) for q in firsts],
+        lambda gen: _eigenbasis_tree(rho, blocks, _random_frame(d0, m, gen)),
+        20_000,
+        cfg,
+        joint=True,
     )
-    first = _frame_povm(q_best)
-    witness = _eigenbasis_protocol(rho.mat, dims, blocks, tuple(range(len(dims))), first)
+    witness = _eigenbasis_protocol(rho.mat, dims, blocks, tuple(range(len(dims))), _tree_levels(tree))
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)
 
 
-def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
-    """Chain entropy of a one-way protocol as a function of the first block's frame.
+def _tree_levels(tree: list[np.ndarray]) -> list[np.ndarray]:
+    """A one-way tree's frames as one stack (paths, rows, d_k) per searched level.
 
-    ``blocks`` lists the partition blocks in measurement order.  Frame row
-    q_i gives the first block's effect |q_i^*><q_i^*|; every later block is
-    measured in its conditional marginal eigenbasis.  The objective takes
-    the frame as the only entry of a list, as ``_search`` passes it.
+    A tree is the first block's frame q, then, for each later level but the
+    last, the stack of its bases, one per outcome path of the levels before
+    it, the first outcome slowest (a single block's tree is q alone).
     """
-    bdims = tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
-    d0, d_rest = bdims[0], rho.d // bdims[0]
-    factor = _block_factor(rho, blocks).reshape(d0, -1)
-
-    def value(qs: list[np.ndarray]) -> float:
-        q = qs[0]
-        t = (q @ factor).reshape(len(q), d_rest, -1)  # sigma_i = t_i t_i^dag
-        sigma = t @ t.conj().transpose(0, 2, 1)
-        p = (abs(t) ** 2).sum(axis=(1, 2))
-        total = entropy_from_stats(p, (abs(q) ** 2).sum(axis=1))
-        if len(bdims) == 1:
-            return total
-        live = p > P_EPS
-        follow = _greedy_chain_values(sigma[live] / p[live, None, None], bdims[1:])
-        return total + float(np.dot(p[live], follow))
-
-    return _Objective(value)
+    return [tree[0][None], *tree[1:]]
 
 
-def _shannon_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of p, terms at or below P_EPS dropped."""
-    return np.maximum(0.0, -np.sum(p * np.log2(np.where(p > P_EPS, p, 1.0)), axis=-1))
+def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames):
+    """Apply a one-way tree's levels to a block-ordered factor of rho.
 
-
-def _greedy_chain_values(states: np.ndarray, bdims: tuple[int, ...]) -> np.ndarray:
-    """Chain entropy of the greedy conditional-eigenbasis protocol on each state of a stack.
-
-    ``states`` is an (n, D, D) stack of normalised states on blocks of
-    dimensions ``bdims`` in measurement order.  Each block is measured in
-    the eigenbasis of its conditional reduced state: one eigh per level
-    serves the whole stack, and outcomes of weight <= P_EPS are masked out.
+    ``level_frames(k, x)`` gives level k's stacked frames for its input x,
+    of shape (paths, d_k, R): the unnormalised conditional factors of the
+    blocks from k on, one per outcome path.  Returns each level's input and
+    frames, and the leaves T (paths, d_last, rank), whose T T^dag are the
+    unnormalised conditional states of the last block (d_last = 1 when the
+    first block is the only one).
     """
-    n, dim = states.shape[:2]
-    d1 = bdims[0]
-    dr = dim // d1
-    if len(bdims) == 1:
-        return _shannon_rows(np.clip(np.linalg.eigvalsh(states), 0.0, None))
-    s5 = states.reshape(n, d1, dr, d1, dr)
-    p, vecs = np.linalg.eigh(np.einsum("nxaya->nxy", s5))
-    p = np.clip(p, 0.0, None)
-    live = p > P_EPS
-    # state of the rest after the block's outcome |v_k><v_k|, for every (n, k)
-    cond = np.einsum("nyk,nyaxb,nxk->nkab", vecs.conj(), s5, vecs)
-    cond /= np.where(live, p, 1.0)[:, :, None, None]
-    follow = _greedy_chain_values(cond.reshape(n * d1, dr, dr), bdims[1:]).reshape(n, d1)
-    return _shannon_rows(p) + np.sum(np.where(live, p * follow, 0.0), axis=1)
+    x = factor.reshape(1, bdims[0], -1)
+    xs, fs = [], []
+    for k in range(max(1, len(bdims) - 1)):
+        f = level_frames(k, x)
+        xs.append(x)
+        fs.append(f)
+        y = f @ x
+        x = y.reshape(y.shape[0] * y.shape[1], (bdims + (1,))[k + 1], -1)
+    return xs, fs, x
+
+
+def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    return tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
+
+
+def _eigenbasis_tree(rho: DensityMatrix, blocks, q: np.ndarray) -> list[np.ndarray]:
+    """The tree with first frame q and every later searched level in its conditional eigenbasis.
+
+    Each basis lists the eigenvectors of the path's conditional marginal in
+    descending eigenvalue order, as bras; on it ``_oneway_objective`` equals
+    the chain entropy of the greedy eigenbasis protocol after q.
+    """
+
+    def level_frames(k, x):
+        if k == 0:
+            return q[None]
+        return _adjoint(np.linalg.eigh(x @ _adjoint(x))[1][..., ::-1])
+
+    _, fs, _ = _oneway_forward(_block_factor(rho, blocks), _block_dims(rho, blocks), level_frames)
+    return [q, *fs[1:]]
+
+
+def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> _Objective:
+    """Chain entropy of a one-way protocol as a function of its tree of frames.
+
+    ``blocks`` lists the partition blocks in measurement order.  The tree is
+    laid out as in ``_tree_levels``: the first block's frame q, whose row
+    q_i gives the effect |q_i^*><q_i^*|, then a stack of bases, one per
+    outcome path, for each later level but the last.  The last block is
+    measured in the eigenbasis of its conditional state, so with A = T T^dag
+    the unnormalised final conditional state of each leaf path and
+    V_i = |q_i|^2,
+
+        S = sum_leaves -Tr A log2 A + sum_i p_i log2 V_i,
+
+    where p_i sums Tr A over the leaves after outcome i.  The gradient in A
+    is -(log2 A + 1/ln 2) on its support plus log2 V_i of the leaf's first
+    outcome, and in V_i it is p_i / (V_i ln 2); eigenvalues and p_i at or
+    below P_EPS are masked, as in ``chain_entropy``.  It runs back through
+    the levels' frames as in ``_product_objective``.
+    """
+    bdims = _block_dims(rho, blocks)
+    factor = _block_factor(rho, blocks)
+
+    def grad(tree: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        levels = _tree_levels(tree)
+        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: levels[k])
+        q = tree[0]
+        p = (abs(leaves) ** 2).reshape(len(q), -1).sum(axis=1)
+        live_p = p > P_EPS
+        vols = np.where(live_p, (abs(q) ** 2).sum(axis=1), 1.0)  # 1 where p is masked
+        log_vols = np.log2(vols)
+        lam, vecs = np.linalg.eigh(leaves @ _adjoint(leaves))
+        live = lam > P_EPS
+        log_lam = np.log2(np.where(live, lam, 1.0))
+        s = float(np.dot(p, log_vols) - np.sum(np.where(live, lam * log_lam, 0.0)))
+        g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ _adjoint(vecs)
+        leaf_log_vols = np.repeat(log_vols, len(leaves) // len(q))[:, None, None]
+        g = 2 * (g_a @ leaves + leaf_log_vols * leaves)  # gradient in the leaves
+        grads = []
+        for k in range(len(levels) - 1, -1, -1):
+            f = levels[k]
+            g = g.reshape(f.shape[0], f.shape[1], -1)  # gradient in the level's output
+            grads.append(g @ _adjoint(xs[k]))
+            if k:
+                g = _adjoint(f) @ g
+        ds_dn = np.where(live_p, p, 0.0) / vols
+        return s, [grads[-1][0] + 2 * LOG2_E * ds_dn[:, None] * q, *grads[-2::-1]]
+
+    return _Objective(lambda tree: grad(tree)[0], grad)
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +873,7 @@ def cq_gap(
     _, vecs = np.linalg.eigh(rho.reduced([slot]).mat)
     eig = vecs[:, ::-1]
     values, (u,), converged = _search(
-        star,
-        [[np.eye(dq, dtype=complex)], [eig]],
-        lambda k, gen: _haar_frame(dq, dq, gen),
-        30_000,
-        cfg,
+        star, [[np.eye(dq, dtype=complex)], [eig]], lambda gen: [_haar_frame(dq, dq, gen)], 30_000, cfg
     )
     q_best = dagger(u)
     if klass == "lo":
@@ -788,7 +882,7 @@ def cq_gap(
         values, (q_best,), converged = _search(
             quantum,
             [[_pad_rows(q, m)] for q in (np.eye(dq, dtype=complex), q_best, dagger(eig))],
-            lambda k, gen: _random_frame(dq, m, gen),
+            lambda gen: [_random_frame(dq, m, gen)],
             30_000,
             cfg,
         )
@@ -968,6 +1062,22 @@ def eigenseparability(rho: DensityMatrix, partition: PartitionSpec) -> Eigensepa
 # SEP heuristic
 
 
+def _product_eigenvectors(rho: DensityMatrix, partition: PartitionSpec):
+    """Block factors of every eigenvector of rho, when each eigenprojector has rank 1 and factors.
+
+    The basis then measures rho with S_M = S(rho): a SEP measurement with gap 0.
+    Returns None otherwise.
+    """
+    spec = spectral(rho.mat)
+    if any(mult != 1 for mult in spec.multiplicities):
+        return None
+    factors = [
+        product_vector_factors(np.linalg.eigh(proj)[1][:, -1], partition, rho.dims)
+        for proj in spec.projectors
+    ]
+    return None if any(f is None for f in factors) else factors
+
+
 def sep_gap_heuristic(
     rho: DensityMatrix,
     partition: PartitionSpec,
@@ -981,6 +1091,7 @@ def sep_gap_heuristic(
     sets whose cone misses the identity are rejected, so every accepted
     iterate is a genuine POVM.  Candidate sets seed from the LO* witness and
     the flattened one-way LOCC witness, both searched with ``cfg`` itself,
+    and from rho's eigenbasis when it is a product basis (``_product_eigenvectors``);
     then local perturbations polish.
     The returned ``bounds`` records the sandwich
     [max(ppt_lower_bits, 0), heuristic gap].
@@ -1025,6 +1136,9 @@ def sep_gap_heuristic(
         seeds.append(minimize_locc_oneway(rho, partition, None, cfg))
         seed_povms.append(flatten_locc(seeds[1].witness, dims))
     candidates = [c for c in map(directions_from_povm, seed_povms) if c is not None]
+    eigenvectors = _product_eigenvectors(rho, partition)
+    if eigenvectors is not None:
+        candidates.append(eigenvectors)
     if not candidates:
         raise RuntimeError("no feasible product POVM seed found")
 

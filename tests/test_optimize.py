@@ -25,9 +25,11 @@ from oegap.optimize import (
     EXACT_W3_COEFFS,
     EXACT_W3_DUAL,
     OptConfig,
+    _block_dims,
     _certify_ppt_w3,
     _chart,
     _eigenbasis_protocol,
+    _eigenbasis_tree,
     _frame_povm,
     _haar_frame,
     _hermitian_from_params,
@@ -36,6 +38,7 @@ from oegap.optimize import (
     _pad_rows,
     _product_objective,
     _random_frame,
+    _tree_levels,
     cq_gap,
     eigenseparability,
     minimize_lo,
@@ -137,7 +140,7 @@ def test_search_deterministic(search):
 
 
 def test_polish_method_follows_the_objective(monkeypatch):
-    # L-BFGS-B where the objective has a gradient (LO*, LO, CQ), Nelder-Mead for LOCC1
+    # every search objective has a gradient, so every polish is L-BFGS-B, LOCC1 included
     methods = []
     real = scipy.optimize.minimize
 
@@ -147,13 +150,10 @@ def test_polish_method_follows_the_objective(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "minimize", recording)
     cfg = OptConfig(seed=3, restarts=2, max_iters=50)
-    for run in (SEARCHES["lo"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
+    for run in (SEARCHES["lo"], SEARCHES["locc1"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
         methods.clear()
         run(cfg)
         assert methods and set(methods) == {"L-BFGS-B"}
-    methods.clear()
-    SEARCHES["locc1"](cfg)
-    assert methods and set(methods) == {"Nelder-Mead"}
 
 
 def test_minimize_locc_gap_not_below_zero():
@@ -340,6 +340,21 @@ def test_chart_gradient_matches_finite_differences(kind, m, d):
     assert _relative_error(pullback(g), numeric) <= 1e-6
 
 
+@pytest.mark.parametrize("m,d", [(2, 2), (4, 2), (4, 3)])
+def test_stacked_chart_matches_single_charts(m, d):
+    # the one-way search charts each level's equal-shaped bases as one stack
+    gen = np.random.default_rng(43 + m + d)
+    bases = np.stack([_haar_frame(m, m, gen) for _ in range(3)])
+    thetas = gen.normal(size=(3, m * m))
+    g = gen.normal(size=(3, m, d)) + 1j * gen.normal(size=(3, m, d))
+    u, pullback = _chart(thetas, bases)
+    stacked_grad = pullback(g)
+    for k in range(3):
+        u_k, pullback_k = _chart(thetas[k], bases[k])
+        assert np.allclose(u[k], u_k, atol=1e-14)
+        assert np.allclose(stacked_grad[k], pullback_k(g[k]), atol=1e-13)
+
+
 ONEWAY_CASES = {
     "w3": (w(3), FULL3, (0, 1, 2)),
     "w3-ordered-201": (w(3), FULL3, (2, 0, 1)),
@@ -355,25 +370,98 @@ ONEWAY_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ONEWAY_CASES))
-def test_oneway_objective_matches_chain_entropy(case):
-    # the batched objective against the protocol it stands for, rebuilt node by node
-    rho, part, ordering = ONEWAY_CASES[case]
+# four blocks: the paths of the third level run over two outcomes before it
+DEEP_ONEWAY_CASES = ONEWAY_CASES | {
+    "mixed-2222-rank3-ordered-3102": (
+        random_density(np.random.default_rng(5), (2, 2, 2, 2), rank=3),
+        PartitionSpec.full(4),
+        (3, 1, 0, 2),
+    ),
+}
+
+
+def _oneway_case(case: str):
+    """(rho, blocks in measurement order, block dims, first-frame rows) of a one-way case."""
+    rho, part, ordering = DEEP_ONEWAY_CASES[case]
     blocks = tuple(part.blocks[k] for k in ordering)
-    d0 = int(np.prod([rho.dims[i] for i in blocks[0]]))
-    m = 4 if d0 == 2 else d0 + 1
-    value = _oneway_objective(rho, blocks)
-    gen = np.random.default_rng(17)
-    frames = [_random_frame(d0, m, gen) for _ in range(12)]
+    bdims = _block_dims(rho, blocks)
+    return rho, blocks, bdims, 4 if bdims[0] == 2 else bdims[0] + 1
+
+
+def _first_frames(d0: int, m: int, gen, n_random: int) -> list[np.ndarray]:
+    frames = [_random_frame(d0, m, gen) for _ in range(n_random)]
     # a Haar basis padded with a zero row: that outcome has p = 0 and V = 0
     frames.append(_pad_rows(dagger(_haar_frame(d0, d0, gen)), m))
     # the computational basis: on GHZ3 under AC|B two outcomes have p = 0 and V = 1
     frames.append(_pad_rows(np.eye(d0, dtype=complex), m))
-    for q in frames:
-        protocol = _eigenbasis_protocol(
-            rho.mat, rho.dims, blocks, tuple(range(len(rho.dims))), _frame_povm(q)
-        )
-        assert value([q]) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+    return frames
+
+
+def _random_levels(tree: list[np.ndarray], gen) -> list[np.ndarray]:
+    """The tree with every basis after the first frame replaced by a Haar basis."""
+    return tree[:1] + [
+        np.stack([dagger(_haar_frame(len(b), len(b), gen)) for b in level]) for level in tree[1:]
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ONEWAY_CASES))
+def test_oneway_objective_matches_chain_entropy(case):
+    # on each first frame's conditional-eigenbasis tree, the objective equals the
+    # chain entropy of the greedy protocol after that frame, rebuilt node by node
+    rho, blocks, bdims, m = _oneway_case(case)
+    value = _oneway_objective(rho, blocks)
+    live = tuple(range(len(rho.dims)))
+    for q in _first_frames(bdims[0], m, np.random.default_rng(17), 12):
+        tree = _eigenbasis_tree(rho, blocks, q)
+        # one stack of bases per level between the first and the last: m of them on three blocks
+        assert [len(level) for level in tree[1:]] == ([m] if len(bdims) == 3 else [])
+        protocol = _eigenbasis_protocol(rho.mat, rho.dims, blocks, live, [q[None]])
+        assert value(tree) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
+def test_oneway_objective_matches_rebuilt_protocol(case):
+    # random level bases: the objective against the protocol rebuilt from the whole tree
+    rho, blocks, bdims, m = _oneway_case(case)
+    value = _oneway_objective(rho, blocks)
+    gen = np.random.default_rng(19)
+    for q in _first_frames(bdims[0], m, gen, 4):
+        tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
+        levels = _tree_levels(tree)
+        protocol = _eigenbasis_protocol(rho.mat, rho.dims, blocks, tuple(range(len(rho.dims))), levels)
+        assert value(tree) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
+def test_oneway_objective_gradient_matches_finite_differences(case):
+    rho, blocks, bdims, m = _oneway_case(case)
+    objective = _oneway_objective(rho, blocks)
+    gen = np.random.default_rng(41)
+    for q in _first_frames(bdims[0], m, gen, 1):
+        tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
+        value, grads = objective.grad(tree)
+        assert value == objective(tree)
+        for k in range(len(tree)):
+            numeric = _finite_difference_gradient(
+                lambda z, k=k: objective(tree[:k] + [z] + tree[k + 1 :]), tree[k]
+            )
+            assert _relative_error(grads[k], numeric) <= 1e-6
+
+
+@pytest.mark.parametrize("cfg", [OptConfig(107, 3, 300), OptConfig(11, 4, 300)], ids=["107-3", "11-4"])
+def test_minimize_locc_w3_converges(cfg):
+    # every restart's frames are polished together, so at least two restarts meet
+    res = minimize_locc_oneway(w(3), FULL3, cfg=cfg)
+    assert res.converged
+    assert res.entropy_bits <= 1.5448
+    assert res.entropy_bits == chain_entropy(res.witness, w(3))
+
+
+def test_minimize_locc_tiles_independent_of_seed_and_budget():
+    # the zero padded row of a warm start only leaves its saddle from a nudged start
+    cfgs = [OptConfig(seed, 3, 300) for seed in (1, 2, 3, 107)] + [OptConfig(107, 8, 400)]
+    gaps = [minimize_locc_oneway(tiles_upb_state(), FULL2, cfg=cfg).gap_bits for cfg in cfgs]
+    assert max(gaps) - min(gaps) <= 1e-3
 
 
 def test_minimize_locc_non_default_ordering():
@@ -583,6 +671,15 @@ def test_sep_heuristic_w3_sandwich():
     res = sep_gap_heuristic(w(3), FULL3, cfg=FAST, ppt_lower_bits=lower)
     assert lower - 1e-9 <= res.gap_bits <= 1.551
     assert res.bounds == (lower, res.gap_bits)
+
+
+def test_sep_heuristic_domino_product_eigenbasis():
+    # domino's eigenbasis is a product basis: SEP reaches gap 0, strictly below one-way LOCC
+    cfg = OptConfig(107, 3, 300)
+    sep = sep_gap_heuristic(domino_state(), FULL2, cfg=cfg)
+    locc = minimize_locc_oneway(domino_state(), FULL2, cfg=cfg)
+    assert sep.gap_bits <= 1e-12
+    assert locc.gap_bits == pytest.approx(0.002178, abs=1e-6)
 
 
 def test_sep_heuristic_below_its_seed_searches():
