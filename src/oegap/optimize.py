@@ -16,9 +16,11 @@ basis); they polish one block at a time.  The one-way LOCC search minimizes
 ``_oneway_objective`` over a tree of frames, the first block's POVM and one
 basis per outcome path at each later level but the last, whose block is
 measured in its conditional eigenbasis; it polishes all of a restart's frames
-together.  ``werner_analytic`` is exact in closed form, and ``ppt_gap_w3`` is
-proven optimal by a primal point and a dual certificate checked in rational
-arithmetic.
+together.  ``sep_gap_heuristic`` searches nothing itself: it returns the
+best of the LO* and one-way LOCC witnesses and, when it is a product basis,
+rho's eigenbasis.  ``werner_analytic`` is exact in closed form, and
+``ppt_gap_w3`` is proven optimal by a primal point and a dual certificate
+checked in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ import scipy.optimize
 from .classes import (
     ConditionalMeasurement,
     SeparabilityVerdict,
-    _product_effect,
     effect_is_ppt,
     flatten_locc,
     is_separable_effect,
     lo_povm,
     lostar_povm,
     product_vector_factors,
-    rank1_refine,
 )
 from .core import (
     DensityMatrix,
@@ -434,14 +434,14 @@ def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig, jo
     return values, results[best][1], converged
 
 
+def _marginal_eigenbasis(rho: DensityMatrix, block) -> np.ndarray:
+    """Eigenbasis of rho's reduced state on ``block``, as columns in descending eigenvalue order."""
+    return np.linalg.eigh(partial_trace(rho.mat, rho.dims, block))[1][:, ::-1].copy()
+
+
 def _marginal_eigenbases(rho: DensityMatrix, partition: PartitionSpec) -> list[np.ndarray]:
     """Per-block eigenbases of the reduced states (descending eigenvalue order)."""
-    bases = []
-    for block in partition.blocks:
-        red = rho.reduced(block).mat
-        vals, vecs = np.linalg.eigh(red)
-        bases.append(vecs[:, ::-1].copy())
-    return bases
+    return [_marginal_eigenbasis(rho, block) for block in partition.blocks]
 
 
 def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -656,8 +656,8 @@ def minimize_locc_oneway(
     blocks = tuple(partition.blocks[k] for k in ordering)
     d0 = _block_dims(rho, blocks)[0]
     m = 4 if d0 == 2 else d0 + 1
-    _, vecs = np.linalg.eigh(partial_trace(rho.mat, dims, blocks[0]))
-    firsts = [_pad_rows(np.eye(d0, dtype=complex), m), _pad_rows(dagger(vecs[:, ::-1]), m)]
+    eig = _marginal_eigenbasis(rho, blocks[0])
+    firsts = [_pad_rows(np.eye(d0, dtype=complex), m), _pad_rows(dagger(eig), m)]
     values, tree, converged = _search(
         _oneway_objective(rho, blocks),
         [_eigenbasis_tree(rho, blocks, q) for q in firsts],
@@ -870,8 +870,7 @@ def cq_gap(
         lambda qs: frames(qs[0]), lambda gs: [gs[slot]]
     )
     star = _over_bases(quantum)
-    _, vecs = np.linalg.eigh(rho.reduced([slot]).mat)
-    eig = vecs[:, ::-1]
+    eig = _marginal_eigenbasis(rho, [slot])
     values, (u,), converged = _search(
         star, [[np.eye(dq, dtype=complex)], [eig]], lambda gen: [_haar_frame(dq, dq, gen)], 30_000, cfg
     )
@@ -1062,20 +1061,18 @@ def eigenseparability(rho: DensityMatrix, partition: PartitionSpec) -> Eigensepa
 # SEP heuristic
 
 
-def _product_eigenvectors(rho: DensityMatrix, partition: PartitionSpec):
-    """Block factors of every eigenvector of rho, when each eigenprojector has rank 1 and factors.
+def _product_eigenbasis(rho: DensityMatrix, partition: PartitionSpec) -> np.ndarray | None:
+    """rho's eigenvectors as columns, when each eigenprojector has rank 1 and factors across blocks.
 
     The basis then measures rho with S_M = S(rho): a SEP measurement with gap 0.
     Returns None otherwise.
     """
-    spec = spectral(rho.mat)
-    if any(mult != 1 for mult in spec.multiplicities):
+    if any(mult != 1 for mult in spectral(rho.mat).multiplicities):
         return None
-    factors = [
-        product_vector_factors(np.linalg.eigh(proj)[1][:, -1], partition, rho.dims)
-        for proj in spec.projectors
-    ]
-    return None if any(f is None for f in factors) else factors
+    vecs = np.linalg.eigh(rho.mat)[1]
+    if any(product_vector_factors(v, partition, rho.dims) is None for v in vecs.T):
+        return None
+    return vecs
 
 
 def sep_gap_heuristic(
@@ -1084,104 +1081,27 @@ def sep_gap_heuristic(
     cfg: OptConfig = DEFAULT_CONFIG,
     ppt_lower_bits: float | None = None,
 ) -> OptResult:
-    """Upper bound on the SEP-class entropy via weighted product rank-1 POVMs.
+    """Upper bound on the SEP-class entropy: the best separable candidate at hand.
 
-    Directions are product unit vectors (one per block per outcome); weights
-    come from a non-negative least-squares completeness solve, and direction
-    sets whose cone misses the identity are rejected, so every accepted
-    iterate is a genuine POVM.  Candidate sets seed from the LO* witness and
-    the flattened one-way LOCC witness, both searched with ``cfg`` itself,
-    and from rho's eigenbasis when it is a product basis (``_product_eigenvectors``);
-    then local perturbations polish.
-    The returned ``bounds`` records the sandwich
+    The candidates, in order, are the LO* witness, the flattened one-way LOCC
+    witness when there are two or more blocks (both searched with ``cfg``
+    itself), and rho's eigenbasis when it is a product basis
+    (``_product_eigenbasis``).  Each is a product POVM, hence separable, so
+    SEP never reports more than LO* or LOCC1.  The lowest entropy wins, ties
+    going to the earlier candidate, and ``trace`` holds the candidates'
+    entropies in order.  The returned ``bounds`` records the sandwich
     [max(ppt_lower_bits, 0), heuristic gap].
     """
-    dims = rho.dims
-    d = rho.d
-
-    def directions_from_povm(povm: Povm) -> list[list[np.ndarray]] | None:
-        dirs = []
-        refined = rank1_refine(povm)
-        for eff in refined.effects:
-            scale = float(np.real(np.trace(eff)))
-            if scale <= 1e-10:
-                continue
-            vals, vecs = np.linalg.eigh(eff)
-            vec = vecs[:, -1]
-            factors = product_vector_factors(vec, partition, dims)
-            if factors is None:
-                return None
-            dirs.append(factors)
-        return dirs
-
-    def assemble(dirs: list[list[np.ndarray]]):
-        """NNLS weight solve; returns (entropy, weights, projectors) or None if infeasible."""
-        projs = []
-        for factors in dirs:
-            parts = [np.outer(f, f.conj()) for f in factors]
-            projs.append(_product_effect(parts, partition.blocks, dims))
-        a = np.stack([np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in projs], axis=1)
-        target = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
-        w, _ = scipy.optimize.nnls(a, target)
-        residual = np.linalg.norm(a @ w - target)
-        if residual > 1e-10:
-            return None
-        p = np.array([wk * float(np.real(np.trace(pk @ rho.mat))) for wk, pk in zip(w, projs)])
-        val = entropy_from_stats(np.clip(p, 0.0, None), np.where(w > 0, w, 1.0))
-        return val, w, projs
-
-    seeds = [minimize_lostar(rho, partition, cfg)]
-    seed_povms = [seeds[0].witness]
+    star = minimize_lostar(rho, partition, cfg)
+    candidates = [(star.entropy_bits, star.witness.retag("SEP"))]
     if partition.n_blocks >= 2:
-        seeds.append(minimize_locc_oneway(rho, partition, None, cfg))
-        seed_povms.append(flatten_locc(seeds[1].witness, dims))
-    candidates = [c for c in map(directions_from_povm, seed_povms) if c is not None]
-    eigenvectors = _product_eigenvectors(rho, partition)
-    if eigenvectors is not None:
-        candidates.append(eigenvectors)
-    if not candidates:
-        raise RuntimeError("no feasible product POVM seed found")
-
-    best_val = np.inf
-    best_assembly = None
-    best_dirs = None
-    trace_vals = []
-    for dirs in candidates:
-        out = assemble(dirs)
-        if out is None:
-            continue
-        trace_vals.append(out[0])
-        if out[0] < best_val:
-            best_val, best_dirs, best_assembly = out[0], dirs, out
-    if best_assembly is None:
-        raise RuntimeError("no candidate product POVM was complete; implementation bug")
-
-    # local polish: jitter directions, keep strictly feasible improvements only
-    gen = _rng(cfg.seed, 40_000)
-    scale = 0.1
-    for _ in range(cfg.restarts):
-        trial = [
-            [f + scale * (gen.normal(size=f.shape) + 1j * gen.normal(size=f.shape)) for f in factors]
-            for factors in best_dirs
-        ]
-        trial = [[f / np.linalg.norm(f) for f in factors] for factors in trial]
-        out = assemble(trial)
-        if out is not None and out[0] < best_val - 1e-12:
-            best_val, best_dirs, best_assembly = out[0], trial, out
-        else:
-            scale *= 0.8
-        trace_vals.append(best_val)
-
-    _, w, projs = best_assembly
-    keep = w > 1e-14
-    effects = np.array([wk * pk for wk, pk in zip(w[keep], np.asarray(projs)[keep])])
-    witness = Povm(effects, class_tag="SEP")
-    s_best = observational_entropy(rho, witness)
-    # the seed witnesses are separable too; when the reassembly did not beat
-    # them, one is returned, so SEP never reports more than LO* or LOCC1
-    for seed, povm in zip(seeds, seed_povms):
-        if seed.entropy_bits < s_best:
-            s_best, witness = seed.entropy_bits, povm.retag("SEP")
-    res = _result(rho, s_best, witness, trace_vals, True)
+        locc = minimize_locc_oneway(rho, partition, None, cfg)
+        candidates.append((locc.entropy_bits, flatten_locc(locc.witness, rho.dims).retag("SEP")))
+    basis = _product_eigenbasis(rho, partition)
+    if basis is not None:
+        povm = Povm.from_basis(basis, "SEP")
+        candidates.append((observational_entropy(rho, povm), povm))
+    s_best, witness = min(candidates, key=lambda c: c[0])
+    res = _result(rho, s_best, witness, [s for s, _ in candidates], True)
     lower = max(ppt_lower_bits if ppt_lower_bits is not None else 0.0, 0.0)
     return replace(res, bounds=(lower, res.gap_bits))

@@ -676,15 +676,37 @@ def test_sep_heuristic_w3_sandwich():
 def test_sep_heuristic_domino_product_eigenbasis():
     # domino's eigenbasis is a product basis: SEP reaches gap 0, strictly below one-way LOCC
     cfg = OptConfig(107, 3, 300)
-    sep = sep_gap_heuristic(domino_state(), FULL2, cfg=cfg)
-    locc = minimize_locc_oneway(domino_state(), FULL2, cfg=cfg)
+    rho = domino_state()
+    sep = sep_gap_heuristic(rho, FULL2, cfg=cfg)
+    locc = minimize_locc_oneway(rho, FULL2, cfg=cfg)
     assert sep.gap_bits <= 1e-12
     assert locc.gap_bits == pytest.approx(0.002178, abs=1e-6)
+    # the witness is rho's eigenbasis: nine rank-1 projectors, each onto an eigenvector
+    effects = np.array(sep.witness.effects)
+    assert len(effects) == 9
+    for eff in effects:
+        assert np.allclose(eff @ eff, eff, atol=1e-12)
+        assert np.trace(eff).real == pytest.approx(1.0, abs=1e-12)
+        lam = np.trace(rho.mat @ eff).real
+        assert np.allclose(rho.mat @ eff, lam * eff, atol=1e-12)
+    assert observational_entropy(rho, sep.witness) - von_neumann(rho) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["w3", "trine"])
+def test_sep_heuristic_returns_its_best_seed(name):
+    # without a product eigenbasis, SEP is exactly the better of its LO* and LOCC1 witnesses
+    rho, part = (w(3), FULL3) if name == "w3" else (trine_cq().state, FULL2)
+    cfg = OptConfig(107, 3, 300)
+    sep = sep_gap_heuristic(rho, part, cfg=cfg)
+    star = minimize_lostar(rho, part, cfg)
+    locc = minimize_locc_oneway(rho, part, cfg=cfg)
+    assert sep.entropy_bits == min(star.entropy_bits, locc.entropy_bits)
+    assert sep.trace == (star.entropy_bits, locc.entropy_bits)
 
 
 def test_sep_heuristic_below_its_seed_searches():
-    # SEP reruns LO* and one-way LOCC at the caller's config and only improves on them;
-    # at this config its NNLS reassembly of the LOCC witness lands 1e-15 above it
+    # SEP reruns LO* and one-way LOCC at the caller's config and returns the better
+    # of their witnesses, so its gap never exceeds either
     cfg = OptConfig(seed=21, restarts=3, max_iters=200)
     sep = sep_gap_heuristic(w(3), FULL3, cfg=cfg)
     assert sep.gap_bits <= minimize_locc_oneway(w(3), FULL3, cfg=cfg).gap_bits
