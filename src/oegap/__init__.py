@@ -29,7 +29,6 @@ from .entropy import (
 )
 from .classes import (
     ConditionalMeasurement,
-    LocalBases,
     SeparabilityVerdict,
     StochasticMap,
     cpp_apply,

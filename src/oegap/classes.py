@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    TOL_PSD,
     PartitionSpec,
     Povm,
     ValidationError,
@@ -29,27 +30,14 @@ from .core import (
     tensor,
 )
 
+RANK1_TOL = 1e-12  # rank1_refine drops eigenvalues at or below this
+PRODUCT_TOL = 1e-8  # purity shortfall and residual allowed of a product vector or operator
+
 
 class SeparabilityVerdict(str, enum.Enum):
     SEPARABLE = "Separable"
     ENTANGLED = "Entangled"
     UNKNOWN = "Unknown"
-
-
-@dataclass(frozen=True)
-class LocalBases:
-    """One orthonormal basis (unitary matrix, columns are basis vectors) per block."""
-
-    bases: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = []
-        for u in self.bases:
-            u = as_operator(u)
-            if opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9:
-                raise ValidationError("local basis matrix is not unitary")
-            mats.append(u)
-        object.__setattr__(self, "bases", tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -108,10 +96,13 @@ def _product_effect(effects: Sequence[np.ndarray], blocks, dims) -> np.ndarray:
 
 
 def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
-    """Rank-1 product projector POVM from one local basis per block."""
-    if isinstance(bases, LocalBases):
-        bases = bases.bases
-    bases = LocalBases(tuple(bases)).bases
+    """Rank-1 product projector POVM from one local basis per block.
+
+    Each basis is a unitary matrix whose columns are the basis vectors.
+    """
+    bases = [as_operator(u) for u in bases]
+    if any(opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9 for u in bases):
+        raise ValidationError("local basis matrix is not unitary")
     dims = tuple(int(d) for d in dims)
     bdims = partition.block_dims(dims)
     if len(bases) != partition.n_blocks:
@@ -167,7 +158,7 @@ def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
     return Povm(np.array(effects), tuple(labels), "LOCC1")
 
 
-def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:
+def rank1_refine(povm: Povm) -> Povm:
     """Split every effect into rank-1 pieces; the input is a rebinning of the output.
 
     The first nonzero amplitude of each piece is made real positive so
@@ -180,7 +171,7 @@ def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:
         vals, vecs = np.linalg.eigh(0.5 * (eff + dagger(eff)))
         pieces = 0
         for lam, v in zip(vals[::-1], vecs.T[::-1]):
-            if lam <= tol:
+            if lam <= RANK1_TOL:
                 continue
             k = int(np.argmax(np.abs(v) > 1e-8))
             v = v * np.exp(-1j * np.angle(v[k]))
@@ -224,24 +215,24 @@ def _bipartition_subsets(n_blocks: int, include_complements: bool):
             yield subset
 
 
-def effect_is_ppt(effect: np.ndarray, partition: PartitionSpec, dims, tol: float = 1e-9) -> bool:
+def effect_is_ppt(effect: np.ndarray, partition: PartitionSpec, dims) -> bool:
     """True when every block-bipartition partial transpose of the effect is PSD."""
     a = as_operator(effect)
     dims = tuple(int(d) for d in dims)
     scale = max(1.0, opnorm(a))
     for subset in _bipartition_subsets(partition.n_blocks, include_complements=False):
         subs = [i for k in subset for i in partition.blocks[k]]
-        if min_eig(partial_transpose(a, dims, subs)) < -tol * scale:
+        if min_eig(partial_transpose(a, dims, subs)) < -TOL_PSD * scale:
             return False
     return True
 
 
-def is_ppt(povm: Povm, partition: PartitionSpec, dims, tol: float = 1e-9) -> list[bool]:
+def is_ppt(povm: Povm, partition: PartitionSpec, dims) -> list[bool]:
     """Per-effect PPT verdicts for a POVM."""
-    return [effect_is_ppt(e, partition, dims, tol) for e in povm.effects]
+    return [effect_is_ppt(e, partition, dims) for e in povm.effects]
 
 
-def effect_is_rct(effect: np.ndarray, partition: PartitionSpec, dims, tol: float = 1e-9) -> bool:
+def effect_is_rct(effect: np.ndarray, partition: PartitionSpec, dims) -> bool:
     """Reduction criterion: (Tr_rest M) (x) 1 - M is PSD for every block bipartition."""
     a = as_operator(effect)
     dims = tuple(int(d) for d in dims)
@@ -250,17 +241,17 @@ def effect_is_rct(effect: np.ndarray, partition: PartitionSpec, dims, tol: float
         subs = sorted(i for k in subset for i in partition.blocks[k])
         marginal = partial_trace(a, dims, subs)
         lifted = embed(marginal, subs, dims)
-        if min_eig(lifted - a) < -tol * scale:
+        if min_eig(lifted - a) < -TOL_PSD * scale:
             return False
     return True
 
 
-def is_rct(povm: Povm, partition: PartitionSpec, dims, tol: float = 1e-9) -> list[bool]:
+def is_rct(povm: Povm, partition: PartitionSpec, dims) -> list[bool]:
     """Per-effect reduction-criterion verdicts for a POVM."""
-    return [effect_is_rct(e, partition, dims, tol) for e in povm.effects]
+    return [effect_is_rct(e, partition, dims) for e in povm.effects]
 
 
-def product_vector_factors(vec, partition: PartitionSpec, dims, tol: float = 1e-8):
+def product_vector_factors(vec, partition: PartitionSpec, dims):
     """Factor a vector as a tensor product across blocks, or return None.
 
     A vector is a product across the partition iff each block marginal of its
@@ -277,7 +268,7 @@ def product_vector_factors(vec, partition: PartitionSpec, dims, tol: float = 1e-
     for block in partition.blocks:
         red = partial_trace(dyad, dims, block)
         vals, vecs = np.linalg.eigh(red)
-        if vals[-1] < 1.0 - tol:
+        if vals[-1] < 1.0 - PRODUCT_TOL:
             return None
         factors.append(vecs[:, -1])
     rebuilt = tensor(factors)
@@ -286,30 +277,28 @@ def product_vector_factors(vec, partition: PartitionSpec, dims, tol: float = 1e-
     rebuilt = rebuilt.reshape([dims[i] for i in flat]).transpose(order).ravel()
     k = int(np.argmax(np.abs(rebuilt)))
     phase = v[k] / rebuilt[k]
-    if np.linalg.norm(v - phase * rebuilt) > 10 * tol:
+    if np.linalg.norm(v - phase * rebuilt) > 10 * PRODUCT_TOL:
         return None
     factors[0] = factors[0] * phase
     return factors
 
 
-def _try_product_operator(effect: np.ndarray, partition: PartitionSpec, dims, tol: float = 1e-8):
+def _try_product_operator(effect: np.ndarray, partition: PartitionSpec, dims):
     """Check whether the effect factorizes as a single tensor product of PSD blocks."""
     tr = float(np.real(np.trace(effect)))
-    if tr <= tol:
+    if tr <= PRODUCT_TOL:
         return None
     parts = []
     for block in partition.blocks:
         marg = partial_trace(effect, dims, block)
         parts.append(marg / tr)
     rebuilt = tr * _product_effect(parts, partition.blocks, dims)
-    if opnorm(rebuilt - effect) <= tol * max(1.0, opnorm(effect)):
+    if opnorm(rebuilt - effect) <= PRODUCT_TOL * max(1.0, opnorm(effect)):
         return parts
     return None
 
 
-def is_separable_effect(
-    effect: np.ndarray, partition: PartitionSpec, dims, tol: float = 1e-8
-) -> SeparabilityVerdict:
+def is_separable_effect(effect: np.ndarray, partition: PartitionSpec, dims) -> SeparabilityVerdict:
     """Three-valued separability test for a PSD effect.
 
     Separable when a product-sum decomposition is exhibited (a single product

@@ -259,7 +259,8 @@ def entropy(state, file, povm_file, nats):
     click.echo(f"optimal   : {'yes' if cert.optimal else 'no'} ({cert.reason})")
 
 
-GAP_CLASSES = ("lostar", "lo", "locc1", "sep", "ppt-w3", "werner-exact")
+SCAN_CLASSES = tuple(CLASS_OPTIMIZERS)
+GAP_CLASSES = SCAN_CLASSES + ("ppt-w3", "werner-exact")
 
 
 @main.command()
@@ -340,7 +341,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
 
 @main.command()
 @_apply(_state_opts)
-@click.option("--class", "klass", default="lostar", type=click.Choice(["lostar", "lo", "locc1", "sep"]), show_default=True)
+@click.option("--class", "klass", default="lostar", type=click.Choice(SCAN_CLASSES), show_default=True)
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--max-iters", default=800, show_default=True)
@@ -376,7 +377,7 @@ def scan(state, file, klass, seed, restarts, max_iters, out):
 
 @main.command()
 @_apply(_state_opts)
-@click.option("--class", "klass", default="lostar", type=click.Choice(["lostar", "lo", "locc1", "sep"]), show_default=True)
+@click.option("--class", "klass", default="lostar", type=click.Choice(SCAN_CLASSES), show_default=True)
 @click.option("--seed", default=2025, show_default=True)
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--max-iters", default=800, show_default=True)

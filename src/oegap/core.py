@@ -22,6 +22,8 @@ TOL_PSD = 1e-9
 TOL_COMPLETE = 1e-9
 TOL_TRACE = 1e-10
 CLUSTER_TOL = 1e-8
+TOL_PURE = 1e-9  # is_pure: purity at least 1 - TOL_PURE
+TOL_PURE_VECTOR = 1e-8  # pure_vector rejects a purity below 1 - TOL_PURE_VECTOR
 
 CLASS_TAGS = (
     "General",
@@ -277,12 +279,12 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - TOL_PURE
 
-    def pure_vector(self, tol: float = 1e-8) -> np.ndarray:
+    def pure_vector(self) -> np.ndarray:
         """State vector of a pure state (global phase fixed); raises if mixed."""
-        if not self.is_pure(tol):
+        if self.purity() < 1.0 - TOL_PURE_VECTOR:
             raise ValidationError("state is not pure")
         vals, vecs = np.linalg.eigh(self.mat)
         v = vecs[:, -1]
@@ -463,10 +465,10 @@ class Spectrum:
         return out
 
 
-def spectral(op: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
+def spectral(op: np.ndarray) -> Spectrum:
     """Spectral decomposition with eigenvalues clustered into distinct groups.
 
-    Eigenvalues closer than ``cluster_tol`` are merged greedily in sorted
+    Eigenvalues closer than ``CLUSTER_TOL`` are merged greedily in sorted
     order; each cluster's projector is the sum of its eigenvector dyads and
     its reported eigenvalue is the multiplicity-weighted mean.
     """
@@ -479,7 +481,7 @@ def spectral(op: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     vecs = vecs[:, order]
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[groups[-1][-1]] - vals[i] <= cluster_tol:
+        if vals[groups[-1][-1]] - vals[i] <= CLUSTER_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])

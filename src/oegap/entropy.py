@@ -26,6 +26,8 @@ from .core import (
 )
 
 P_EPS = 1e-14
+CERT_OP_TOL = 1e-8  # certify_optimal: relative residual of an effect off its eigenspace
+CERT_ENTROPY_TOL = 1e-7  # certify_optimal: allowed |S_M - S| once the support condition holds
 
 
 def _as_mat(rho) -> np.ndarray:
@@ -183,9 +185,7 @@ class OptimalityCertificate:
     state_entropy_bits: float
 
 
-def certify_optimal(
-    rho, povm: Povm, op_tol: float = 1e-8, entropy_tol: float = 1e-7
-) -> OptimalityCertificate:
+def certify_optimal(rho, povm: Povm) -> OptimalityCertificate:
     """Certify S_M(rho) = S(rho) via the eigenspace-support condition.
 
     A measurement is optimal iff each effect is completely supported on a
@@ -204,7 +204,7 @@ def certify_optimal(
             continue
         residuals = [opnorm(eff - proj @ eff @ proj) for proj in spec.projectors]
         best = int(np.argmin(residuals))
-        if residuals[best] > op_tol * scale:
+        if residuals[best] > CERT_OP_TOL * scale:
             return OptimalityCertificate(
                 False,
                 f"effect {idx} is not supported on a single eigenspace "
@@ -213,7 +213,7 @@ def certify_optimal(
                 s_m,
                 s_rho,
             )
-    if abs(s_m - s_rho) > entropy_tol:
+    if abs(s_m - s_rho) > CERT_ENTROPY_TOL:
         return OptimalityCertificate(
             False,
             f"support condition held but S_M - S = {s_m - s_rho:.3e}",

@@ -1,18 +1,19 @@
 """Minimizers of observational entropy over locality-restricted measurement classes.
 
 Every search-based minimizer reports an upper bound on the true class minimum.
-The LO*, LO, one-way LOCC and CQ searches share one restart engine,
+The LO*, LO and one-way LOCC searches share one restart engine,
 ``_search``: deterministic warm starts (computational bases, marginal
-eigenbases and, for LO and CQ LO, the polished LO* bases) come first, seeded
-random starts follow, and the best restart wins with ties resolved to the
-lowest restart index, so results are reproducible bit-for-bit for a fixed
-seed.  Each frame is charted as U exp(iH(theta)), and every objective has a
+eigenbases and, for LO, the polished LO* bases) come first, seeded random
+starts follow, and the best restart wins with ties resolved to the lowest
+restart index, so results are reproducible bit-for-bit for a fixed seed.
+Each frame is charted as U exp(iH(theta)), and every objective has a
 closed-form gradient, pulled back through the chart by the Daleckii-Krein
-formula, so every polish is L-BFGS-B.  The LO*, LO and CQ searches minimize
-``_product_objective``: the entropy of a product measurement with one row
-frame per block, applied block by block to a factor rho = L L^dag taken once
-per search (the CQ search fixes the classical block's frame to the declared
-basis); they polish one block at a time.  The one-way LOCC search minimizes
+formula, so every polish is L-BFGS-B.  LO*, LO and CQ are one search,
+``_product_search``, of ``_product_objective``: the entropy of a product
+measurement with one row frame per block, applied block by block to a factor
+rho = L L^dag taken once per search and polished one block at a time.  The
+LO search is seeded with the LO* optimum, and CQ holds its classical block
+in the declared basis.  The one-way LOCC search minimizes
 ``_oneway_objective`` over a tree of frames, the first block's POVM and one
 basis per outcome path at each later level but the last, whose block is
 measured in its conditional eigenbasis; it polishes all of a restart's frames
@@ -67,6 +68,9 @@ from .entropy import (
 )
 
 LOG2_E = 1 / math.log(2)
+STEP_TOL = 1e-7  # L-BFGS-B bound on the projected gradient
+ENTROPY_TOL = 1e-6  # restarts this close to the best count as agreeing
+CQ_TOL = 1e-9  # largest off-diagonal block norm of a CQ state in its classical basis
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,10 @@ class OptConfig:
     seed: int = 2025
     restarts: int = 64
     max_iters: int = 2000
-    step_tol: float = 1e-7
-    entropy_tol: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if self.step_tol <= 0 or self.entropy_tol <= 0:
-            raise ValidationError("tolerances must be positive")
 
 
 DEFAULT_CONFIG = OptConfig()
@@ -305,8 +305,7 @@ def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
 
     Extra rounds restart the minimizer at the optimum.
     """
-    # step_tol bounds the projected gradient
-    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.step_tol}
+    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
     x, value = x0, None
     for _ in range(rounds):
         res = scipy.optimize.minimize(fun, x, method="L-BFGS-B", jac=True, options=options)
@@ -318,17 +317,17 @@ def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
     return x, value
 
 
-def _reduce_restarts(values: list[float], cfg: OptConfig) -> tuple[int, bool]:
+def _reduce_restarts(values: list[float]) -> tuple[int, bool]:
     """Index of the best of at least two restarts and a convergence flag.
 
     Restarts within 1e-12 of the minimum count as ties and the lowest index
     wins, so deterministic warm starts beat float dust from Haar restarts.
-    The search counts as converged when the runner-up is within entropy_tol.
+    The search counts as converged when the runner-up is within ENTROPY_TOL.
     """
     lo = min(values)
     best = next(i for i, v in enumerate(values) if v <= lo + 1e-12)
     runner_up = min(v for i, v in enumerate(values) if i != best)
-    return best, runner_up - values[best] <= cfg.entropy_tol
+    return best, runner_up - values[best] <= ENTROPY_TOL
 
 
 def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, rounds: int):
@@ -430,18 +429,13 @@ def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig, jo
 
     results = [restart(i) for i in range(max(cfg.restarts, len(warm)))]
     values = [r[0] for r in results]
-    best, converged = _reduce_restarts(values, cfg)
+    best, converged = _reduce_restarts(values)
     return values, results[best][1], converged
 
 
 def _marginal_eigenbasis(rho: DensityMatrix, block) -> np.ndarray:
     """Eigenbasis of rho's reduced state on ``block``, as columns in descending eigenvalue order."""
     return np.linalg.eigh(partial_trace(rho.mat, rho.dims, block))[1][:, ::-1].copy()
-
-
-def _marginal_eigenbases(rho: DensityMatrix, partition: PartitionSpec) -> list[np.ndarray]:
-    """Per-block eigenbases of the reduced states (descending eigenvalue order)."""
-    return [_marginal_eigenbasis(rho, block) for block in partition.blocks]
 
 
 def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -506,20 +500,56 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) 
 
 
 # ---------------------------------------------------------------------------
-# LO*: local projective measurements
+# LO* and LO: local projective measurements and local POVMs
 
 
-def _lostar_search(rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig):
-    """LO* basis search; returns (per-restart values, best bases, converged)."""
+def _product_search(
+    rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig, lo: bool, hold=None
+) -> OptResult:
+    """LO* search, then, when ``lo``, the LO search seeded with the LO* optimum.
+
+    ``hold=(block, frame)`` keeps that block measured by the row frame ``frame``.
+    The LO restarts start from the LO* warm starts padded with zero rows,
+    and restart 1 from the polished LO* bases, so the LO result can only
+    improve on the projective optimum found with the same budget.
+    """
     bdims = partition.block_dims(rho.dims)
-    warm = [[np.eye(d, dtype=complex) for d in bdims], _marginal_eigenbases(rho, partition)]
-    return _search(
-        _over_bases(_product_objective(rho, partition.blocks)),
-        warm,
-        _blockwise_sampler(warm[-1], lambda k, gen: _haar_frame(bdims[k], bdims[k], gen)),
+    objective = _product_objective(rho, partition.blocks)
+    free = list(range(partition.n_blocks))
+    if hold is not None:
+        held, frame = hold
+        free.remove(held)
+        objective = objective.composed(
+            lambda qs: qs[:held] + [frame] + qs[held:], lambda gs: gs[:held] + gs[held + 1 :]
+        )
+    ds = [bdims[k] for k in free]
+    eyes = [np.eye(d, dtype=complex) for d in ds]
+    eigs = [_marginal_eigenbasis(rho, partition.blocks[k]) for k in free]
+    values, bases, converged = _search(
+        _over_bases(objective),
+        [eyes, eigs],
+        _blockwise_sampler(eigs, lambda k, gen: _haar_frame(ds[k], ds[k], gen)),
         0,
         cfg,
     )
+    frames = [dagger(u) for u in bases]
+    if lo:
+        ms = [4 if d == 2 else d + 1 for d in ds]
+        warm = [[_pad_rows(q, m) for q, m in zip(qs, ms)] for qs in (eyes, frames, map(dagger, eigs))]
+        values, frames, converged = _search(
+            objective,
+            warm,
+            _blockwise_sampler(warm[-1], lambda k, gen: _random_frame(ds[k], ms[k], gen)),
+            10_000,
+            cfg,
+        )
+    if hold is not None:
+        frames.insert(held, frame)
+    if lo:
+        witness = lo_povm([_frame_povm(q) for q in frames], partition, rho.dims)
+    else:
+        witness = lostar_povm([dagger(q) for q in frames], partition, rho.dims)
+    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
 
 
 def minimize_lostar(
@@ -531,13 +561,7 @@ def minimize_lostar(
     U0 @ exp(iH); restart 0 starts from the computational bases, restart 1
     from the marginal eigenbases, the rest from Haar-random bases.
     """
-    values, bases, converged = _lostar_search(rho, partition, cfg)
-    witness = lostar_povm(bases, partition, rho.dims)
-    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
-
-
-# ---------------------------------------------------------------------------
-# LO: local POVMs
+    return _product_search(rho, partition, cfg, lo=False)
 
 
 def minimize_lo(
@@ -549,28 +573,9 @@ def minimize_lo(
     otherwise), encoded as the rows of an m x d isometry-style matrix Q
     (Q^dag Q = 1); qubit blocks draw restarts from the extremal families
     (2 to 4 rank-1 effects), other blocks from Haar bases and Haar Stiefel
-    frames.
+    frames.  The LO* search runs first and seeds one restart.
     """
-    dims = rho.dims
-    bdims = partition.block_dims(dims)
-    ms = [4 if d == 2 else d + 1 for d in bdims]
-    # the polished LO* bases seed one restart, so the LO result can only
-    # improve on the projective optimum found with the same budget
-    _, star_bases, _ = _lostar_search(rho, partition, cfg)
-    warm = [
-        [_pad_rows(np.eye(d, dtype=complex), m) for d, m in zip(bdims, ms)],
-        [_pad_rows(dagger(u), m) for u, m in zip(star_bases, ms)],
-        [_pad_rows(dagger(u), m) for u, m in zip(_marginal_eigenbases(rho, partition), ms)],
-    ]
-    values, frames, converged = _search(
-        _product_objective(rho, partition.blocks),
-        warm,
-        _blockwise_sampler(warm[-1], lambda k, gen: _random_frame(bdims[k], ms[k], gen)),
-        10_000,
-        cfg,
-    )
-    witness = lo_povm([_frame_povm(q) for q in frames], partition, dims)
-    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
+    return _product_search(rho, partition, cfg, lo=True)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +822,7 @@ def werner_analytic(d: int, lam: float) -> WernerAnalytic:
 # CQ states
 
 
-def _check_cq(rho: DensityMatrix, basis: np.ndarray, classical_block: int, tol: float = 1e-9):
+def _check_cq(rho: DensityMatrix, basis: np.ndarray, classical_block: int):
     """Raise unless rho is block diagonal in ``basis`` on its subsystem ``classical_block``."""
     order = (classical_block, 1 - classical_block)
     dc, dq = (rho.dims[i] for i in order)
@@ -825,7 +830,7 @@ def _check_cq(rho: DensityMatrix, basis: np.ndarray, classical_block: int, tol: 
     blocks = np.einsum("ak,axby,bl->kxly", basis.conj(), rho4, basis)
     for k, l in itertools.permutations(range(dc), 2):
         norm = opnorm(blocks[k, :, l, :])
-        if norm > tol:
+        if norm > CQ_TOL:
             raise ValidationError(
                 "state is not classical-quantum in the declared basis "
                 f"(off-diagonal block ({k},{l}) has norm {norm:.3e})"
@@ -844,7 +849,8 @@ def cq_gap(
     The classical side is measured in its declared basis (provably optimal):
     S_{C(x)N}(rho) - S(rho) = sum_k w_k (S_N(rho_k) - S(rho_k)), so the search
     runs over the quantum side's projective (klass="lostar") or general
-    (klass="lo") measurement N alone.
+    (klass="lo") measurement N alone: the LO* or LO search, seed streams
+    included, with the classical block held in its basis.
     """
     klass = klass.lower()
     if klass not in ("lostar", "lo"):
@@ -853,45 +859,14 @@ def cq_gap(
         raise ValidationError("cq_gap handles bipartite states")
     if classical_block not in (0, 1):
         raise ValidationError("classical_block must be 0 or 1")
-    dc, dq = rho.dims[classical_block], rho.dims[1 - classical_block]
+    dc = rho.dims[classical_block]
     basis = np.asarray(classical_basis, dtype=complex)
     if basis.shape != (dc, dc) or not opnorm(basis @ dagger(basis) - np.eye(dc)) <= 1e-9:
         raise ValidationError(f"classical_basis must be a {dc} x {dc} unitary")
     _check_cq(rho, basis, classical_block)
-
-    full2 = PartitionSpec.full(2)
-    slot = 1 - classical_block
-
-    def frames(q: np.ndarray) -> list[np.ndarray]:
-        """Both blocks' frames: the classical basis's bras in its slot, q in the other."""
-        return [dagger(basis), q] if classical_block == 0 else [q, dagger(basis)]
-
-    quantum = _product_objective(rho, full2.blocks).composed(
-        lambda qs: frames(qs[0]), lambda gs: [gs[slot]]
+    return _product_search(
+        rho, PartitionSpec.full(2), cfg, klass == "lo", hold=(classical_block, dagger(basis))
     )
-    star = _over_bases(quantum)
-    eig = _marginal_eigenbasis(rho, [slot])
-    values, (u,), converged = _search(
-        star, [[np.eye(dq, dtype=complex)], [eig]], lambda gen: [_haar_frame(dq, dq, gen)], 30_000, cfg
-    )
-    q_best = dagger(u)
-    if klass == "lo":
-        # the polished LO* basis seeds one restart, as in minimize_lo
-        m = 4 if dq == 2 else dq + 1
-        values, (q_best,), converged = _search(
-            quantum,
-            [[_pad_rows(q, m)] for q in (np.eye(dq, dtype=complex), q_best, dagger(eig))],
-            lambda gen: [_random_frame(dq, m, gen)],
-            30_000,
-            cfg,
-        )
-    cb_povm = Povm.from_basis(basis)
-    n_povm = _frame_povm(q_best)
-    pair = [cb_povm, n_povm] if classical_block == 0 else [n_povm, cb_povm]
-    witness = lo_povm(pair, full2, rho.dims)
-    if klass == "lostar" and witness.is_projective():
-        witness = witness.retag("LOStar")
-    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .optimize import (
     sep_gap_heuristic,
 )
 
+MONOTONICITY_TOL = 5e-3  # slack before a scan's partition monotonicity counts as broken
+
 # class name -> minimizer(rho, partition, cfg); each entry looks its function up
 # at call time, so a wrapper installed on this module's globals is honoured
 CLASS_OPTIMIZERS = {
@@ -136,11 +138,8 @@ def scan_partitions(
     klass: str,
     cfg: OptConfig = DEFAULT_CONFIG,
     state_name: str = "state",
-    include_trivial: bool = False,
-    use_fast_path: bool = True,
-    monotonicity_tol: float = 5e-3,
 ) -> PartitionScan:
-    """Optimize the class gap on every partition of the state's subsystems.
+    """Optimize the class gap on every partition of two or more blocks.
 
     Pure-state bipartitions use the Schmidt value directly.  Results are
     min-reduced along the refinement order (a finer partition's witness is a
@@ -149,15 +148,11 @@ def scan_partitions(
     """
     minimize = _class_optimizer(klass)
     n = len(rho.dims)
-    partitions = [
-        p
-        for p in enumerate_partitions(n)
-        if include_trivial or p.n_blocks >= 2
-    ]
+    partitions = [p for p in enumerate_partitions(n) if p.n_blocks >= 2]
     s_rho = von_neumann(rho)
     raw: dict[PartitionSpec, OptResult] = {}
     for p in partitions:
-        fast = _schmidt_fast_path(rho, p) if use_fast_path else None
+        fast = _schmidt_fast_path(rho, p)
         if fast is not None:
             raw[p] = OptResult(fast + s_rho, fast, None, (fast + s_rho,), True)
         else:
@@ -175,7 +170,7 @@ def scan_partitions(
 
     for p in partitions:
         for q in partitions:
-            if p.refines(q) and repaired[p].gap_bits < repaired[q].gap_bits - monotonicity_tol:
+            if p.refines(q) and repaired[p].gap_bits < repaired[q].gap_bits - MONOTONICITY_TOL:
                 raise RuntimeError(
                     f"partition monotonicity violated: gap({p}) < gap({q}) "
                     f"({repaired[p].gap_bits:.6f} < {repaired[q].gap_bits:.6f})"

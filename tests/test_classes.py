@@ -64,6 +64,11 @@ def test_lostar_dimension_mismatch():
         lostar_povm([np.eye(2, dtype=complex)] * 2, FULL2, (2, 3))
 
 
+def test_lostar_rejects_non_unitary_basis():
+    with pytest.raises(ValidationError, match="not unitary"):
+        lostar_povm([np.eye(2, dtype=complex), 1.001 * np.eye(2)], FULL2, (2, 2))
+
+
 def anti_trine():
     effects = []
     for v in trine_vectors():

@@ -22,6 +22,7 @@ from oegap.entropy import (
     von_neumann,
 )
 from oegap.optimize import (
+    ENTROPY_TOL,
     EXACT_W3_COEFFS,
     EXACT_W3_DUAL,
     OptConfig,
@@ -49,6 +50,7 @@ from oegap.optimize import (
     werner_analytic,
     werner_witness,
 )
+from oegap.partitions import CLASS_OPTIMIZERS
 from oegap.states import (
     bell,
     cq,
@@ -167,7 +169,7 @@ def test_minimize_lostar_gap_invariants():
     res = minimize_lostar(werner(2, 0.9), FULL2, FAST)
     s = von_neumann(werner(2, 0.9))
     assert res.gap_bits == pytest.approx(res.entropy_bits - s, abs=1e-12)
-    assert res.gap_bits >= -FAST.entropy_tol
+    assert res.gap_bits >= -ENTROPY_TOL
     assert len(res.trace) == max(FAST.restarts, 2)
 
 
@@ -518,12 +520,21 @@ def test_cq_gap_trine_lo():
     assert res.gap_bits == pytest.approx(2 - math.log2(3), abs=1e-4)
 
 
-def test_cq_gap_lo_not_above_lostar():
+TRINE = trine_cq()
+LO_AND_LOSTAR = {  # case -> search(klass, cfg)
+    "cq-trine": lambda klass, cfg: cq_gap(TRINE.state, TRINE.classical_basis, klass, cfg),
+    "w3": lambda klass, cfg: CLASS_OPTIMIZERS[klass](w(3), FULL3, cfg),
+    "trine": lambda klass, cfg: CLASS_OPTIMIZERS[klass](TRINE.state, FULL2, cfg),
+    "ghz4": lambda klass, cfg: CLASS_OPTIMIZERS[klass](ghz(4), PartitionSpec.full(4), cfg),
+}
+
+
+@pytest.mark.parametrize("case", LO_AND_LOSTAR)
+def test_cq_gap_lo_not_above_lostar(case):
     # LO contains LO*: the LO search starts from the polished LO* basis
-    state = trine_cq()
     cfg = OptConfig(seed=107, restarts=3, max_iters=300)
-    star = cq_gap(state.state, state.classical_basis, "lostar", cfg)
-    lo = cq_gap(state.state, state.classical_basis, "lo", cfg)
+    star = LO_AND_LOSTAR[case]("lostar", cfg)
+    lo = LO_AND_LOSTAR[case]("lo", cfg)
     assert lo.gap_bits <= star.gap_bits
 
 
@@ -545,6 +556,9 @@ def test_cq_gap_classical_block_one():
     a = cq_gap(CQX.state, CQX.classical_basis, "lostar", FAST)
     b = cq_gap(swapped, CQX.classical_basis, "lostar", FAST, classical_block=1)
     assert b.gap_bits == pytest.approx(a.gap_bits, abs=1e-9)
+    for res in (a, b):  # the LO* witness is a rank-1 product basis on either side
+        assert res.witness.class_tag == "LOStar"
+        assert res.witness.is_projective() and res.witness.n_outcomes == 4
 
 
 @pytest.mark.parametrize(

@@ -55,7 +55,7 @@ def test_scan_refinement_monotonicity_recorded():
 def test_scan_pure_bipartition_fast_path_matches_optimizer():
     rng = np.random.default_rng(4)
     psi = random_pure(rng, (2, 2))
-    scan = scan_partitions(psi, "lostar", FAST, state_name="psi", use_fast_path=True)
+    scan = scan_partitions(psi, "lostar", FAST, state_name="psi")
     slow = minimize_lostar(psi, PartitionSpec.full(2), FAST)
     coeffs, _, _ = schmidt(psi.pure_vector(), (2, 2), [0])
     ent = shannon(coeffs**2)
