@@ -3,6 +3,10 @@
 Covers local projective (LO*), local POVM (LO), one-way LOCC protocols
 (LOCC1), separable (SEP), positive-partial-transpose (PPT) and
 reduction-criterion (RCT) measurements, plus classical postprocessing.
+
+Product witnesses (``lostar_povm``, ``lo_povm``, ``flatten_locc``) are built
+as stacks: ``_product_effects`` forms all their effects in one broadcast
+product, with the same bits as ``np.kron``, and one subsystem permutation.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .core import (
     min_eig,
     partial_trace,
     partial_transpose,
-    permute_subsystems,
     tensor,
 )
 
@@ -87,12 +90,40 @@ class ConditionalMeasurement:
                     raise ValidationError("follow-up measures an already-measured block")
 
 
-def _product_effect(effects: Sequence[np.ndarray], blocks, dims) -> np.ndarray:
-    """Tensor effects living on the given blocks into a full-space operator."""
+def _product_effects(stacks: Sequence[np.ndarray], blocks, dims) -> np.ndarray:
+    """Full-space product effects: row r is stacks[0][r] (x) stacks[1][r] (x) ...
+
+    ``stacks[k]`` is an (n, d_k, d_k) array of effects on the subsystems
+    ``blocks[k]``, taken in that order; together the blocks must cover every
+    subsystem once.  The factors are multiplied by broadcasting from the left,
+    the association ``np.kron`` uses, so every entry has the same bits as the
+    Kronecker product; one transpose of the whole stack then puts the
+    subsystems in their natural order.
+    """
     flat = [i for b in blocks for i in b]
-    big = tensor(list(effects))
-    order = [flat.index(i) for i in range(len(dims))]
-    return permute_subsystems(big, [dims[i] for i in flat], order)
+    if sorted(flat) != list(range(len(dims))):
+        raise ValidationError(
+            f"blocks {tuple(blocks)} do not cover each of {len(dims)} subsystems once"
+        )
+    for s, b in zip(stacks, blocks):
+        if s.shape[1] != int(np.prod([dims[i] for i in b])):
+            raise ValidationError(
+                f"operator dimension {s.shape[1]} does not match subsystems {tuple(b)} of dims {dims}"
+            )
+    out = stacks[0]
+    for s in stacks[1:]:
+        n, m, k = out.shape[0], out.shape[1], s.shape[1]
+        out = (out[:, :, None, :, None] * s[:, None, :, None, :]).reshape(n, m * k, m * k)
+    n_sub, d = len(dims), int(np.prod(dims))
+    order = [flat.index(i) for i in range(n_sub)]
+    axes = [0] + [1 + o for o in order] + [1 + n_sub + o for o in order]
+    shape = (out.shape[0],) + tuple(dims[i] for i in flat) * 2
+    return out.reshape(shape).transpose(axes).reshape(out.shape[0], d, d)
+
+
+def _grid(counts: Sequence[int]) -> np.ndarray:
+    """Row k holds block k's index in every combination, first block slowest."""
+    return np.indices(counts).reshape(len(counts), -1)
 
 
 def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
@@ -110,13 +141,11 @@ def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
     for u, db in zip(bases, bdims):
         if u.shape[0] != db:
             raise ValidationError(f"basis dimension {u.shape[0]} does not match block dimension {db}")
-    effects = []
-    labels = []
-    for combo in itertools.product(*[range(db) for db in bdims]):
-        locals_ = [np.outer(u[:, i], u[:, i].conj()) for u, i in zip(bases, combo)]
-        effects.append(_product_effect(locals_, partition.blocks, dims))
-        labels.append(",".join(str(i) for i in combo))
-    return Povm(np.array(effects), tuple(labels), "LOStar")
+    grid = _grid(bdims)
+    projectors = [u.T[:, :, None] * u.T.conj()[:, None, :] for u in bases]
+    effects = _product_effects([p[i] for p, i in zip(projectors, grid)], partition.blocks, dims)
+    labels = tuple(",".join(map(str, combo)) for combo in grid.T.tolist())
+    return Povm(effects, labels, "LOStar")
 
 
 def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
@@ -128,34 +157,48 @@ def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     for m, db in zip(povms, bdims):
         if m.d != db:
             raise ValidationError(f"local POVM dimension {m.d} does not match block dimension {db}")
-    effects = []
-    labels = []
-    for combo in itertools.product(*[range(m.n_outcomes) for m in povms]):
-        locals_ = [m.effects[i] for m, i in zip(povms, combo)]
-        effects.append(_product_effect(locals_, partition.blocks, dims))
-        labels.append(",".join(m.labels[i] for m, i in zip(povms, combo)))
-    return Povm(np.array(effects), tuple(labels), "LO")
+    grid = _grid([m.n_outcomes for m in povms])
+    effects = _product_effects([m.effects[i] for m, i in zip(povms, grid)], partition.blocks, dims)
+    labels = tuple(
+        ",".join(m.labels[i] for m, i in zip(povms, combo)) for combo in grid.T.tolist()
+    )
+    return Povm(effects, labels, "LO")
 
 
 def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
-    """Global POVM with product effects A_i (x) B_j|i (x) ... from a one-way protocol."""
+    """Global POVM with product effects A_i (x) B_j|i (x) ... from a one-way protocol.
+
+    Outcomes are listed depth first.  The outcome paths that measure the same
+    blocks in the same order are assembled by one ``_product_effects`` call;
+    subsystems that a path leaves unmeasured get an identity factor.
+    """
     dims = tuple(int(d) for d in dims)
-    effects: list[np.ndarray] = []
+    paths: dict[tuple, list] = {}  # block order -> [(outcome index, local effects)]
     labels: list[str] = []
 
-    def _walk(node: ConditionalMeasurement, prefix: np.ndarray | None, label: str):
-        for i in range(node.povm.n_outcomes):
-            here = embed(node.povm.effects[i], node.block, dims)
-            acc = here if prefix is None else prefix @ here
-            tag = node.povm.labels[i] if not label else f"{label};{node.povm.labels[i]}"
+    def _walk(node: ConditionalMeasurement, factors: tuple, blocks: tuple, label: str):
+        blocks = blocks + (node.block,)
+        for i, name in enumerate(node.povm.labels):
+            here = factors + (node.povm.effects[i],)
+            tag = f"{label};{name}" if label else name
             if node.then is None:
-                effects.append(acc)
+                paths.setdefault(blocks, []).append((len(labels), here))
                 labels.append(tag)
             else:
-                _walk(node.then[i], acc, tag)
+                _walk(node.then[i], here, blocks, tag)
 
-    _walk(protocol, None, "")
-    return Povm(np.array(effects), tuple(labels), "LOCC1")
+    _walk(protocol, (), (), "")
+    d = int(np.prod(dims))
+    effects = np.empty((len(labels), d, d), dtype=complex)
+    for blocks, rows in paths.items():
+        stacks = [np.array(s) for s in zip(*(f for _, f in rows))]
+        rest = tuple(i for i in range(len(dims)) if not any(i in b for b in blocks))
+        if rest:
+            d_rest = int(np.prod([dims[i] for i in rest]))
+            stacks.append(np.broadcast_to(np.eye(d_rest), (len(rows), d_rest, d_rest)))
+            blocks += (rest,)
+        effects[[r for r, _ in rows]] = _product_effects(stacks, blocks, dims)
+    return Povm(effects, tuple(labels), "LOCC1")
 
 
 def rank1_refine(povm: Povm) -> Povm:
@@ -292,7 +335,7 @@ def _try_product_operator(effect: np.ndarray, partition: PartitionSpec, dims):
     for block in partition.blocks:
         marg = partial_trace(effect, dims, block)
         parts.append(marg / tr)
-    rebuilt = tr * _product_effect(parts, partition.blocks, dims)
+    rebuilt = tr * _product_effects([p[None] for p in parts], partition.blocks, dims)[0]
     if opnorm(rebuilt - effect) <= PRODUCT_TOL * max(1.0, opnorm(effect)):
         return parts
     return None

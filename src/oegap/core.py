@@ -3,11 +3,14 @@
 Operators are plain ``numpy.ndarray`` objects (complex128, row-major); the
 dataclasses in this module attach subsystem dimensions and enforce the
 physical invariants (Hermiticity, positivity, unit trace, completeness) at
-construction time.  All entropies elsewhere in the package are in bits.
+construction time.  A POVM is validated as one (k, d, d) stack of effects,
+with batched SVDs and one batched ``eigvalsh`` rather than a loop over its
+effects.  All entropies elsewhere in the package are in bits.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import string
 from dataclasses import dataclass
@@ -173,11 +176,6 @@ def min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def is_psd(a: np.ndarray, tol: float = TOL_PSD) -> bool:
-    scale = max(1.0, opnorm(a))
-    return is_hermitian(a, tol) and min_eig(a) >= -tol * scale
-
-
 # ---------------------------------------------------------------------------
 # validation reports
 
@@ -213,31 +211,64 @@ def validate_state(mat, dims=None) -> list[str]:
 
 
 def validate_povm(effects) -> list[str]:
-    """List every violated POVM invariant with its magnitude; empty means valid."""
-    problems: list[str] = []
+    """List every violated POVM invariant with its magnitude; empty means valid.
+
+    The effects are checked as one (k, d, d) stack: one batched SVD for their
+    norms, one for their asymmetries and one batched ``eigvalsh`` of their
+    Hermitian parts.  Problems are listed by effect, Hermitian before PSD,
+    then completeness.
+    """
+    if not isinstance(effects, np.ndarray):
+        effects = list(effects)
+    if len(effects) == 0:
+        return ["POVM has no effects"]
+    try:
+        stack = np.asarray(effects, dtype=complex)
+    except ValueError:  # effects of different shapes
+        return _malformed_povm(effects)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
+        return _malformed_povm(effects)
+    d = stack.shape[1]
+    if d > MAX_DIM:
+        return [f"dimension {d} exceeds the supported cap of {MAX_DIM}"]
+    problems = _effect_problems(stack)
+    gap = opnorm(stack.sum(axis=0) - np.eye(d))
+    if gap > TOL_COMPLETE:
+        problems.append(f"completeness violation of norm {gap:.3e}")
+    return problems
+
+
+def _malformed_povm(effects) -> list[str]:
+    """Problems of effects that do not form a finite (k, d, d) stack.
+
+    Reports the first effect that is not a finite square matrix; otherwise the
+    first effect whose dimension differs from effect 0's, after the problems
+    of the effects before it.
+    """
     try:
         mats = [as_operator(e) for e in effects]
     except ValidationError as err:
         return [str(err)]
-    if not mats:
-        return ["POVM has no effects"]
     d = mats[0].shape[0]
     if d > MAX_DIM:
         return [f"dimension {d} exceeds the supported cap of {MAX_DIM}"]
-    for i, e in enumerate(mats):
-        if e.shape[0] != d:
-            problems.append(f"effect {i} has dimension {e.shape[0]}, expected {d}")
-            return problems
-        scale = max(1.0, opnorm(e))
-        herm = opnorm(e - dagger(e)) / scale
-        if herm > TOL_HERM:
-            problems.append(f"effect {i} not Hermitian: relative asymmetry {herm:.3e}")
-        lo = min_eig(e)
-        if lo < -TOL_PSD * scale:
-            problems.append(f"effect {i} not PSD: min eigenvalue {lo:.3e}")
-    gap = opnorm(sum(mats) - np.eye(d))
-    if gap > TOL_COMPLETE:
-        problems.append(f"completeness violation of norm {gap:.3e}")
+    bad = next(i for i, e in enumerate(mats) if e.shape[0] != d)
+    problems = _effect_problems(np.array(mats[:bad]))
+    return problems + [f"effect {bad} has dimension {mats[bad].shape[0]}, expected {d}"]
+
+
+def _effect_problems(stack: np.ndarray) -> list[str]:
+    """Hermiticity and positivity problems of a (k, d, d) stack, by effect index."""
+    scale = np.maximum(1.0, np.linalg.svd(stack, compute_uv=False)[:, 0])
+    adjoint = stack.conj().transpose(0, 2, 1)
+    herm = np.linalg.svd(stack - adjoint, compute_uv=False)[:, 0] / scale
+    low = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    problems = []
+    for i in np.flatnonzero((herm > TOL_HERM) | (low < -TOL_PSD * scale)):
+        if herm[i] > TOL_HERM:
+            problems.append(f"effect {i} not Hermitian: relative asymmetry {herm[i]:.3e}")
+        if low[i] < -TOL_PSD * scale[i]:
+            problems.append(f"effect {i} not PSD: min eigenvalue {low[i]:.3e}")
     return problems
 
 
@@ -292,6 +323,11 @@ class DensityMatrix:
         return v * np.exp(-1j * np.angle(v[k]))
 
 
+def _check_tag(class_tag: str) -> None:
+    if class_tag not in CLASS_TAGS:
+        raise ValidationError(f"unknown class tag {class_tag!r}")
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
@@ -315,7 +351,7 @@ class Povm:
             eff = eff[None, :, :]
         if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
             raise ValidationError(f"effects must be a list of square matrices, got shape {eff.shape}")
-        problems = validate_povm(list(eff))
+        problems = validate_povm(eff)
         if problems:
             raise ValidationError("invalid POVM: " + "; ".join(problems))
         labels = tuple(str(x) for x in self.labels) or _default_labels(eff.shape[0])
@@ -323,8 +359,7 @@ class Povm:
             raise ValidationError(
                 f"{len(labels)} labels for {eff.shape[0]} effects"
             )
-        if self.class_tag not in CLASS_TAGS:
-            raise ValidationError(f"unknown class tag {self.class_tag!r}")
+        _check_tag(self.class_tag)
         eff = eff.copy()
         eff.flags.writeable = False
         object.__setattr__(self, "effects", eff)
@@ -352,7 +387,15 @@ class Povm:
         return True
 
     def retag(self, class_tag: str) -> "Povm":
-        return Povm(np.array(self.effects), self.labels, class_tag)
+        """The same read-only effects and labels under another class tag.
+
+        The effects were validated when this POVM was built, so only the tag
+        is checked.
+        """
+        _check_tag(class_tag)
+        out = copy.copy(self)
+        object.__setattr__(out, "class_tag", class_tag)
+        return out
 
     @staticmethod
     def trivial(d: int) -> "Povm":

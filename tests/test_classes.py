@@ -1,5 +1,8 @@
 """Measurement-class constructors, validators, and postprocessing."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from oegap.classes import (
     product_vector_factors,
     rank1_refine,
 )
-from oegap.core import PartitionSpec, Povm, ValidationError, schmidt
+from oegap.core import PartitionSpec, Povm, ValidationError, permute_subsystems, schmidt
 from oegap.entropy import chain_entropy, observational_entropy, shannon
 from oegap.optimize import ppt_gap_w3, werner_witness
 from oegap.states import bell, symmetric_projectors, trine_vectors, w
@@ -199,6 +202,96 @@ def test_flatten_locc_w3_product_effects():
     assert observational_entropy(w3, flat) == pytest.approx(
         chain_entropy(protocol, w3), abs=1e-9
     )
+
+
+def kron_reference(factors, blocks, dims):
+    """np.kron of the local effects in the given block order, then the subsystems put in place."""
+    flat = [i for b in blocks for i in b]
+    big = functools.reduce(np.kron, factors)
+    return permute_subsystems(big, [dims[i] for i in flat], [flat.index(i) for i in range(len(dims))])
+
+
+@pytest.mark.parametrize(
+    "dims, text", [((2, 3, 2), "AC|B"), ((2, 2, 2, 2), "A|B|C|D")], ids=["232-AC|B", "qubits-A|B|C|D"]
+)
+def test_product_povms_equal_kron_reference(dims, text):
+    rng = np.random.default_rng(21)
+    part = PartitionSpec.from_string(text, len(dims))
+    bdims = part.block_dims(dims)
+    bases = [random_unitary(rng, db) for db in bdims]
+    star = lostar_povm(bases, part, dims)
+    expected = [
+        kron_reference([np.outer(u[:, i], u[:, i].conj()) for u, i in zip(bases, combo)], part.blocks, dims)
+        for combo in itertools.product(*[range(db) for db in bdims])
+    ]
+    assert np.array_equal(star.effects, np.array(expected))
+    povms = [random_povm(rng, db, k) for db, k in zip(bdims, (3, 2, 2, 3))]
+    lo = lo_povm(povms, part, dims)
+    expected = [
+        kron_reference([m.effects[i] for m, i in zip(povms, combo)], part.blocks, dims)
+        for combo in itertools.product(*[range(m.n_outcomes) for m in povms])
+    ]
+    assert np.array_equal(lo.effects, np.array(expected))
+    assert lo.labels[1] == ",".join([povms[0].labels[0]] * (len(povms) - 1) + [povms[-1].labels[1]])
+
+
+def flatten_reference(node, dims, factors=(), blocks=()):
+    """Leaf effects of a protocol, depth first, by kron + permute with identity on unmeasured subsystems."""
+    out = []
+    for i in range(node.povm.n_outcomes):
+        here, where = factors + (node.povm.effects[i],), blocks + (node.block,)
+        if node.then is not None:
+            out += flatten_reference(node.then[i], dims, here, where)
+            continue
+        rest = tuple(j for j in range(len(dims)) if not any(j in b for b in where))
+        if rest:
+            here += (np.eye(int(np.prod([dims[j] for j in rest]))),)
+            where += (rest,)
+        out.append(kron_reference(list(here), where, dims))
+    return out
+
+
+def test_flatten_locc_branches_in_different_orders_equal_kron_reference():
+    rng = np.random.default_rng(22)
+    dims = (2, 3, 2)
+    leaf = lambda block, d: ConditionalMeasurement(block, random_povm(rng, d, 2))  # noqa: E731
+    protocol = ConditionalMeasurement(
+        (1,),
+        random_povm(rng, 3, 3),
+        (
+            ConditionalMeasurement((0,), random_povm(rng, 2, 2), (leaf((2,), 2), leaf((2,), 2))),
+            ConditionalMeasurement((2,), random_povm(rng, 2, 3), tuple(leaf((0,), 2) for _ in range(3))),
+            leaf((0, 2), 4),
+        ),
+    )
+    flat = flatten_locc(protocol, dims)
+    assert flat.n_outcomes == 4 + 6 + 2
+    assert np.array_equal(flat.effects, np.array(flatten_reference(protocol, dims)))
+    assert flat.labels[:3] == ("0;0;0", "0;0;1", "0;1;0")
+    assert flat.labels[-1] == "2;1"
+
+
+def test_flatten_locc_identity_on_unmeasured_subsystem():
+    rng = np.random.default_rng(23)
+    dims = (2, 2, 2)
+    first = random_povm(rng, 2, 2)
+    protocol = ConditionalMeasurement(
+        (0,), first, tuple(ConditionalMeasurement((2,), haar_basis_povm(rng, 2)) for _ in range(2))
+    )
+    flat = flatten_locc(protocol, dims)
+    assert np.array_equal(flat.effects, np.array(flatten_reference(protocol, dims)))
+    # rank-1 projectors on C and the identity on B: V = Tr A_i * 2 * 1
+    assert np.allclose(flat.volumes(), 2 * np.repeat(first.volumes(), 2))
+
+
+def test_flatten_locc_rejects_mismatched_or_repeated_blocks():
+    z = Povm.from_basis(np.eye(2, dtype=complex))
+    with pytest.raises(ValidationError, match="does not match subsystems"):
+        flatten_locc(ConditionalMeasurement((0, 1), z), (2, 2))
+    again = ConditionalMeasurement((0,), z)
+    middle = ConditionalMeasurement((1,), z, (again, again))
+    with pytest.raises(ValidationError, match="do not cover"):
+        flatten_locc(ConditionalMeasurement((0,), z, (middle, middle)), (2, 2))
 
 
 def test_rank1_refine_splits_rank2():

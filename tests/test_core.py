@@ -258,6 +258,94 @@ def test_validate_povm_reports():
     assert any("completeness violation of norm 1" in r for r in report)
 
 
+SKEW = np.array([[0.5, 0.2], [0.0, 0.5]])
+SKEW_NEG = np.array([[-0.1, 0.3], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "effects, expected",
+    [
+        pytest.param(
+            [SKEW, np.eye(2) - SKEW],
+            [
+                "effect 0 not Hermitian: relative asymmetry 2.000e-01",
+                "effect 1 not Hermitian: relative asymmetry 2.000e-01",
+            ],
+            id="non-hermitian",
+        ),
+        pytest.param(
+            [np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])],
+            ["effect 1 not PSD: min eigenvalue -2.000e-01"],
+            id="non-psd",
+        ),
+        pytest.param(
+            [SKEW_NEG, np.eye(2) - SKEW_NEG],
+            [
+                "effect 0 not Hermitian: relative asymmetry 3.000e-01",
+                "effect 0 not PSD: min eigenvalue -1.354e-01",
+                "effect 1 not Hermitian: relative asymmetry 2.610e-01",
+            ],
+            id="non-hermitian-and-non-psd",
+        ),
+        pytest.param(
+            [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])],
+            ["completeness violation of norm 5.000e-01"],
+            id="incomplete",
+        ),
+        pytest.param(
+            [SKEW, np.eye(3), np.eye(2)],
+            [
+                "effect 0 not Hermitian: relative asymmetry 2.000e-01",
+                "effect 1 has dimension 3, expected 2",
+            ],
+            id="mismatched-dimension",
+        ),
+        pytest.param([], ["POVM has no effects"], id="empty"),
+        pytest.param(
+            [np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.0]])],
+            ["matrix contains NaN or Inf entries"],
+            id="nan",
+        ),
+    ],
+)
+def test_validate_povm_problem_lists(effects, expected):
+    assert validate_povm(effects) == expected
+    if effects and len({np.shape(e) for e in effects}) == 1:
+        assert validate_povm(np.array(effects)) == expected  # the stack Povm passes in
+
+
+def validate_povm_reference(effects):
+    """The POVM checks effect by effect, one LAPACK call at a time."""
+    problems = []
+    d = effects[0].shape[0]
+    for i, e in enumerate(effects):
+        scale = max(1.0, np.linalg.norm(e, 2))
+        herm = np.linalg.norm(e - e.conj().T, 2) / scale
+        if herm > 1e-9:
+            problems.append(f"effect {i} not Hermitian: relative asymmetry {herm:.3e}")
+        low = np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0]
+        if low < -1e-9 * scale:
+            problems.append(f"effect {i} not PSD: min eigenvalue {low:.3e}")
+    gap = np.linalg.norm(sum(effects) - np.eye(d), 2)
+    if gap > 1e-9:
+        problems.append(f"completeness violation of norm {gap:.3e}")
+    return problems
+
+
+@pytest.mark.parametrize("size", [0.0, 3e-10, 1e-9, 3e-9, 1e-6])
+def test_validate_povm_matches_effect_by_effect_reference(size):
+    # random POVMs: the even effects get asymmetric noise, the last one a
+    # minimum eigenvalue of -size, both near the tolerances
+    from helpers import random_povm
+
+    rng = np.random.default_rng(41)
+    for d, k in ((2, 2), (3, 4), (4, 6), (8, 3), (16, 5)):
+        effects = random_povm(rng, d, k).effects.copy()
+        effects[::2] += size * rng.normal(size=effects[::2].shape)
+        effects[-1] -= (np.linalg.eigvalsh(effects[-1])[0] + size) * np.eye(d)
+        assert validate_povm(effects) == validate_povm_reference(effects)
+
+
 def test_density_matrix_invariants_enforced():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4), (2, 2))
@@ -280,6 +368,23 @@ def test_povm_projective_flag():
 def test_povm_unknown_tag_rejected():
     with pytest.raises(ValidationError):
         Povm(np.eye(2)[None, :, :], ("a",), "NotAClass")
+
+
+def test_povm_retag_checks_only_the_tag(monkeypatch):
+    povm = Povm.from_basis(np.eye(2, dtype=complex))
+
+    def fail(effects):
+        raise AssertionError("retag re-validated the effects")
+
+    monkeypatch.setattr("oegap.core.validate_povm", fail)
+    sep = povm.retag("SEP")
+    assert sep.class_tag == "SEP" and povm.class_tag == "General"
+    assert sep.labels == povm.labels
+    assert np.array_equal(sep.effects, povm.effects)
+    with pytest.raises(ValueError):
+        sep.effects[0, 0, 0] = 5.0  # still read-only
+    with pytest.raises(ValidationError, match="unknown class tag"):
+        povm.retag("NotAClass")
 
 
 def test_partition_spec_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import haar_basis_povm, random_density, random_povm, shannon_oracle
+from helpers import haar_basis_povm, random_density, random_povm, random_unitary, shannon_oracle
 from oegap.classes import ConditionalMeasurement, lo_povm, lostar_povm
 from oegap.core import DensityMatrix, PartitionSpec, Povm, spectral
 from oegap.entropy import (
@@ -218,6 +218,55 @@ def test_certify_near_optimal_rejected():
     rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     cert = certify_optimal(rho, Povm.from_basis(rot))
     assert not cert.optimal
+
+
+def test_certify_reports_first_failing_effect():
+    # effect 0 is zero (skipped), effect 1 sits in one eigenspace, effects 2
+    # and 3 straddle two eigenspaces; the first of those is reported
+    s = 1 / np.sqrt(2)
+    plus, minus = np.array([0, s, s]), np.array([0, s, -s])
+    effects = [np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]), np.outer(plus, plus), np.outer(minus, minus)]
+    rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex), (3,))
+    cert = certify_optimal(rho, Povm(np.array(effects)))
+    assert not cert.optimal
+    assert cert.failing_outcome == 2
+    assert cert.reason == (
+        "effect 2 is not supported on a single eigenspace (best residual 8.090e-01)"
+    )
+
+
+def certify_reference(rho, povm):
+    """The support check effect by effect, every cluster for each: (failing index, reason)."""
+    spec = spectral(rho.mat)
+    for idx, eff in enumerate(povm.effects):
+        scale = np.linalg.norm(eff, 2)
+        if scale <= 1e-12:
+            continue
+        best = min(np.linalg.norm(eff - proj @ eff @ proj, 2) for proj in spec.projectors)
+        if best > 1e-8 * scale:
+            return idx, f"effect {idx} is not supported on a single eigenspace (best residual {best:.3e})"
+    return None, None
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-3])
+def test_certify_matches_effect_by_effect_reference(angle):
+    # eigenbases of degenerate states with their second half of vectors turned
+    # by a small random rotation, plus random POVMs
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4, 6, 8):
+        vals = rng.choice([0.0, 1.0, 2.0, 3.0], size=d)
+        vals[0] = 1.0
+        u = random_unitary(rng, d)
+        rho = DensityMatrix((u * (vals / vals.sum())) @ u.conj().T, (d,))
+        h = d // 2
+        g = rng.normal(size=(d - h, d - h)) + 1j * rng.normal(size=(d - h, d - h))
+        w, q = np.linalg.eigh(g + g.conj().T)
+        turned = u.copy()
+        turned[:, h:] = u[:, h:] @ (q * np.exp(1j * angle * w)) @ q.conj().T
+        for povm in (Povm.from_basis(turned), random_povm(rng, d, 3)):
+            cert = certify_optimal(rho, povm)
+            reason = cert.reason if cert.failing_outcome is not None else None
+            assert (cert.failing_outcome, reason) == certify_reference(rho, povm)
 
 
 def test_tensor_decompose_product_state():
