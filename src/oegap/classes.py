@@ -165,8 +165,8 @@ def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     return Povm(effects, labels, "LO")
 
 
-def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
-    """Global POVM with product effects A_i (x) B_j|i (x) ... from a one-way protocol.
+def _flat_effects(protocol: ConditionalMeasurement, dims) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Product effects A_i (x) B_j|i (x) ... of a one-way protocol and their path labels.
 
     Outcomes are listed depth first.  The outcome paths that measure the same
     blocks in the same order are assembled by one ``_product_effects`` call;
@@ -198,7 +198,12 @@ def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
             stacks.append(np.broadcast_to(np.eye(d_rest), (len(rows), d_rest, d_rest)))
             blocks += (rest,)
         effects[[r for r, _ in rows]] = _product_effects(stacks, blocks, dims)
-    return Povm(effects, tuple(labels), "LOCC1")
+    return effects, tuple(labels)
+
+
+def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
+    """Global POVM of a one-way protocol: its product effects, as in ``_flat_effects``."""
+    return Povm(*_flat_effects(protocol, dims), "LOCC1")
 
 
 def rank1_refine(povm: Povm) -> Povm:

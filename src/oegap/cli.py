@@ -197,7 +197,16 @@ class RunManifest:
     outputs: list[str]
 
 
-def _write_manifest(path: Path, manifest: RunManifest):
+def _write_manifest(path: Path, config: dict, t0: float, outputs: list[str]):
+    """Write the RunManifest of a command started at ``t0``; ``config`` holds its seed."""
+    manifest = RunManifest(
+        command=" ".join(sys.argv),
+        config=config,
+        seed=config["seed"],
+        version=__version__,
+        wall_time_s=time.time() - t0,
+        outputs=outputs,
+    )
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
@@ -218,6 +227,15 @@ _state_opts = [
     click.option("--state", default=None, help='catalog state, e.g. "werner(3,0.7)" or "w(4)"'),
     click.option("--file", default=None, type=click.Path(exists=True), help="state JSON file"),
 ]
+
+
+def _search_opts(restarts: int, max_iters: int):
+    """The --seed/--restarts/--max-iters options of a searching command, with its defaults."""
+    return [
+        click.option("--seed", default=2025, show_default=True),
+        click.option("--restarts", default=restarts, show_default=True),
+        click.option("--max-iters", default=max_iters, show_default=True),
+    ]
 
 
 def _apply(opts):
@@ -267,9 +285,7 @@ GAP_CLASSES = SCAN_CLASSES + ("ppt-w3", "werner-exact")
 @_apply(_state_opts)
 @click.option("--class", "klass", required=True, type=click.Choice(GAP_CLASSES))
 @click.option("--partition", default="", help='partition string like "AB|CD"; default fully partitioned')
-@click.option("--seed", default=2025, show_default=True)
-@click.option("--restarts", default=16, show_default=True)
-@click.option("--max-iters", default=1200, show_default=True)
+@_apply(_search_opts(16, 1200))
 @click.option("--nats", is_flag=True)
 @click.option("--witness-out", default=None, type=click.Path(), help="write the witness JSON here")
 def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_out):
@@ -325,16 +341,9 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
         out_path.write_text(
             json.dumps(witness_to_json(result.witness, rho.dims), indent=2) + "\n"
         )
-        manifest = RunManifest(
-            command=" ".join(sys.argv),
-            config={"seed": seed, "restarts": restarts, "max_iters": max_iters,
-                    "class": klass, "partition": partition},
-            seed=seed,
-            version=__version__,
-            wall_time_s=time.time() - t0,
-            outputs=[str(out_path)],
-        )
-        _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
+        config = {"seed": seed, "restarts": restarts, "max_iters": max_iters,
+                  "class": klass, "partition": partition}
+        _write_manifest(out_path.with_suffix(".manifest.json"), config, t0, [str(out_path)])
     if not result.converged:
         sys.exit(EXIT_NO_CONVERGENCE)
 
@@ -342,9 +351,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
 @main.command()
 @_apply(_state_opts)
 @click.option("--class", "klass", default="lostar", type=click.Choice(SCAN_CLASSES), show_default=True)
-@click.option("--seed", default=2025, show_default=True)
-@click.option("--restarts", default=8, show_default=True)
-@click.option("--max-iters", default=800, show_default=True)
+@_apply(_search_opts(8, 800))
 @click.option("--out", default="scan.csv", type=click.Path(), show_default=True)
 def scan(state, file, klass, seed, restarts, max_iters, out):
     """Per-partition gap scan of a state (CSV + JSON + manifest)."""
@@ -363,24 +370,15 @@ def scan(state, file, klass, seed, restarts, max_iters, out):
     out_path.write_text(result.to_csv())
     json_path = out_path.with_suffix(".json")
     json_path.write_text(result.to_json() + "\n")
-    manifest = RunManifest(
-        command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass},
-        seed=seed,
-        version=__version__,
-        wall_time_s=time.time() - t0,
-        outputs=[str(out_path), str(json_path)],
-    )
-    _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
+    config = {"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass}
+    _write_manifest(out_path.with_suffix(".manifest.json"), config, t0, [str(out_path), str(json_path)])
     click.echo(result.to_csv(), nl=False)
 
 
 @main.command()
 @_apply(_state_opts)
 @click.option("--class", "klass", default="lostar", type=click.Choice(SCAN_CLASSES), show_default=True)
-@click.option("--seed", default=2025, show_default=True)
-@click.option("--restarts", default=8, show_default=True)
-@click.option("--max-iters", default=800, show_default=True)
+@_apply(_search_opts(8, 800))
 @click.option("--out", default="robustness.csv", type=click.Path(), show_default=True)
 def robustness(state, file, klass, seed, restarts, max_iters, out):
     """Fully partitioned gap of every reduced state after subsystem loss."""
@@ -395,15 +393,8 @@ def robustness(state, file, klass, seed, restarts, max_iters, out):
     csv_text = robustness_to_csv(state or file, klass, result)
     out_path = Path(out)
     out_path.write_text(csv_text)
-    manifest = RunManifest(
-        command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass},
-        seed=seed,
-        version=__version__,
-        wall_time_s=time.time() - t0,
-        outputs=[str(out_path)],
-    )
-    _write_manifest(out_path.with_suffix(".manifest.json"), manifest)
+    config = {"seed": seed, "restarts": restarts, "max_iters": max_iters, "class": klass}
+    _write_manifest(out_path.with_suffix(".manifest.json"), config, t0, [str(out_path)])
     click.echo(csv_text, nl=False)
 
 
@@ -413,9 +404,7 @@ REPRODUCE_IDS = ("werner-curves", "multipartite-scan", "trine", "w-family")
 @main.command()
 @click.argument("figure", type=click.Choice(REPRODUCE_IDS))
 @click.option("--out-dir", default=".", type=click.Path(file_okay=False), show_default=True)
-@click.option("--seed", default=2025, show_default=True)
-@click.option("--restarts", default=8, show_default=True)
-@click.option("--max-iters", default=800, show_default=True)
+@_apply(_search_opts(8, 800))
 def reproduce(figure, out_dir, seed, restarts, max_iters):
     """Regenerate a paper example as CSV files with a manifest."""
     t0 = time.time()
@@ -464,15 +453,8 @@ def reproduce(figure, out_dir, seed, restarts, max_iters):
         path = out_dir / "w_family.csv"
         path.write_text("\n".join(rows) + "\n")
         outputs.append(str(path))
-    manifest = RunManifest(
-        command=" ".join(sys.argv),
-        config={"seed": seed, "restarts": restarts, "max_iters": max_iters},
-        seed=seed,
-        version=__version__,
-        wall_time_s=time.time() - t0,
-        outputs=outputs,
-    )
-    _write_manifest(out_dir / f"{figure}.manifest.json", manifest)
+    config = {"seed": seed, "restarts": restarts, "max_iters": max_iters}
+    _write_manifest(out_dir / f"{figure}.manifest.json", config, t0, outputs)
     for o in outputs:
         click.echo(o)
 

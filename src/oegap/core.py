@@ -27,6 +27,7 @@ TOL_TRACE = 1e-10
 CLUSTER_TOL = 1e-8
 TOL_PURE = 1e-9  # is_pure: purity at least 1 - TOL_PURE
 TOL_PURE_VECTOR = 1e-8  # pure_vector rejects a purity below 1 - TOL_PURE_VECTOR
+TOL_PROJECTIVE = 1e-8  # is_projective: largest ||M_i M_j - delta_ij M_i||
 
 CLASS_TAGS = (
     "General",
@@ -106,13 +107,6 @@ def permute_subsystems(op: np.ndarray, dims: Sequence[int], order: Sequence[int]
     return np.ascontiguousarray(t.transpose(perm).reshape(d, d))
 
 
-def permute_vector(vec: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex).ravel()
-    dims = tuple(int(d) for d in dims)
-    t = v.reshape(dims)
-    return np.ascontiguousarray(t.transpose(order).ravel())
-
-
 def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all factors not in ``keep``; kept factors stay in ascending index order."""
     a = as_operator(op)
@@ -166,9 +160,9 @@ def embed(op: np.ndarray, subsys: Sequence[int], dims: Sequence[int]) -> np.ndar
     return permute_subsystems(big, [dims[i] for i in current], order)
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     scale = max(1.0, opnorm(a))
-    return opnorm(a - dagger(a)) <= tol * scale
+    return opnorm(a - dagger(a)) <= TOL_HERM * scale
 
 
 def min_eig(a: np.ndarray) -> float:
@@ -377,12 +371,12 @@ class Povm:
         """Macrostate volumes V_i = Tr M_i."""
         return np.real(np.trace(self.effects, axis1=1, axis2=2))
 
-    def is_projective(self, tol: float = 1e-8) -> bool:
+    def is_projective(self) -> bool:
         for i in range(self.n_outcomes):
             for j in range(self.n_outcomes):
                 prod = self.effects[i] @ self.effects[j]
                 ref = self.effects[i] if i == j else 0.0
-                if opnorm(prod - ref) > tol:
+                if opnorm(prod - ref) > TOL_PROJECTIVE:
                     return False
         return True
 

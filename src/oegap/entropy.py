@@ -3,6 +3,8 @@
 All values are in bits (base-2 logarithms); 0*log(0) is 0 and outcome
 probabilities at or below ``P_EPS`` drop out of every sum.  Infinite relative
 entropies are encoded as ``math.inf`` so optimizers can still rank candidates.
+A one-way protocol has one entropy, that of its flattened product effects:
+``chain_entropy`` evaluates it on the effects that ``flatten_locc`` wraps.
 """
 
 from __future__ import annotations
@@ -12,17 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import ConditionalMeasurement, lo_povm
-from .core import (
-    DensityMatrix,
-    PartitionSpec,
-    Povm,
-    ValidationError,
-    dagger,
-    embed,
-    partial_trace,
-    spectral,
-)
+from .classes import ConditionalMeasurement, _flat_effects, lo_povm
+from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, dagger, spectral
 
 P_EPS = 1e-14
 CERT_OP_TOL = 1e-8  # certify_optimal: relative residual of an effect off its eigenspace
@@ -111,8 +104,11 @@ def probabilities(rho, povm: Povm) -> np.ndarray:
     r = _as_mat(rho)
     if r.shape[0] != povm.d:
         raise ValidationError(f"state dimension {r.shape[0]} does not match POVM dimension {povm.d}")
-    p = np.real(np.einsum("iab,ba->i", povm.effects, r))
-    return np.clip(p, 0.0, None)
+    return _probabilities(r, povm.effects)
+
+
+def _probabilities(mat: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    return np.clip(np.real(np.einsum("iab,ba->i", effects, mat)), 0.0, None)
 
 
 def outcome_stats(rho, povm: Povm) -> OutcomeStats:
@@ -265,57 +261,15 @@ def tensor_oe_decompose(
 
 
 def chain_entropy(protocol: ConditionalMeasurement, rho: DensityMatrix) -> float:
-    """Observational entropy of a one-way protocol via the chain formula.
+    """Observational entropy of a one-way protocol: that of its flattened product effects.
 
-    S = S_first(rho_block) + sum_i p_i S_followup(rho_i on the rest), which
-    equals the observational entropy of the flattened product-effect POVM.
-    Protocol blocks refer to the subsystem indices of ``rho``.
+    The effects are those of ``flatten_locc``, so a subsystem that a path
+    leaves unmeasured carries an identity factor and its full volume.  On a
+    protocol that measures every subsystem along every path this is the
+    chain formula S = S_first(rho_block) + sum_i p_i S_followup(rho_i on the
+    rest).  No ``Povm`` is built: each node's POVM was validated when it was
+    built.  Protocol blocks refer to the subsystem indices of ``rho``.
     """
-    n = len(rho.dims)
-    return _chain(protocol, rho.mat, rho.dims, tuple(range(n)))
-
-
-def _chain(
-    node: ConditionalMeasurement,
-    mat: np.ndarray,
-    dims: tuple[int, ...],
-    live: tuple[int, ...],
-) -> float:
-    try:
-        pos = tuple(live.index(b) for b in node.block)
-    except ValueError:
-        raise ValidationError(
-            f"protocol block {node.block} measures an already-traced subsystem"
-        ) from None
-    reduced = partial_trace(mat, dims, pos)
-    p_block = np.clip(np.real(np.einsum("iab,ba->i", node.povm.effects, reduced)), 0.0, None)
-    total = entropy_from_stats(p_block, node.povm.volumes())
-    if node.then is None:
-        return total
-    rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
-    rest_dims = tuple(dims[j] for j in rest_pos)
-    rest_live = tuple(live[j] for j in rest_pos)
-    for effect, child in zip(node.povm.effects, node.then):
-        p_i, cond = conditional_state(mat, dims, pos, effect)
-        if p_i > P_EPS:
-            total += p_i * _chain(child, cond, rest_dims, rest_live)
-    return total
-
-
-def conditional_state(
-    mat: np.ndarray, dims: tuple[int, ...], pos: tuple[int, ...], effect: np.ndarray, p=None
-) -> tuple[float, np.ndarray]:
-    """Weight p and state Tr_pos[(E (x) 1) rho] / p of the subsystems outside ``pos``.
-
-    ``p`` defaults to Tr[(E (x) 1) rho]; callers that already know it pass it
-    in.  At p <= P_EPS the conditional state is maximally mixed.
-    """
-    lifted = embed(effect, pos, dims) @ mat
-    if p is None:
-        p = float(np.real(np.trace(lifted)))
-    rest = tuple(j for j in range(len(dims)) if j not in pos)
-    if p <= P_EPS:
-        n = int(np.prod([dims[j] for j in rest]))
-        return p, np.eye(n) / n
-    cond = partial_trace(lifted, dims, rest) / p
-    return p, 0.5 * (cond + dagger(cond))
+    effects, _ = _flat_effects(protocol, rho.dims)
+    volumes = np.real(np.trace(effects, axis1=1, axis2=2))
+    return entropy_from_stats(_probabilities(rho.mat, effects), volumes)

@@ -17,11 +17,12 @@ in the declared basis.  The one-way LOCC search minimizes
 ``_oneway_objective`` over a tree of frames, the first block's POVM and one
 basis per outcome path at each later level but the last, whose block is
 measured in its conditional eigenbasis; it polishes all of a restart's frames
-together.  ``sep_gap_heuristic`` searches nothing itself: it returns the
-best of the LO* and one-way LOCC witnesses and, when it is a product basis,
-rho's eigenbasis.  ``werner_analytic`` is exact in closed form, and
-``ppt_gap_w3`` is proven optimal by a primal point and a dual certificate
-checked in rational arithmetic.
+together, and ``_tree_protocol`` reads the witness protocol off the winning
+tree in one forward pass of the same factor.  ``sep_gap_heuristic`` searches
+nothing itself: it returns the best of the LO* and one-way LOCC witnesses
+and, when it is a product basis, rho's eigenbasis.  ``werner_analytic`` is
+exact in closed form, and ``ppt_gap_w3`` is proven optimal by a primal point
+and a dual certificate checked in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .entropy import (
     P_EPS,
     binary_entropy,
     chain_entropy,
-    conditional_state,
     entropy_from_stats,
     observational_entropy,
     von_neumann,
@@ -71,6 +71,7 @@ LOG2_E = 1 / math.log(2)
 STEP_TOL = 1e-7  # L-BFGS-B bound on the projected gradient
 ENTROPY_TOL = 1e-6  # restarts this close to the best count as agreeing
 CQ_TOL = 1e-9  # largest off-diagonal block norm of a CQ state in its classical basis
+ZERO_ROW = 1e-7  # a frame row of at most this norm is dropped: it is no outcome
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
 
 def _frame_povm(q: np.ndarray) -> Povm:
     """POVM of a frame's rows (effects |row><row|), dropped rows' deficit reabsorbed."""
-    effects = [np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > 1e-7]
+    effects = [np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > ZERO_ROW]
     deficit = np.eye(q.shape[1]) - sum(effects)
     if opnorm(deficit) > 1e-10:
         effects.append(deficit)
@@ -582,57 +583,6 @@ def minimize_lo(
 # one-way LOCC
 
 
-def _eigenbasis_protocol(
-    mat: np.ndarray,
-    dims: tuple[int, ...],
-    blocks: tuple[tuple[int, ...], ...],
-    live: tuple[int, ...],
-    levels: list[np.ndarray] = (),
-    path: int = 0,
-) -> ConditionalMeasurement:
-    """Protocol measuring each block in its frame from ``levels``, else in its conditional eigenbasis.
-
-    ``blocks`` hold positions within the current frame; ``live`` maps those
-    positions to original subsystem labels, which is what the emitted
-    protocol nodes carry.  ``levels[0][path]`` is the frame of the first
-    block on this outcome path; its row i leads to path
-    ``path * rows + i`` of ``levels[1]``, as in ``_tree_levels``.  A block
-    with no level left, and the outcome that reabsorbs a frame's dropped
-    rows, is measured in the eigenbasis of its conditional marginal.
-    """
-    pos = tuple(blocks[0])
-    if levels:
-        frame = levels[0][path]
-        povm = _frame_povm(frame)
-        rows = [i for i, row in enumerate(frame) if np.linalg.norm(row) > 1e-7]
-    else:
-        reduced = partial_trace(mat, dims, pos)
-        tr = float(np.real(np.trace(reduced)))
-        if tr > P_EPS:
-            reduced = reduced / tr
-        vals, vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))
-        povm = Povm.from_basis(vecs[:, ::-1].copy())
-        rows = []
-    label_block = tuple(live[j] for j in pos)
-    if len(blocks) == 1:
-        return ConditionalMeasurement(label_block, povm, None)
-    rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
-    rest_dims = tuple(dims[j] for j in rest_pos)
-    rest_live = tuple(live[j] for j in rest_pos)
-    rest_blocks = tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:])
-    children = []
-    for i, eff in enumerate(povm.effects):
-        cond = conditional_state(mat, dims, pos, eff)[1]
-        if i < len(rows):
-            child = _eigenbasis_protocol(
-                cond, rest_dims, rest_blocks, rest_live, levels[1:], path * len(frame) + rows[i]
-            )
-        else:
-            child = _eigenbasis_protocol(cond, rest_dims, rest_blocks, rest_live)
-        children.append(child)
-    return ConditionalMeasurement(label_block, povm, tuple(children))
-
-
 def minimize_locc_oneway(
     rho: DensityMatrix,
     partition: PartitionSpec,
@@ -648,8 +598,9 @@ def minimize_locc_oneway(
     optimal there.  Each start is a first-block frame and the conditional
     eigenbases of its paths: the computational basis, the marginal
     eigenbasis, then random frames.  All of a restart's frames are polished
-    together with L-BFGS-B.  The winning tree is rebuilt as a protocol and
-    re-evaluated with ``chain_entropy``.
+    together with L-BFGS-B.  The winning tree is read off as a protocol
+    (``_tree_protocol``), whose ``chain_entropy`` on rho is the reported
+    entropy.
     """
     dims = rho.dims
     if ordering is None:
@@ -671,7 +622,7 @@ def minimize_locc_oneway(
         cfg,
         joint=True,
     )
-    witness = _eigenbasis_protocol(rho.mat, dims, blocks, tuple(range(len(dims))), _tree_levels(tree))
+    witness = _tree_protocol(rho, blocks, tree)
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)
 
 
@@ -710,21 +661,55 @@ def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tupl
     return tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
 
 
-def _eigenbasis_tree(rho: DensityMatrix, blocks, q: np.ndarray) -> list[np.ndarray]:
-    """The tree with first frame q and every later searched level in its conditional eigenbasis.
+def _eigenbasis_levels(rho: DensityMatrix, blocks, levels: list[np.ndarray]) -> list[np.ndarray]:
+    """Every block's stacked frames: ``levels`` first, each later block in its conditional eigenbases.
 
-    Each basis lists the eigenvectors of the path's conditional marginal in
-    descending eigenvalue order, as bras; on it ``_oneway_objective`` equals
-    the chain entropy of the greedy eigenbasis protocol after q.
+    Level k holds one frame per outcome path of the levels before it, laid
+    out as in ``_tree_levels``.  A block with no level given is measured, on
+    each path, in the eigenvectors of its unnormalised conditional marginal
+    (T T^dag on the last block) in descending eigenvalue order, as bras.
     """
 
     def level_frames(k, x):
-        if k == 0:
-            return q[None]
+        if k < len(levels):
+            return levels[k]
         return _adjoint(np.linalg.eigh(x @ _adjoint(x))[1][..., ::-1])
 
-    _, fs, _ = _oneway_forward(_block_factor(rho, blocks), _block_dims(rho, blocks), level_frames)
-    return [q, *fs[1:]]
+    _, fs, leaves = _oneway_forward(_block_factor(rho, blocks), _block_dims(rho, blocks), level_frames)
+    return fs if len(blocks) == 1 else [*fs, level_frames(len(blocks) - 1, leaves)]
+
+
+def _eigenbasis_tree(rho: DensityMatrix, blocks, q: np.ndarray) -> list[np.ndarray]:
+    """The tree with first frame q and every later searched level in its conditional eigenbasis.
+
+    On it ``_oneway_objective`` equals the chain entropy of the greedy
+    eigenbasis protocol after q.
+    """
+    return [q, *_eigenbasis_levels(rho, blocks, [q[None]])[1:-1]]
+
+
+def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> ConditionalMeasurement:
+    """The one-way protocol of a tree, its last block in the conditional eigenbases.
+
+    Node k on a path measures ``blocks[k]`` with the rows of that path's
+    frame; row i of a frame leads to path ``path * rows + i`` of the next
+    level.  Rows dropped by ``_frame_povm`` get no child.  Search frames are
+    isometries, so ``_frame_povm`` appends no deficit outcome; if it did,
+    ``ConditionalMeasurement`` would reject the child count.
+    """
+    levels = _eigenbasis_levels(rho, blocks, _tree_levels(tree))
+
+    def node(k: int, path: int) -> ConditionalMeasurement:
+        frame = levels[k][path]
+        povm = _frame_povm(frame)
+        if k + 1 == len(levels):
+            return ConditionalMeasurement(blocks[k], povm)
+        rows = [i for i, row in enumerate(frame) if np.linalg.norm(row) > ZERO_ROW]
+        return ConditionalMeasurement(
+            blocks[k], povm, tuple(node(k + 1, path * len(frame) + i) for i in rows)
+        )
+
+    return node(0, 0)
 
 
 def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> _Objective:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from oegap.core import DensityMatrix, Povm
+from oegap.core import DensityMatrix, Povm, embed, partial_trace
 
 
 def random_density(rng, dims, rank=None) -> DensityMatrix:
@@ -61,3 +61,19 @@ def shannon_oracle(p):
     p = np.asarray(p, dtype=float)
     p = p[p > 1e-14]
     return float(-(p * np.log2(p)).sum())
+
+
+def conditional_reference(mat, dims, pos, effect):
+    """Weight p and state Tr_pos[(E (x) 1) rho] / p of the subsystems outside ``pos``.
+
+    The effect is embedded, multiplied and traced out one at a time; at
+    p <= 1e-14 the conditional state is maximally mixed.
+    """
+    lifted = embed(effect, pos, dims) @ mat
+    p = float(np.real(np.trace(lifted)))
+    rest = tuple(j for j in range(len(dims)) if j not in pos)
+    if p <= 1e-14:
+        n = int(np.prod([dims[j] for j in rest]))
+        return p, np.eye(n) / n
+    cond = partial_trace(lifted, dims, rest) / p
+    return p, 0.5 * (cond + cond.conj().T)

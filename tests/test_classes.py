@@ -26,6 +26,7 @@ from oegap.core import PartitionSpec, Povm, ValidationError, permute_subsystems,
 from oegap.entropy import chain_entropy, observational_entropy, shannon
 from oegap.optimize import ppt_gap_w3, werner_witness
 from oegap.states import bell, symmetric_projectors, trine_vectors, w
+from test_entropy import chain_reference
 
 FULL2 = PartitionSpec.full(2)
 
@@ -157,6 +158,7 @@ def test_flatten_locc_chain_equality_random():
         assert observational_entropy(rho, flat) == pytest.approx(
             chain_entropy(protocol, rho), abs=1e-9
         )
+        assert chain_entropy(protocol, rho) == pytest.approx(chain_reference(protocol, rho), abs=1e-12)
 
 
 def test_flatten_locc_w3_product_effects():

@@ -176,6 +176,8 @@ def test_cmd_scan_and_manifest(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "state,class,partition,shape,gap_bits,converged"
     manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "seed", "version", "wall_time_s", "outputs"]
+    assert manifest["config"] == {"seed": 2025, "restarts": 4, "max_iters": 300, "class": "lostar"}
     assert manifest["seed"] == 2025
     assert str(out) in manifest["outputs"]
     assert (tmp_path / "scan.json").exists()
@@ -292,3 +294,45 @@ def test_cmd_gap_file_input(tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["gap"] == pytest.approx(1.0, abs=1e-5)
+
+
+SEARCH_CLASSES = ("lostar", "lo", "locc1", "sep")
+STATE_PARAMS = [("state", ("--state",), None, ()), ("file", ("--file",), None, ())]
+# name, flags, default (None when required), choices: what each command's --help shows
+COMMAND_PARAMS = {
+    "catalog": [],
+    "entropy": STATE_PARAMS + [("povm_file", ("--povm",), None, ()), ("nats", ("--nats",), False, ())],
+    "gap": STATE_PARAMS + [
+        ("klass", ("--class",), None, SEARCH_CLASSES + ("ppt-w3", "werner-exact")),
+        ("partition", ("--partition",), "", ()),
+        ("seed", ("--seed",), 2025, ()),
+        ("restarts", ("--restarts",), 16, ()),
+        ("max_iters", ("--max-iters",), 1200, ()),
+        ("nats", ("--nats",), False, ()),
+        ("witness_out", ("--witness-out",), None, ()),
+    ],
+    "reproduce": [
+        ("figure", ("figure",), None, ("werner-curves", "multipartite-scan", "trine", "w-family")),
+        ("out_dir", ("--out-dir",), ".", ()),
+        ("seed", ("--seed",), 2025, ()),
+        ("restarts", ("--restarts",), 8, ()),
+        ("max_iters", ("--max-iters",), 800, ()),
+    ],
+}
+for _command, _out in (("scan", "scan.csv"), ("robustness", "robustness.csv")):
+    COMMAND_PARAMS[_command] = STATE_PARAMS + [
+        ("klass", ("--class",), "lostar", SEARCH_CLASSES),
+        ("seed", ("--seed",), 2025, ()),
+        ("restarts", ("--restarts",), 8, ()),
+        ("max_iters", ("--max-iters",), 800, ()),
+        ("out", ("--out",), _out, ()),
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PARAMS))
+def test_command_parameters_are_pinned(command):
+    params = [
+        (p.name, tuple(p.opts), None if p.required else p.default, tuple(getattr(p.type, "choices", ())))
+        for p in main.commands[command].params
+    ]
+    assert params == COMMAND_PARAMS[command]

@@ -5,15 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from helpers import haar_basis_povm, random_density, random_povm, random_unitary, shannon_oracle
-from oegap.classes import ConditionalMeasurement, lo_povm, lostar_povm
-from oegap.core import DensityMatrix, PartitionSpec, Povm, spectral
+from helpers import (
+    conditional_reference,
+    haar_basis_povm,
+    random_density,
+    random_povm,
+    random_unitary,
+    shannon_oracle,
+)
+from oegap.classes import ConditionalMeasurement, flatten_locc, lo_povm, lostar_povm
+from oegap.core import DensityMatrix, PartitionSpec, Povm, partial_trace, spectral
 from oegap.entropy import (
     OutcomeStats,
     binary_entropy,
     certify_optimal,
     chain_entropy,
     coarse_grain,
+    entropy_from_stats,
     measured_relative_entropy,
     observational_entropy,
     outcome_stats,
@@ -318,6 +326,31 @@ def cq_protocol():
     )
 
 
+def chain_reference(protocol, rho) -> float:
+    """The chain rule S = S_first(rho_block) + sum_i p_i S_followup(rho_i on the rest), node by node.
+
+    Each follow-up sees the conditional state of the subsystems not yet
+    measured, so a subsystem that a path never measures is traced out and
+    adds no volume.
+    """
+
+    def chain(node, mat, dims, live):
+        pos = tuple(live.index(b) for b in node.block)
+        reduced = partial_trace(mat, dims, pos)
+        p_block = np.clip(np.real(np.einsum("iab,ba->i", node.povm.effects, reduced)), 0.0, None)
+        total = entropy_from_stats(p_block, node.povm.volumes())
+        if node.then is None:
+            return total
+        rest = tuple(j for j in range(len(dims)) if j not in pos)
+        for effect, child in zip(node.povm.effects, node.then):
+            p_i, cond = conditional_reference(mat, dims, pos, effect)
+            if p_i > 1e-14:
+                total += p_i * chain(child, cond, tuple(dims[j] for j in rest), tuple(live[j] for j in rest))
+        return total
+
+    return chain(protocol, rho.mat, rho.dims, tuple(range(len(rho.dims))))
+
+
 def test_chain_entropy_cq_example():
     rho = cq_example().state
     assert chain_entropy(cq_protocol(), rho) == pytest.approx(1.0, abs=1e-12)
@@ -388,6 +421,23 @@ def test_chain_entropy_w3_paper_protocol():
     assert abs(expected - 1.550) < 1e-3  # the paper quotes ~1.550
     value = chain_entropy(w3_paper_protocol(), w(3))
     assert value == pytest.approx(expected, abs=1e-9)
+    assert value == pytest.approx(chain_reference(w3_paper_protocol(), w(3)), abs=1e-12)
+
+
+def test_chain_entropy_counts_unmeasured_subsystem():
+    # A, then C: B is never measured, so every flattened effect carries B's identity
+    rng = np.random.default_rng(23)
+    dims = (2, 2, 2)
+    protocol = ConditionalMeasurement(
+        (0,),
+        random_povm(rng, 2, 2),
+        tuple(ConditionalMeasurement((2,), haar_basis_povm(rng, 2)) for _ in range(2)),
+    )
+    rho = random_density(np.random.default_rng(24), dims)
+    value = chain_entropy(protocol, rho)
+    assert value == pytest.approx(observational_entropy(rho, flatten_locc(protocol, dims)), abs=1e-12)
+    # the chain rule traces B out; its identity adds log2 d_B = 1 bit
+    assert value - chain_reference(protocol, rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chain_entropy_missing_followup_rejected():

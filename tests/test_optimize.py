@@ -10,9 +10,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from helpers import random_density, random_pure
+from helpers import conditional_reference, random_density, random_pure
 from oegap.classes import ConditionalMeasurement, flatten_locc, is_ppt, lo_povm, lostar_povm
-from oegap.core import DensityMatrix, PartitionSpec, ValidationError, dagger, permute_subsystems
+from oegap.core import (
+    DensityMatrix,
+    PartitionSpec,
+    Povm,
+    ValidationError,
+    dagger,
+    partial_trace,
+    permute_subsystems,
+)
 from oegap.entropy import (
     chain_entropy,
     observational_entropy,
@@ -29,7 +37,6 @@ from oegap.optimize import (
     _block_dims,
     _certify_ppt_w3,
     _chart,
-    _eigenbasis_protocol,
     _eigenbasis_tree,
     _frame_povm,
     _haar_frame,
@@ -40,6 +47,7 @@ from oegap.optimize import (
     _product_objective,
     _random_frame,
     _tree_levels,
+    _tree_protocol,
     cq_gap,
     eigenseparability,
     minimize_lo,
@@ -63,6 +71,7 @@ from oegap.states import (
     werner,
     werner_mixed_point,
 )
+from test_entropy import chain_reference
 
 FULL2 = PartitionSpec.full(2)
 FULL3 = PartitionSpec.full(3)
@@ -406,32 +415,79 @@ def _random_levels(tree: list[np.ndarray], gen) -> list[np.ndarray]:
     ]
 
 
+def eigenbasis_protocol_reference(mat, dims, blocks, live, levels=(), path=0) -> ConditionalMeasurement:
+    """Protocol measuring each block in its frame from ``levels``, else in its conditional eigenbasis.
+
+    Rebuilt node by node from normalised conditional states: ``blocks`` hold
+    positions within the current state, ``live`` maps them to the original
+    subsystem labels, and ``levels[0][path]`` is the first block's frame on
+    this path, whose row i leads to path ``path * rows + i`` of ``levels[1]``.
+    A block with no level left, and the outcome that reabsorbs a frame's
+    dropped rows, is measured in the eigenbasis of its conditional marginal.
+    """
+    pos = tuple(blocks[0])
+    if levels:
+        frame = levels[0][path]
+        povm = _frame_povm(frame)
+        rows = [i for i, row in enumerate(frame) if np.linalg.norm(row) > 1e-7]
+    else:
+        reduced = partial_trace(mat, dims, pos)
+        tr = float(np.real(np.trace(reduced)))
+        if tr > 1e-14:
+            reduced = reduced / tr
+        vecs = np.linalg.eigh(0.5 * (reduced + dagger(reduced)))[1]
+        povm = Povm.from_basis(vecs[:, ::-1].copy())
+        rows = []
+    label_block = tuple(live[j] for j in pos)
+    if len(blocks) == 1:
+        return ConditionalMeasurement(label_block, povm, None)
+    rest_pos = tuple(j for j in range(len(dims)) if j not in pos)
+    rest = (
+        tuple(dims[j] for j in rest_pos),
+        tuple(tuple(rest_pos.index(i) for i in b) for b in blocks[1:]),
+        tuple(live[j] for j in rest_pos),
+    )
+    children = []
+    for i, eff in enumerate(povm.effects):
+        cond = conditional_reference(mat, dims, pos, eff)[1]
+        below = (levels[1:], path * len(frame) + rows[i]) if i < len(rows) else ()
+        children.append(eigenbasis_protocol_reference(cond, *rest, *below))
+    return ConditionalMeasurement(label_block, povm, tuple(children))
+
+
+def _assert_tree_protocol_matches(rho, blocks, tree, reference):
+    """The objective, the protocol read off the tree and the rebuilt reference agree within 1e-12."""
+    protocol = _tree_protocol(rho, blocks, tree)
+    value = _oneway_objective(rho, blocks)(tree)
+    assert value == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+    assert value == pytest.approx(chain_entropy(reference, rho), abs=1e-12)
+    assert value == pytest.approx(chain_reference(reference, rho), abs=1e-12)
+
+
 @pytest.mark.parametrize("case", sorted(ONEWAY_CASES))
 def test_oneway_objective_matches_chain_entropy(case):
     # on each first frame's conditional-eigenbasis tree, the objective equals the
-    # chain entropy of the greedy protocol after that frame, rebuilt node by node
+    # chain entropy of the greedy protocol after that frame
     rho, blocks, bdims, m = _oneway_case(case)
-    value = _oneway_objective(rho, blocks)
     live = tuple(range(len(rho.dims)))
     for q in _first_frames(bdims[0], m, np.random.default_rng(17), 12):
         tree = _eigenbasis_tree(rho, blocks, q)
         # one stack of bases per level between the first and the last: m of them on three blocks
         assert [len(level) for level in tree[1:]] == ([m] if len(bdims) == 3 else [])
-        protocol = _eigenbasis_protocol(rho.mat, rho.dims, blocks, live, [q[None]])
-        assert value(tree) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+        reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, [q[None]])
+        _assert_tree_protocol_matches(rho, blocks, tree, reference)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
 def test_oneway_objective_matches_rebuilt_protocol(case):
-    # random level bases: the objective against the protocol rebuilt from the whole tree
+    # random level bases: the objective against the protocol read off the whole tree
     rho, blocks, bdims, m = _oneway_case(case)
-    value = _oneway_objective(rho, blocks)
+    live = tuple(range(len(rho.dims)))
     gen = np.random.default_rng(19)
     for q in _first_frames(bdims[0], m, gen, 4):
         tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
-        levels = _tree_levels(tree)
-        protocol = _eigenbasis_protocol(rho.mat, rho.dims, blocks, tuple(range(len(rho.dims))), levels)
-        assert value(tree) == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
+        reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, _tree_levels(tree))
+        _assert_tree_protocol_matches(rho, blocks, tree, reference)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
