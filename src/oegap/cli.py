@@ -408,9 +408,13 @@ REPRODUCE_IDS = ("werner-curves", "multipartite-scan", "trine", "w-family")
 def reproduce(figure, out_dir, seed, restarts, max_iters):
     """Regenerate a paper example as CSV files with a manifest."""
     t0 = time.time()
+    try:
+        cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
+    except ValidationError as err:
+        _echo_fail(err)
+        sys.exit(EXIT_VALIDATION)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
     outputs: list[str] = []
     if figure == "werner-curves":
         lines = ["d,lambda,s_measured_bits,s_state_bits,gap_bits"]

@@ -11,7 +11,10 @@ closed-form gradient, pulled back through the chart by the Daleckii-Krein
 formula, so every polish is L-BFGS-B.  LO*, LO and CQ are one search,
 ``_product_search``, of ``_product_objective``: the entropy of a product
 measurement with one row frame per block, applied block by block to a factor
-rho = L L^dag taken once per search and polished one block at a time.  The
+rho = L L^dag taken once per search and polished one block at a time.  A
+block whose gradient on its chart already passes L-BFGS-B's own stopping
+test (``_stationary``) is not polished, since L-BFGS-B would return it
+unchanged at iteration 0: a stationary warm start costs one gradient.  The
 LO search is seeded with the LO* optimum, and CQ holds its classical block
 in the declared basis.  The one-way LOCC search minimizes
 ``_oneway_objective`` over a tree of frames, the first block's POVM and one
@@ -85,6 +88,8 @@ class OptConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
 
 
 DEFAULT_CONFIG = OptConfig()
@@ -301,10 +306,31 @@ def _over_bases(objective: _Objective) -> _Objective:
     return objective.composed(lambda us: [dagger(u) for u in us], lambda gs: [dagger(g) for g in gs])
 
 
+def _at_rest(jac: np.ndarray) -> bool:
+    """L-BFGS-B's stopping test on its gradient: max |jac| <= STEP_TOL.
+
+    With no bounds the projected gradient is the gradient, and L-BFGS-B runs
+    this test before its first step, so from a point that passes it returns
+    that point at iteration 0.
+    """
+    return bool(np.max(np.abs(jac)) <= STEP_TOL)
+
+
+def _stationary(base: np.ndarray, g: np.ndarray) -> bool:
+    """Whether L-BFGS-B stops at once from theta = 0 on the chart from ``base``.
+
+    ``base`` is a frame's ``_chart_base`` and g the objective's gradient in
+    that frame; a stack of bases is tested as one.
+    """
+    m = base.shape[-1]
+    return _at_rest(_chart(np.zeros(base.shape[:-2] + (m * m,)), base)[1](g))
+
+
 def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
     """L-BFGS-B on ``fun``, which returns its value and gradient.
 
-    Extra rounds restart the minimizer at the optimum.
+    Extra rounds restart the minimizer at the optimum, unless its gradient
+    there passes ``_at_rest``: that round would return the same point.
     """
     options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
     x, value = x0, None
@@ -315,6 +341,8 @@ def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
                 x, value = res.x, float(res.fun)
             break
         x, value = res.x, float(res.fun)
+        if _at_rest(res.jac):
+            break
     return x, value
 
 
@@ -331,15 +359,18 @@ def _reduce_restarts(values: list[float]) -> tuple[int, bool]:
     return best, runner_up - values[best] <= ENTROPY_TOL
 
 
-def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, rounds: int):
-    """Polish frame k alone on its chart from theta = 0; returns (value, polished frame).
+def _chart_base(frame: np.ndarray) -> np.ndarray:
+    """The unitary U an m x d frame is charted from, as the first d columns of U exp(iH(theta)).
 
-    An m x d frame is charted as the first d columns of U exp(iH(theta)),
-    where U is the frame itself when square (a basis) and its completion to
-    an m x m unitary otherwise (a POVM frame); theta = 0 gives the frame back.
+    U is the frame itself when square (a basis) and its completion to an
+    m x m unitary otherwise (a POVM frame); theta = 0 gives the frame back.
     """
+    return frame if frame.shape[-2] == frame.shape[-1] else _complete_unitary(frame)
+
+
+def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, base, cfg, rounds: int):
+    """Polish frame k alone from theta = 0 of the chart from ``base``; returns (value, polished frame)."""
     m, d = frames[k].shape
-    base = frames[k] if m == d else _complete_unitary(frames[k])
 
     def fun(theta):
         u, pullback = _chart(theta, base)
@@ -353,12 +384,12 @@ def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, cfg, 
 def _polish_joint(objective: _Objective, frames: list[np.ndarray], cfg, gen: np.random.Generator):
     """Polish all frames together from a seeded theta0 = 1e-2 N(0, 1); returns (value, frames).
 
-    Each frame is charted as in ``_polish_block``, a stack of bases as one
+    Each frame is charted from its ``_chart_base``, a stack of bases as one
     stacked chart, and the charts take consecutive slices of one parameter
     vector.  The nudged start leaves the saddle that zero padded rows sit on
     at theta = 0.
     """
-    bases = [f if f.shape[-2] == f.shape[-1] else _complete_unitary(f) for f in frames]
+    bases = [_chart_base(f) for f in frames]
     ends = list(itertools.accumulate(b.size for b in bases))  # one theta entry per unitary entry
 
     def charted(theta):
@@ -382,22 +413,33 @@ def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, ge
 
     Without ``gen`` it is blockwise: a lone block gets one two-round polish,
     several blocks get up to four sweeps, which stop early once a full pass
-    stops helping.  With a generator ``gen``, one ``_polish_joint``.
+    stops helping.  One ``objective.grad`` gives the start's value and every
+    block's gradient, and it is taken again only after an accepted move.  A
+    block whose chart gradient at theta = 0 passes ``_stationary`` is not
+    polished: L-BFGS-B would return it unchanged at iteration 0.  With a
+    generator ``gen``, one ``_polish_joint``.
     """
     frames = list(frames)
-    best = float(objective(frames))
     if gen is not None:
+        best = float(objective(frames))
         value, polished = _polish_joint(objective, frames, cfg, gen)
         return (value, polished) if value < best - 1e-13 else (best, frames)
+    best, grads = objective.grad(frames)
     rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
     for _ in range(sweeps):
         gained = 0.0
         for k in range(len(frames)):
-            value, frame = _polish_block(objective, frames, k, cfg, rounds)
+            if grads is None:
+                grads = objective.grad(frames)[1]
+            base = _chart_base(frames[k])
+            if _stationary(base, grads[k]):
+                continue
+            value, frame = _polish_block(objective, frames, k, base, cfg, rounds)
             if value < best - 1e-13:
                 gained += best - value
                 frames[k] = frame
                 best = value
+                grads = None
         if gained < 1e-10:
             break
     return best, frames

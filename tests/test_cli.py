@@ -162,6 +162,23 @@ def test_cmd_gap_malformed_partition():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("budget", [("--restarts", "0"), ("--max-iters", "0")], ids=["restarts-0", "max-iters-0"])
+@pytest.mark.parametrize("command", ["gap", "scan", "robustness", "reproduce"])
+def test_cmd_rejects_empty_search_budget(tmp_path, command, budget):
+    # one error line and exit 2 from every searching command, before it writes anything
+    out_dir = tmp_path / "out"
+    args = {
+        "gap": ["gap", "--state", "bell", "--class", "lostar"],
+        "scan": ["scan", "--state", "bell", "--out", str(out_dir / "scan.csv")],
+        "robustness": ["robustness", "--state", "bell", "--out", str(out_dir / "robustness.csv")],
+        "reproduce": ["reproduce", "trine", "--out-dir", str(out_dir)],
+    }[command]
+    result = CliRunner().invoke(main, args + list(budget))
+    assert result.exit_code == 2
+    assert result.output == f"error: {budget[0][2:].replace('-', '_')} must be >= 1\n"
+    assert not out_dir.exists()
+
+
 def test_cmd_scan_and_manifest(tmp_path):
     runner = CliRunner()
     out = tmp_path / "scan.csv"

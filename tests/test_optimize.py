@@ -29,14 +29,19 @@ from oegap.entropy import (
     shannon,
     von_neumann,
 )
+import oegap.optimize
 from oegap.optimize import (
     ENTROPY_TOL,
     EXACT_W3_COEFFS,
     EXACT_W3_DUAL,
+    STEP_TOL,
     OptConfig,
     _block_dims,
     _certify_ppt_w3,
     _chart,
+    _chart_base,
+    _complete_unitary,
+    _descent,
     _eigenbasis_tree,
     _frame_povm,
     _haar_frame,
@@ -44,8 +49,10 @@ from oegap.optimize import (
     _oneway_objective,
     _over_bases,
     _pad_rows,
+    _polish_block,
     _product_objective,
     _random_frame,
+    _stationary,
     _tree_levels,
     _tree_protocol,
     cq_gap,
@@ -67,6 +74,7 @@ from oegap.states import (
     ghz,
     tiles_upb_state,
     trine_cq,
+    two_bell,
     w,
     werner,
     werner_mixed_point,
@@ -160,11 +168,178 @@ def test_polish_method_follows_the_objective(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "minimize", recording)
-    cfg = OptConfig(seed=3, restarts=2, max_iters=50)
+    # three restarts, so that each search polishes a seeded random start: the warm
+    # starts of LO, cq-lostar and cq-lo on cq-example are stationary, and never polished
+    cfg = OptConfig(seed=3, restarts=3, max_iters=50)
     for run in (SEARCHES["lo"], SEARCHES["locc1"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
         methods.clear()
         run(cfg)
         assert methods and set(methods) == {"L-BFGS-B"}
+
+
+@pytest.mark.parametrize("args", [(1, 0, 300), (1, 3, 0), (1, 3, -5)], ids=["restarts-0", "max-iters-0", "max-iters-neg"])
+def test_opt_config_rejects_empty_budget(args):
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        OptConfig(*args)
+    OptConfig(1, 1, 1)
+
+
+def _polish_reference(fun, x0, cfg, rounds):
+    """L-BFGS-B in ``rounds`` rounds, each restarted at the last optimum, every round run."""
+    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
+    x, value = x0, None
+    for _ in range(rounds):
+        res = scipy.optimize.minimize(fun, x, method="L-BFGS-B", jac=True, options=options)
+        if value is not None and value - float(res.fun) < 1e-12:
+            if float(res.fun) < value:
+                x, value = res.x, float(res.fun)
+            break
+        x, value = res.x, float(res.fun)
+    return x, value
+
+
+def blockwise_descent_reference(objective, frames, cfg):
+    """Blockwise descent that runs L-BFGS-B on every block from theta = 0, stationary or not.
+
+    Each block is charted as in ``_polish_block``: from the frame itself when
+    square, else from its completion to a unitary (``_chart_base``).
+    """
+    frames = list(frames)
+    best = float(objective(frames))
+    rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
+    for _ in range(sweeps):
+        gained = 0.0
+        for k in range(len(frames)):
+            m, d = frames[k].shape
+            base = frames[k] if m == d else _complete_unitary(frames[k])
+
+            def fun(theta, k=k, base=base, d=d):
+                u, pullback = _chart(theta, base)
+                s, grads = objective.grad(frames[:k] + [u[:, :d]] + frames[k + 1 :])
+                return s, pullback(grads[k])
+
+            x, value = _polish_reference(fun, np.zeros(m * m), cfg, rounds)
+            if value < best - 1e-13:
+                gained += best - value
+                frames[k] = _chart(x, base)[0][:, :d]
+                best = value
+        if gained < 1e-10:
+            break
+    return best, frames
+
+
+DESCENT_STATES = {
+    "w3": (w(3), FULL3),
+    "trine": (trine_cq(), FULL2),
+    "ghz4": (ghz(4), PartitionSpec.full(4)),
+    "two-bell": (two_bell(), PartitionSpec.full(4)),
+    "cq-example": (CQX, FULL2),
+    "werner3": (werner(3, 0.4), FULL2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESCENT_STATES))
+def test_descent_equals_blockwise_reference(case, monkeypatch):
+    # skipping stationary blocks leaves every blockwise descent of a seeded LO*, LO
+    # and CQ search exactly as polishing every block would
+    state, part = DESCENT_STATES[case]
+    rho = getattr(state, "state", state)
+    calls = []
+
+    def recording(objective, frames, cfg, gen=None):
+        if gen is None:
+            calls.append((objective, list(frames), cfg))
+        return _descent(objective, frames, cfg, gen)
+
+    monkeypatch.setattr(oegap.optimize, "_descent", recording)
+    cfg = OptConfig(107, 3, 300)
+    minimize_lostar(rho, part, cfg)
+    minimize_lo(rho, part, cfg)
+    if rho is not state:
+        cq_gap(rho, state.classical_basis, "lostar", cfg)
+        cq_gap(rho, state.classical_basis, "lo", cfg)
+    assert calls
+    # and a start whose later blocks were each polished alone: they sit still until
+    # the blocks before them move, after which their gradients must be taken again
+    objective = _over_bases(_product_objective(rho, part.blocks))
+    gen = np.random.default_rng(7)
+    frames = [_haar_frame(d, d, gen) for d in part.block_dims(rho.dims)]
+    for k in range(1, len(frames)):
+        frames[k] = _polish_block(objective, frames, k, _chart_base(frames[k]), cfg, 2)[1]
+    calls.append((objective, frames, cfg))
+    for objective, frames, cfg in calls:
+        value, got = _descent(objective, frames, cfg)
+        want_value, want = blockwise_descent_reference(objective, frames, cfg)
+        assert value == want_value
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _stationary_cases(m: int, d: int, gen):
+    """(chart base, gradient, kind) triples: random, stationary and near-threshold gradients.
+
+    The frames are a Haar basis or Stiefel frame and, when m > d, a Haar basis
+    padded with zero rows.
+    """
+    frames = [_haar_frame(m, d, gen)]
+    if m > d:
+        frames.append(_pad_rows(dagger(_haar_frame(d, d, gen)), m))
+    for frame in frames:
+        base = frame if m == d else _complete_unitary(frame)
+        pullback = _chart(np.zeros(m * m), base)[1]
+        g = gen.normal(size=(m, d)) + 1j * gen.normal(size=(m, d))
+        yield base, g, "random"
+        yield base, np.zeros((m, d), dtype=complex), "zero"
+        s = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        yield base, frame @ (s + dagger(s)), "hermitian"  # no first-order change
+        scale = STEP_TOL / np.max(np.abs(pullback(g)))
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            yield base, factor * scale * g, f"threshold-{factor}"
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 3), (4, 2), (4, 3)])
+def test_stationary_agrees_with_lbfgsb(m, d):
+    # _stationary holds exactly where L-BFGS-B, from theta = 0 on the frame's chart,
+    # stops at iteration 0; here f = Re Tr(G^dag Q), Q the chart's first d columns
+    gen = np.random.default_rng(53 + m + d)
+    kinds = set()
+    for base, g, kind in _stationary_cases(m, d, gen):
+
+        def fun(theta):
+            u, pullback = _chart(theta, base)
+            return float(np.real(np.vdot(g, u[:, :d]))), pullback(g)
+
+        res = scipy.optimize.minimize(
+            fun, np.zeros(m * m), method="L-BFGS-B", jac=True,
+            options={"maxiter": 300, "ftol": 1e-13, "gtol": STEP_TOL},
+        )
+        assert _stationary(base, g) == (res.nit == 0), kind
+        kinds.add((kind, res.nit == 0))
+    assert {("random", False), ("zero", True), ("hermitian", True)} <= kinds
+    assert {(f"threshold-{1 - 1e-6}", True), (f"threshold-{1 + 1e-6}", False)} <= kinds
+
+
+@pytest.mark.parametrize(
+    "run,calls",
+    [
+        (lambda: minimize_lostar(ghz(4), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
+        (lambda: minimize_lostar(two_bell(), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
+        (lambda: minimize_lo(w(3), FULL3, OptConfig(107, 3, 300)), 12),
+    ],
+    ids=["ghz4-lostar-1-2", "two-bell-lostar-1-2", "w3-lo-107-3"],
+)
+def test_stationary_starts_make_no_solver_call(run, calls, monkeypatch):
+    # the warm starts of GHZ4 and two-bell are stationary on every block; W3 LO
+    # polishes only the blocks its gradients say can move
+    made = []
+    real = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        made.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    run()
+    assert len(made) == calls
 
 
 def test_minimize_locc_gap_not_below_zero():
