@@ -8,20 +8,22 @@ starts follow, and the best restart wins with ties resolved to the lowest
 restart index, so results are reproducible bit-for-bit for a fixed seed.
 Each frame is charted as U exp(iH(theta)), and every objective has a
 closed-form gradient, pulled back through the chart by the Daleckii-Krein
-formula, so every polish is L-BFGS-B.  LO*, LO and CQ are one search,
-``_product_search``, of ``_product_objective``: the entropy of a product
-measurement with one row frame per block, applied block by block to a factor
-rho = L L^dag taken once per search and polished one block at a time.  A
-block whose gradient on its chart already passes L-BFGS-B's own stopping
-test (``_stationary``) is not polished, since L-BFGS-B would return it
-unchanged at iteration 0: a stationary warm start costs one gradient.  The
-LO search is seeded with the LO* optimum, and CQ holds its classical block
-in the declared basis.  The one-way LOCC search minimizes
-``_oneway_objective`` over a tree of frames, the first block's POVM and one
-basis per outcome path at each later level but the last, whose block is
-measured in its conditional eigenbasis; it polishes all of a restart's frames
-together, and ``_tree_protocol`` reads the witness protocol off the winning
-tree in one forward pass of the same factor.  ``sep_gap_heuristic`` searches
+formula.  Every restart is one polish, ``_descent``: one L-BFGS-B run over all
+of its frames together, the charts sharing one parameter vector.  A start of
+bases begins at theta = 0, and when its gradient there already passes
+L-BFGS-B's own stopping test (``_stationary``) no solver is called, since
+L-BFGS-B would return it at iteration 0: a stationary warm start costs one
+gradient.  A start with a POVM frame begins at a seeded nudge, off the
+saddle where a padded basis's zero rows have zero gradient.  LO*, LO and
+CQ are one search, ``_product_search``, of ``_product_objective``: the entropy
+of a product measurement with one row frame per block, applied block by block
+to a factor rho = L L^dag taken once per search.  The LO search is seeded
+with the LO* optimum, and CQ holds its classical block in the declared basis.
+The one-way LOCC search minimizes ``_oneway_objective`` over a tree of
+frames, the first block's POVM and one basis per outcome path at each later
+level but the last, whose block is measured in its conditional eigenbasis;
+``_tree_protocol`` reads the witness protocol off the winning tree in one
+forward pass of the same factor.  ``sep_gap_heuristic`` searches
 nothing itself: it returns the best of the LO* and one-way LOCC witnesses
 and, when it is a product basis, rho's eigenbasis.  ``werner_analytic`` is
 exact in closed form, and ``ppt_gap_w3`` is proven optimal by a primal point
@@ -306,44 +308,18 @@ def _over_bases(objective: _Objective) -> _Objective:
     return objective.composed(lambda us: [dagger(u) for u in us], lambda gs: [dagger(g) for g in gs])
 
 
-def _at_rest(jac: np.ndarray) -> bool:
-    """L-BFGS-B's stopping test on its gradient: max |jac| <= STEP_TOL.
-
-    With no bounds the projected gradient is the gradient, and L-BFGS-B runs
-    this test before its first step, so from a point that passes it returns
-    that point at iteration 0.
-    """
-    return bool(np.max(np.abs(jac)) <= STEP_TOL)
-
-
 def _stationary(base: np.ndarray, g: np.ndarray) -> bool:
     """Whether L-BFGS-B stops at once from theta = 0 on the chart from ``base``.
 
     ``base`` is a frame's ``_chart_base`` and g the objective's gradient in
-    that frame; a stack of bases is tested as one.
+    that frame; a stack of bases is tested as one.  With no bounds the
+    projected gradient is the gradient, and L-BFGS-B runs its stopping test,
+    max |jac| <= STEP_TOL, before its first step, so from a point that passes
+    it returns that point at iteration 0.
     """
     m = base.shape[-1]
-    return _at_rest(_chart(np.zeros(base.shape[:-2] + (m * m,)), base)[1](g))
-
-
-def _polish(fun, x0: np.ndarray, cfg: OptConfig, rounds: int = 1):
-    """L-BFGS-B on ``fun``, which returns its value and gradient.
-
-    Extra rounds restart the minimizer at the optimum, unless its gradient
-    there passes ``_at_rest``: that round would return the same point.
-    """
-    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
-    x, value = x0, None
-    for _ in range(rounds):
-        res = scipy.optimize.minimize(fun, x, method="L-BFGS-B", jac=True, options=options)
-        if value is not None and value - float(res.fun) < 1e-12:
-            if float(res.fun) < value:
-                x, value = res.x, float(res.fun)
-            break
-        x, value = res.x, float(res.fun)
-        if _at_rest(res.jac):
-            break
-    return x, value
+    jac = _chart(np.zeros(base.shape[:-2] + (m * m,)), base)[1](g)
+    return bool(np.max(np.abs(jac)) <= STEP_TOL)
 
 
 def _reduce_restarts(values: list[float]) -> tuple[int, bool]:
@@ -368,28 +344,24 @@ def _chart_base(frame: np.ndarray) -> np.ndarray:
     return frame if frame.shape[-2] == frame.shape[-1] else _complete_unitary(frame)
 
 
-def _polish_block(objective: _Objective, frames: list[np.ndarray], k: int, base, cfg, rounds: int):
-    """Polish frame k alone from theta = 0 of the chart from ``base``; returns (value, polished frame)."""
-    m, d = frames[k].shape
-
-    def fun(theta):
-        u, pullback = _chart(theta, base)
-        s, grads = objective.grad(frames[:k] + [u[:, :d]] + frames[k + 1 :])
-        return s, pullback(grads[k])
-
-    x, value = _polish(fun, np.zeros(m * m), cfg, rounds)
-    return value, _chart(x, base)[0][:, :d]
-
-
-def _polish_joint(objective: _Objective, frames: list[np.ndarray], cfg, gen: np.random.Generator):
-    """Polish all frames together from a seeded theta0 = 1e-2 N(0, 1); returns (value, frames).
+def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, gen: np.random.Generator):
+    """One L-BFGS-B polish of all of ``frames`` together; returns (value, frames).
 
     Each frame is charted from its ``_chart_base``, a stack of bases as one
     stacked chart, and the charts take consecutive slices of one parameter
-    vector.  The nudged start leaves the saddle that zero padded rows sit on
-    at theta = 0.
+    vector.  When every frame is square (a basis or a stack of bases) the
+    polish starts at theta0 = 0, and it is skipped when every chart gradient
+    there passes ``_stationary``: L-BFGS-B would return the start at
+    iteration 0.  With any POVM frame (more rows than columns) it starts at
+    the seeded theta0 = 1e-2 N(0, 1) drawn from ``gen``, since the zero rows
+    of a padded basis have zero gradient at theta = 0, a saddle.  The start
+    is kept unless the polish beats it.
     """
+    best, grads = objective.grad(frames)
     bases = [_chart_base(f) for f in frames]
+    square = all(f.shape[-2] == f.shape[-1] for f in frames)
+    if square and all(_stationary(b, g) for b, g in zip(bases, grads)):
+        return best, frames
     ends = list(itertools.accumulate(b.size for b in bases))  # one theta entry per unitary entry
 
     def charted(theta):
@@ -401,47 +373,14 @@ def _polish_joint(objective: _Objective, frames: list[np.ndarray], cfg, gen: np.
 
     def fun(theta):
         new, charts = charted(theta)
-        s, grads = objective.grad(new)
-        return s, np.concatenate([pullback(g).ravel() for (_, pullback), g in zip(charts, grads)])
+        s, gs = objective.grad(new)
+        return s, np.concatenate([pullback(g).ravel() for (_, pullback), g in zip(charts, gs)])
 
-    x, value = _polish(fun, 1e-2 * gen.normal(size=ends[-1]), cfg, rounds=2)
-    return value, charted(x)[0]
-
-
-def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, gen=None):
-    """Descent from ``frames``; the start is kept unless a polish beats it.
-
-    Without ``gen`` it is blockwise: a lone block gets one two-round polish,
-    several blocks get up to four sweeps, which stop early once a full pass
-    stops helping.  One ``objective.grad`` gives the start's value and every
-    block's gradient, and it is taken again only after an accepted move.  A
-    block whose chart gradient at theta = 0 passes ``_stationary`` is not
-    polished: L-BFGS-B would return it unchanged at iteration 0.  With a
-    generator ``gen``, one ``_polish_joint``.
-    """
-    frames = list(frames)
-    if gen is not None:
-        best = float(objective(frames))
-        value, polished = _polish_joint(objective, frames, cfg, gen)
-        return (value, polished) if value < best - 1e-13 else (best, frames)
-    best, grads = objective.grad(frames)
-    rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
-    for _ in range(sweeps):
-        gained = 0.0
-        for k in range(len(frames)):
-            if grads is None:
-                grads = objective.grad(frames)[1]
-            base = _chart_base(frames[k])
-            if _stationary(base, grads[k]):
-                continue
-            value, frame = _polish_block(objective, frames, k, base, cfg, rounds)
-            if value < best - 1e-13:
-                gained += best - value
-                frames[k] = frame
-                best = value
-                grads = None
-        if gained < 1e-10:
-            break
+    theta0 = np.zeros(ends[-1]) if square else 1e-2 * gen.normal(size=ends[-1])
+    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
+    res = scipy.optimize.minimize(fun, theta0, method="L-BFGS-B", jac=True, options=options)
+    if float(res.fun) < best - 1e-13:
+        return float(res.fun), charted(res.x)[0]
     return best, frames
 
 
@@ -452,23 +391,19 @@ def _blockwise_sampler(last: list[np.ndarray], draw):
     return lambda gen: [last[k] if n > 1 and gen.uniform() < 0.35 else draw(k, gen) for k in range(n)]
 
 
-def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig, joint: bool = False):
+def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig):
     """Restarted descent over a list of frames.
 
     Restart i < len(warm) starts from ``warm[i]``; each later one from
-    ``sample(gen)``, with gen seeded by (seed, offset + i).  The descent is
-    blockwise, or, when ``joint``, one polish of all the frames together
-    from a start nudged by that generator (drawn for the warm starts too).
-    Returns the per-restart values, the best restart's frames and the
-    convergence flag.
+    ``sample(gen)``, with gen seeded by (seed, offset + i) and handed on to
+    ``_descent``.  Returns the per-restart values, the best restart's frames
+    and the convergence flag.
     """
 
     def restart(idx: int):
-        if idx < len(warm) and not joint:  # a blockwise warm start draws nothing
-            return _descent(objective, warm[idx], cfg)
         gen = _rng(cfg.seed, offset + idx)
         start = warm[idx] if idx < len(warm) else sample(gen)
-        return _descent(objective, start, cfg, gen if joint else None)
+        return _descent(objective, start, cfg, gen)
 
     results = [restart(i) for i in range(max(cfg.restarts, len(warm)))]
     values = [r[0] for r in results]
@@ -662,7 +597,6 @@ def minimize_locc_oneway(
         lambda gen: _eigenbasis_tree(rho, blocks, _random_frame(d0, m, gen)),
         20_000,
         cfg,
-        joint=True,
     )
     witness = _tree_protocol(rho, blocks, tree)
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)

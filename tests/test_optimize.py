@@ -39,7 +39,6 @@ from oegap.optimize import (
     _block_dims,
     _certify_ppt_w3,
     _chart,
-    _chart_base,
     _complete_unitary,
     _descent,
     _eigenbasis_tree,
@@ -49,7 +48,6 @@ from oegap.optimize import (
     _oneway_objective,
     _over_bases,
     _pad_rows,
-    _polish_block,
     _product_objective,
     _random_frame,
     _stationary,
@@ -169,7 +167,7 @@ def test_polish_method_follows_the_objective(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "minimize", recording)
     # three restarts, so that each search polishes a seeded random start: the warm
-    # starts of LO, cq-lostar and cq-lo on cq-example are stationary, and never polished
+    # starts of cq-lostar on cq-example are stationary, and never polished
     cfg = OptConfig(seed=3, restarts=3, max_iters=50)
     for run in (SEARCHES["lo"], SEARCHES["locc1"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
         methods.clear()
@@ -184,94 +182,64 @@ def test_opt_config_rejects_empty_budget(args):
     OptConfig(1, 1, 1)
 
 
-def _polish_reference(fun, x0, cfg, rounds):
-    """L-BFGS-B in ``rounds`` rounds, each restarted at the last optimum, every round run."""
-    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
-    x, value = x0, None
-    for _ in range(rounds):
-        res = scipy.optimize.minimize(fun, x, method="L-BFGS-B", jac=True, options=options)
-        if value is not None and value - float(res.fun) < 1e-12:
-            if float(res.fun) < value:
-                x, value = res.x, float(res.fun)
-            break
-        x, value = res.x, float(res.fun)
-    return x, value
+def joint_polish_reference(objective, frames, cfg):
+    """One L-BFGS-B over all of the square ``frames`` from theta = 0, run whether stationary or not.
 
-
-def blockwise_descent_reference(objective, frames, cfg):
-    """Blockwise descent that runs L-BFGS-B on every block from theta = 0, stationary or not.
-
-    Each block is charted as in ``_polish_block``: from the frame itself when
-    square, else from its completion to a unitary (``_chart_base``).
+    Each frame is charted from itself on consecutive slices of one parameter
+    vector, and the start is kept unless the polish beats it by 1e-13.
+    Returns the value, the frames and L-BFGS-B's iteration count.
     """
-    frames = list(frames)
-    best = float(objective(frames))
-    rounds, sweeps = (2, 1) if len(frames) == 1 else (1, 4)
-    for _ in range(sweeps):
-        gained = 0.0
-        for k in range(len(frames)):
-            m, d = frames[k].shape
-            base = frames[k] if m == d else _complete_unitary(frames[k])
+    ends = np.cumsum([0] + [f.size for f in frames])
 
-            def fun(theta, k=k, base=base, d=d):
-                u, pullback = _chart(theta, base)
-                s, grads = objective.grad(frames[:k] + [u[:, :d]] + frames[k + 1 :])
-                return s, pullback(grads[k])
+    def charted(theta):
+        return [_chart(theta[a:b], f) for f, a, b in zip(frames, ends, ends[1:])]
 
-            x, value = _polish_reference(fun, np.zeros(m * m), cfg, rounds)
-            if value < best - 1e-13:
-                gained += best - value
-                frames[k] = _chart(x, base)[0][:, :d]
-                best = value
-        if gained < 1e-10:
-            break
-    return best, frames
+    def fun(theta):
+        charts = charted(theta)
+        s, gs = objective.grad([u for u, _ in charts])
+        return s, np.concatenate([pullback(g) for (_, pullback), g in zip(charts, gs)])
+
+    start = objective(frames)
+    res = scipy.optimize.minimize(
+        fun, np.zeros(ends[-1]), method="L-BFGS-B", jac=True,
+        options={"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL},
+    )
+    if res.fun < start - 1e-13:
+        return float(res.fun), [u for u, _ in charted(res.x)], res.nit
+    return start, frames, res.nit
 
 
-DESCENT_STATES = {
-    "w3": (w(3), FULL3),
-    "trine": (trine_cq(), FULL2),
-    "ghz4": (ghz(4), PartitionSpec.full(4)),
-    "two-bell": (two_bell(), PartitionSpec.full(4)),
-    "cq-example": (CQX, FULL2),
-    "werner3": (werner(3, 0.4), FULL2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(DESCENT_STATES))
-def test_descent_equals_blockwise_reference(case, monkeypatch):
-    # skipping stationary blocks leaves every blockwise descent of a seeded LO*, LO
-    # and CQ search exactly as polishing every block would
-    state, part = DESCENT_STATES[case]
-    rho = getattr(state, "state", state)
+@pytest.mark.parametrize(
+    "case",
+    [
+        (ghz(4), PartitionSpec.full(4), OptConfig(1, 2, 300), True),
+        (two_bell(), PartitionSpec.full(4), OptConfig(1, 2, 300), True),
+        (w(3), FULL3, OptConfig(107, 3, 300), False),
+    ],
+    ids=["ghz4-1-2", "two-bell-1-2", "w3-107-3"],
+)
+def test_descent_skip_equals_joint_polish(case, monkeypatch):
+    # a start of bases whose every chart gradient passes _stationary is returned with
+    # no solver call, exactly as an unconditional joint L-BFGS-B from theta = 0 would
+    # return it; the other starts of bases take that L-BFGS-B itself
+    rho, part, cfg, all_stationary = case
     calls = []
 
-    def recording(objective, frames, cfg, gen=None):
-        if gen is None:
-            calls.append((objective, list(frames), cfg))
-        return _descent(objective, frames, cfg, gen)
+    def recording(*args):
+        calls.append(args)
+        return _descent(*args)
 
     monkeypatch.setattr(oegap.optimize, "_descent", recording)
-    cfg = OptConfig(107, 3, 300)
     minimize_lostar(rho, part, cfg)
-    minimize_lo(rho, part, cfg)
-    if rho is not state:
-        cq_gap(rho, state.classical_basis, "lostar", cfg)
-        cq_gap(rho, state.classical_basis, "lo", cfg)
-    assert calls
-    # and a start whose later blocks were each polished alone: they sit still until
-    # the blocks before them move, after which their gradients must be taken again
-    objective = _over_bases(_product_objective(rho, part.blocks))
-    gen = np.random.default_rng(7)
-    frames = [_haar_frame(d, d, gen) for d in part.block_dims(rho.dims)]
-    for k in range(1, len(frames)):
-        frames[k] = _polish_block(objective, frames, k, _chart_base(frames[k]), cfg, 2)[1]
-    calls.append((objective, frames, cfg))
-    for objective, frames, cfg in calls:
-        value, got = _descent(objective, frames, cfg)
-        want_value, want = blockwise_descent_reference(objective, frames, cfg)
+    iterations = []
+    for objective, frames, cfg, gen in calls:
+        value, got = _descent(objective, frames, cfg, gen)
+        want_value, want, nit = joint_polish_reference(objective, frames, cfg)
         assert value == want_value
         assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+        iterations.append(nit)
+    assert len(iterations) == max(cfg.restarts, 2)
+    assert all(nit == 0 for nit in iterations) == all_stationary
 
 
 def _stationary_cases(m: int, d: int, gen):
@@ -323,13 +291,13 @@ def test_stationary_agrees_with_lbfgsb(m, d):
     [
         (lambda: minimize_lostar(ghz(4), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
         (lambda: minimize_lostar(two_bell(), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
-        (lambda: minimize_lo(w(3), FULL3, OptConfig(107, 3, 300)), 12),
+        (lambda: minimize_lo(w(3), FULL3, OptConfig(107, 3, 300)), 4),
     ],
     ids=["ghz4-lostar-1-2", "two-bell-lostar-1-2", "w3-lo-107-3"],
 )
 def test_stationary_starts_make_no_solver_call(run, calls, monkeypatch):
-    # the warm starts of GHZ4 and two-bell are stationary on every block; W3 LO
-    # polishes only the blocks its gradients say can move
+    # the warm starts of GHZ4 and two-bell are stationary on every block; of W3 LO's
+    # six starts, the LO* random start and the three padded LO starts are polished
     made = []
     real = scipy.optimize.minimize
 
@@ -371,6 +339,14 @@ def test_minimize_lo_w3_no_improvement_below_log3():
     res = minimize_lo(w(3), FULL3, FAST)
     assert res.gap_bits >= math.log2(3) - 1e-6
     assert res.gap_bits == pytest.approx(math.log2(3), abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 107])
+def test_minimize_lo_trine_leaves_the_padded_saddle(seed):
+    # at three restarts every LO start is a basis padded with zero rows, whose
+    # gradient vanishes at theta = 0; the search must still reach 2 - log2(3)
+    res = minimize_lo(trine_cq().state, FULL2, OptConfig(seed, 3, 300))
+    assert res.gap_bits == pytest.approx(2 - math.log2(3), abs=1e-3)
 
 
 def test_minimize_locc_cq_states_zero():
