@@ -9,9 +9,11 @@ restart index, so results are reproducible bit-for-bit for a fixed seed.
 Each frame is charted as U exp(iH(theta)), and every objective has a
 closed-form gradient, pulled back through the chart by the Daleckii-Krein
 formula.  Every restart is one polish, ``_descent``: one L-BFGS-B run over all
-of its frames together, the charts sharing one parameter vector.  A start of
-bases begins at theta = 0, and when its gradient there already passes
-L-BFGS-B's own stopping test (``_stationary``) no solver is called, since
+of its frames together, the charts sharing one parameter vector, and the
+frames of one chart size sharing one stacked chart, so an evaluation makes
+one eigh and one pullback per chart size.  A start of bases begins at
+theta = 0, and when its gradient there already passes L-BFGS-B's own
+stopping test (``_stationary``) no solver is called, since
 L-BFGS-B would return it at iteration 0: a stationary warm start costs one
 gradient.  A start with a POVM frame begins at a seeded nudge, off the
 saddle where a padded basis's zero rows have zero gradient.  LO*, LO and
@@ -143,10 +145,24 @@ def _complete_unitary(q: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _upper_flat_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the upper triangle of a d x d matrix, by rows, and of its mirror."""
+def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parameter map of d x d Hermitian matrices, on H's flat (re, im) entries.
+
+    Entry e of H is sign[e] * theta[source[e]]: a diagonal entry's real part
+    is its theta entry and its imaginary part 0, and an upper pair's real
+    (imaginary) part sets that part of H_ij and, with sign +1 (-1), of H_ji.
+    Each theta entry is the source of the two entries at pairs[:, a], so the
+    gradient in theta sums the signed gradient in H over them.  With signs
+    0 and +-1 both directions are exact, in O(d^2).
+    """
     rows, cols = np.triu_indices(d, 1)
-    return rows * d + cols, cols * d + rows
+    re, diag = d + 2 * np.arange(rows.size), np.arange(d)
+    source, sign = np.empty((d, d, 2), dtype=np.intp), np.ones((d, d, 2))
+    source[diag, diag], sign[diag, diag, 1] = diag[:, None], 0.0
+    source[rows, cols] = source[cols, rows] = np.stack([re, re + 1], axis=1)
+    sign[cols, rows, 1] = -1.0
+    source, sign = source.ravel(), sign.ravel()
+    return source, sign, np.argsort(source, kind="stable").reshape(-1, 2).T
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -157,17 +173,10 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     """Hermitian matrix: diagonal theta[:d], then (re, im) pairs of the upper triangle by rows.
 
-    A stack of parameter vectors (n, d * d) gives a stack of matrices; the
-    work runs on the transposes, with the parameter axis first.
+    A stack of parameter vectors (n, d * d) gives a stack of matrices.
     """
-    upper_idx, lower_idx = _upper_flat_indices(d)
-    t = theta.T
-    upper = t[d::2] + 1j * t[d + 1 :: 2]
-    h = np.zeros(t.shape, dtype=complex)
-    h[:: d + 1] = t[:d]
-    h[upper_idx] = upper
-    h[lower_idx] = upper.conj()
-    return h.T.reshape(theta.shape[:-1] + (d, d))
+    source, sign, _ = _hermitian_indices(d)
+    return (theta.take(source, axis=-1) * sign).view(complex).reshape(theta.shape[:-1] + (d, d))
 
 
 def _hermitian_gradient_params(g: np.ndarray) -> np.ndarray:
@@ -175,16 +184,9 @@ def _hermitian_gradient_params(g: np.ndarray) -> np.ndarray:
 
     A stack of gradients (n, d, d) gives a stack of parameter gradients.
     """
-    d = g.shape[-1]
-    upper_idx, lower_idx = _upper_flat_indices(d)
-    gt = g.T  # gt[j, i] = g[i, j], for each matrix of a stack
-    flat = gt.reshape((d * d,) + gt.shape[2:])
-    pairs = flat[lower_idx] + flat[upper_idx].conj()  # g[i, j] + conj(g[j, i]) for i < j
-    out = np.empty(flat.shape)
-    out[:d] = flat[:: d + 1].real
-    out[d::2] = pairs.real
-    out[d + 1 :: 2] = pairs.imag
-    return out.T
+    _, sign, (first, second) = _hermitian_indices(g.shape[-1])
+    signed = np.ascontiguousarray(g).view(float).reshape(g.shape[:-2] + (-1,)) * sign
+    return signed.take(first, axis=-1) + signed.take(second, axis=-1)  # g_ij + conj(g_ji)
 
 
 def _chart(theta: np.ndarray, base: np.ndarray):
@@ -193,22 +195,27 @@ def _chart(theta: np.ndarray, base: np.ndarray):
     The pullback maps a gradient G with respect to the first columns of the
     unitary to the gradient in theta, by the Daleckii-Krein formula on the
     eigh of H in the stable form Phi_jk = e^{i(l_j + l_k)/2} sinc((l_j - l_k)/2),
-    so a degenerate H (theta = 0 included) needs no special case.  A stack
-    of parameter vectors (n, m * m) and bases (n, m, m) charts n unitaries.
+    so a degenerate H needs no special case; it reuses the chart's eigenpairs
+    and base @ V.  At theta = 0 the chart is the base itself and Phi = 1,
+    with no eigh.  A stack of parameter vectors (n, m * m) and bases
+    (n, m, m) charts n unitaries with one eigh, as ``_descent`` charts all
+    frames of one size.
     """
     m = base.shape[-1]
-    if np.any(theta):
+    if theta.any():
         vals, vecs = np.linalg.eigh(_hermitian_from_params(theta, m))
-        u = base @ (vecs * np.exp(1j * vals)[..., None, :]) @ _adjoint(vecs)
+        turned, back = base @ vecs, _adjoint(vecs)
+        u = (turned * np.exp(1j * vals)[..., None, :]) @ back
+        half = np.exp(-0.5j * vals)  # conjugated, as conj(Phi) is what the pullback takes
+        diff = vals[..., :, None] - vals[..., None, :]
+        phi_conj = half[..., :, None] * half[..., None, :] * np.sinc(diff / (2 * np.pi))
     else:
-        vals, vecs, u = np.zeros(theta.shape[:-1] + (m,)), np.eye(m), base
+        turned, u, phi_conj = base, base, 1.0
+        vecs = back = np.eye(m)
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        half = np.exp(0.5j * vals)
-        diff = vals[..., :, None] - vals[..., None, :]
-        phi = half[..., :, None] * half[..., None, :] * np.sinc(diff / (2 * np.pi))
-        inner = _adjoint(base @ vecs) @ g @ vecs[..., : g.shape[-1], :]
-        return _hermitian_gradient_params(-1j * vecs @ (phi.conj() * inner) @ _adjoint(vecs))
+        inner = _adjoint(turned) @ g @ vecs[..., : g.shape[-1], :]
+        return _hermitian_gradient_params(-1j * vecs @ (phi_conj * inner) @ back)
 
     return u, pullback
 
@@ -312,10 +319,11 @@ def _stationary(base: np.ndarray, g: np.ndarray) -> bool:
     """Whether L-BFGS-B stops at once from theta = 0 on the chart from ``base``.
 
     ``base`` is a frame's ``_chart_base`` and g the objective's gradient in
-    that frame; a stack of bases is tested as one.  With no bounds the
-    projected gradient is the gradient, and L-BFGS-B runs its stopping test,
-    max |jac| <= STEP_TOL, before its first step, so from a point that passes
-    it returns that point at iteration 0.
+    that frame; a stack of bases, as ``_descent`` groups them by chart size,
+    is tested as one.  With no bounds the projected gradient is the gradient,
+    and L-BFGS-B runs its stopping test, max |jac| <= STEP_TOL, before its
+    first step, so from a point that passes it returns that point at
+    iteration 0.
     """
     m = base.shape[-1]
     jac = _chart(np.zeros(base.shape[:-2] + (m * m,)), base)[1](g)
@@ -347,34 +355,58 @@ def _chart_base(frame: np.ndarray) -> np.ndarray:
 def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, gen: np.random.Generator):
     """One L-BFGS-B polish of all of ``frames`` together; returns (value, frames).
 
-    Each frame is charted from its ``_chart_base``, a stack of bases as one
-    stacked chart, and the charts take consecutive slices of one parameter
-    vector.  When every frame is square (a basis or a stack of bases) the
-    polish starts at theta0 = 0, and it is skipped when every chart gradient
-    there passes ``_stationary``: L-BFGS-B would return the start at
-    iteration 0.  With any POVM frame (more rows than columns) it starts at
-    the seeded theta0 = 1e-2 N(0, 1) drawn from ``gen``, since the zero rows
-    of a padded basis have zero gradient at theta = 0, a saddle.  The start
-    is kept unless the polish beats it.
+    Each frame, or each frame of a stack, is charted from its ``_chart_base``
+    on consecutive slices of one parameter vector.  The frames are grouped by
+    chart size m, and each group's m x m bases form one stacked chart: an
+    evaluation makes one eigh and one pullback per group, its frames'
+    gradients stacked at the width of its widest frame, narrower ones padded
+    with zero columns.  When every frame is square (a basis or a stack of
+    bases) the polish starts at theta0 = 0, and it is skipped when every
+    group's gradient there passes ``_stationary``: L-BFGS-B would return the
+    start at iteration 0.  With any POVM frame (more rows than columns) it
+    starts at the seeded theta0 = 1e-2 N(0, 1) drawn from ``gen``, since the
+    zero rows of a padded basis have zero gradient at theta = 0, a saddle.
+    The start is kept unless the polish beats it.
     """
     best, grads = objective.grad(frames)
-    bases = [_chart_base(f) for f in frames]
+    counts = [f.size // (f.shape[-2] * f.shape[-1]) for f in frames]  # unitaries per frame
+    ends = list(itertools.accumulate(n * f.shape[-2] ** 2 for n, f in zip(counts, frames)))
+    # per chart size m: ((m, widest frame), [(frame, first row, end row)], stacked bases, theta entries)
+    groups = []
+    for m in dict.fromkeys(f.shape[-2] for f in frames):
+        ks = [k for k, f in enumerate(frames) if f.shape[-2] == m]
+        rows = np.cumsum([0] + [counts[k] for k in ks])
+        idx = np.concatenate([np.arange(ends[k] - counts[k] * m * m, ends[k]) for k in ks])
+        bases = np.concatenate([_chart_base(frames[k]).reshape(-1, m, m) for k in ks])
+        widest = max(frames[k].shape[-1] for k in ks)
+        groups.append(((m, widest), list(zip(ks, rows, rows[1:])), bases, idx))
+
+    def stacked(gs, shape, members):  # a group's frame gradients as one stack of the given (m, widest)
+        g = np.zeros((members[-1][2],) + shape, dtype=complex)
+        for k, a, b in members:
+            g[a:b, :, : gs[k].shape[-1]] = gs[k].reshape(b - a, shape[0], -1)
+        return g
+
     square = all(f.shape[-2] == f.shape[-1] for f in frames)
-    if square and all(_stationary(b, g) for b, g in zip(bases, grads)):
+    stationary = (_stationary(b, stacked(grads, shape, members)) for shape, members, b, _ in groups)
+    if square and all(stationary):
         return best, frames
-    ends = list(itertools.accumulate(b.size for b in bases))  # one theta entry per unitary entry
 
     def charted(theta):
-        charts = [
-            _chart(theta[end - base.size : end].reshape(base.shape[:-2] + (-1,)), base)
-            for base, end in zip(bases, ends)
-        ]
-        return [u[..., : f.shape[-1]] for (u, _), f in zip(charts, frames)], charts
+        charts = [_chart(theta[idx].reshape(len(bases), -1), bases) for _, _, bases, idx in groups]
+        new = [None] * len(frames)
+        for (_, members, _, _), (u, _) in zip(groups, charts):
+            for k, a, b in members:
+                new[k] = u[a:b, :, : frames[k].shape[-1]].reshape(frames[k].shape)
+        return new, charts
 
     def fun(theta):
         new, charts = charted(theta)
         s, gs = objective.grad(new)
-        return s, np.concatenate([pullback(g).ravel() for (_, pullback), g in zip(charts, gs)])
+        jac = np.empty(theta.size)
+        for (shape, members, _, idx), (_, pullback) in zip(groups, charts):
+            jac[idx] = pullback(stacked(gs, shape, members)).ravel()
+        return s, jac
 
     theta0 = np.zeros(ends[-1]) if square else 1e-2 * gen.normal(size=ends[-1])
     options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
@@ -457,22 +489,23 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) 
     def grad(qs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
         stages, norms, p, vols = forward(qs)
         live = p > P_EPS
-        ratio = np.where(live, p, 1.0) / np.where(live, vols, 1.0)
-        ds_dp = np.where(live, -(np.log2(ratio) + LOG2_E), 0.0)
+        log_ratio = np.log2(np.where(live, p, 1.0) / np.where(live, vols, 1.0))
+        s = max(0.0, float(-np.sum(p[live] * log_ratio[live])))  # entropy_from_stats(p, vols)
+        ds_dp = np.where(live, -(log_ratio + LOG2_E), 0.0)
         p_live = np.where(live, p, 0.0).reshape([len(n) for n in norms])
         g = 2 * ds_dp[:, None] * stages[-1].reshape(p.size, -1)  # gradient in the last stage
         grads = []
         for k in range(len(qs) - 1, -1, -1):
             q = qs[k]
-            g = g.reshape(stages[k + 1].shape)
+            g = g.reshape(stages[k + 1].shape)  # (paths, rows, rest)
             x = stages[k].reshape(g.shape[0], q.shape[1], -1)
             marginal = p_live.sum(axis=tuple(j for j in range(len(qs)) if j != k))
-            ds_dn = np.divide(marginal, norms[k], out=np.zeros_like(marginal), where=norms[k] > 0)
-            g_q = np.tensordot(g, x.conj(), axes=([0, 2], [0, 2]))
+            ds_dn = marginal / np.where(norms[k] > 0, norms[k], 1.0)  # a zero row's marginal is 0
+            g_q = g.swapaxes(0, 1).reshape(len(q), -1) @ x.swapaxes(0, 1).reshape(q.shape[1], -1).conj().T
             grads.append(g_q + 2 * LOG2_E * ds_dn[:, None] * q)
             if k:
                 g = dagger(q) @ g
-        return entropy_from_stats(p, vols), grads[::-1]
+        return s, grads[::-1]
 
     return _Objective(value, grad)
 
@@ -721,7 +754,7 @@ def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -
         lam, vecs = np.linalg.eigh(leaves @ _adjoint(leaves))
         live = lam > P_EPS
         log_lam = np.log2(np.where(live, lam, 1.0))
-        s = float(np.dot(p, log_vols) - np.sum(np.where(live, lam * log_lam, 0.0)))
+        s = float(np.dot(p, log_vols) - np.sum(lam * log_lam))  # log_lam is 0 where masked
         g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ _adjoint(vecs)
         leaf_log_vols = np.repeat(log_vols, len(leaves) // len(q))[:, None, None]
         g = 2 * (g_a @ leaves + leaf_log_vols * leaves)  # gradient in the leaves
@@ -1026,8 +1059,12 @@ def sep_gap_heuristic(
     SEP never reports more than LO* or LOCC1.  The lowest entropy wins, ties
     going to the earlier candidate, and ``trace`` holds the candidates'
     entropies in order.  The returned ``bounds`` records the sandwich
-    [max(ppt_lower_bits, 0), heuristic gap].
+    [max(ppt_lower_bits, 0), heuristic gap]; a lower bound above the gap by at
+    most ENTROPY_TOL is clipped to it, and one above it by more, or NaN, is a
+    ValidationError.
     """
+    if ppt_lower_bits is not None and math.isnan(ppt_lower_bits):
+        raise ValidationError("ppt_lower_bits is NaN")
     star = minimize_lostar(rho, partition, cfg)
     candidates = [(star.entropy_bits, star.witness.retag("SEP"))]
     if partition.n_blocks >= 2:
@@ -1040,4 +1077,6 @@ def sep_gap_heuristic(
     s_best, witness = min(candidates, key=lambda c: c[0])
     res = _result(rho, s_best, witness, [s for s, _ in candidates], True)
     lower = max(ppt_lower_bits if ppt_lower_bits is not None else 0.0, 0.0)
-    return replace(res, bounds=(lower, res.gap_bits))
+    if lower > res.gap_bits + ENTROPY_TOL:
+        raise ValidationError(f"ppt_lower_bits {lower} exceeds the heuristic SEP gap {res.gap_bits}")
+    return replace(res, bounds=(min(lower, res.gap_bits), res.gap_bits))

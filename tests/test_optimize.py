@@ -4,6 +4,7 @@ Full-scale optimizer runs at the spec's tolerances live in test_acceptance.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,7 @@ from oegap.optimize import (
     _frame_povm,
     _haar_frame,
     _hermitian_from_params,
+    _hermitian_gradient_params,
     _oneway_objective,
     _over_bases,
     _pad_rows,
@@ -517,6 +519,100 @@ def test_stacked_chart_matches_single_charts(m, d):
         assert np.allclose(stacked_grad[k], pullback_k(g[k]), atol=1e-13)
 
 
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 3), (4, 2), (4, 3)])
+def test_chart_at_zero_is_the_base(m, d, stack):
+    # at theta = 0 the chart is the base, and its pullback the parameter map of -i base^dag G
+    gen = np.random.default_rng(47 + m + d)
+    shape = () if stack is None else (stack,)
+    base = np.stack([_haar_frame(m, m, gen) for _ in range(stack or 1)]).reshape(shape + (m, m))
+    g = gen.normal(size=shape + (m, d)) + 1j * gen.normal(size=shape + (m, d))
+    u, pullback = _chart(np.zeros(shape + (m * m,)), base)
+    assert u is base
+    closed_form = -1j * (base.conj().swapaxes(-1, -2) @ g @ np.eye(d, m))
+    assert np.array_equal(pullback(g), _hermitian_gradient_params(closed_form))
+
+
+def test_chart_of_a_large_block_costs_quadratic_memory():
+    # blocks up to core.MAX_DIM can be searched: the parameter map must not grow as m^4
+    # (a dense (m^2, 2 m^2) map is 2 m^4 floats, 157 MB at m = 56)
+    m, d = 56, 3
+    gen = np.random.default_rng(61)
+    base = _haar_frame(m, m, gen)
+    theta = 0.1 * gen.normal(size=m * m)
+    g = gen.normal(size=(m, d)) + 1j * gen.normal(size=(m, d))
+    tracemalloc.start()
+    try:
+        u, pullback = _chart(theta, base)
+        jac = pullback(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * m * m * 16  # 100 complex m x m matrices: 5 MB
+    assert np.allclose(dagger(u) @ u, np.eye(m), atol=1e-12)
+    direction, h = gen.normal(size=m * m), 1e-6
+
+    def f(t):  # Re Tr(G^dag Q), Q the first d columns of the chart
+        return float(np.real(np.vdot(g, _chart(t, base)[0][:, :d])))
+
+    numeric = (f(theta + h * direction) - f(theta - h * direction)) / (2 * h)
+    assert jac @ direction == pytest.approx(numeric, rel=1e-6)
+
+
+def _descent_fun(objective, frames, monkeypatch):
+    """The function of theta that ``_descent`` hands to L-BFGS-B, and its start; no step is taken."""
+    seen = []
+
+    def stub(fun, x0, **kwargs):
+        seen.append((fun, x0))
+        return scipy.optimize.OptimizeResult(fun=np.inf, x=x0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "minimize", stub)
+        _descent(objective, frames, OptConfig(1, 1, 300), np.random.default_rng(0))
+    assert len(seen) == 1
+    return seen[0]
+
+
+MIXED_232 = random_density(np.random.default_rng(4), (2, 3, 2), rank=2)
+DESCENT_CASES = {
+    # (search, frame shapes of the recorded start): two POVM frames of one chart size
+    "trine-lo": (lambda cfg: minimize_lo(trine_cq().state, FULL2, cfg), [(4, 3), (4, 2)]),
+    # a 4 x 4 chart and a stack of four 2 x 2 charts
+    "w3-locc1": (lambda cfg: minimize_locc_oneway(w(3), FULL3, None, cfg), [(4, 2), (4, 2, 2)]),
+    # the classical block held in its basis: the objective is ``composed``
+    "cq-example-lo-held": (lambda cfg: cq_gap(CQX.state, CQX.classical_basis, "lo", cfg), [(4, 2)]),
+    # the two qubit bases share a chart stack, though the qutrit basis lies between them
+    "mixed-232-lostar": (lambda cfg: minimize_lostar(MIXED_232, FULL3, cfg), [(2, 2), (3, 3), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+def test_descent_gradient_matches_finite_differences(case, monkeypatch):
+    search, shapes = DESCENT_CASES[case]
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _descent(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oegap.optimize, "_descent", recording)
+        search(OptConfig(3, 3, 20))
+    objective, frames = next(
+        (o, f) for o, f, _, _ in calls if [q.shape for q in f] == [tuple(s) for s in shapes]
+    )
+    fun, theta0 = _descent_fun(objective, frames, monkeypatch)
+    theta = theta0 + 0.3 * np.random.default_rng(59).normal(size=theta0.size)
+    value, jac = fun(theta)
+    h = 1e-6
+    numeric = np.array(
+        [(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h) for e in np.eye(theta.size)]
+    )
+    assert value == fun(theta)[0]
+    assert _relative_error(jac, numeric) <= 1e-6
+
+
 ONEWAY_CASES = {
     "w3": (w(3), FULL3, (0, 1, 2)),
     "w3-ordered-201": (w(3), FULL3, (2, 0, 1)),
@@ -892,6 +988,19 @@ def test_sep_heuristic_w3_sandwich():
     res = sep_gap_heuristic(w(3), FULL3, cfg=FAST, ppt_lower_bits=lower)
     assert lower - 1e-9 <= res.gap_bits <= 1.551
     assert res.bounds == (lower, res.gap_bits)
+
+
+def test_sep_heuristic_rejects_an_invalid_lower_bound():
+    # a NaN bound, or one above the heuristic gap, would make a NaN or inverted bracket
+    cfg = OptConfig(1, 2, 100)
+    with pytest.raises(ValidationError, match="NaN"):
+        sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=float("nan"))
+    gap = sep_gap_heuristic(CQX.state, FULL2, cfg).gap_bits
+    with pytest.raises(ValidationError, match="exceeds the heuristic SEP gap"):
+        sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=gap + 0.5)
+    # within ENTROPY_TOL the bound is clipped to the gap: the bracket closes
+    res = sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=gap + 0.5 * ENTROPY_TOL)
+    assert res.bounds == (gap, gap)
 
 
 def test_sep_heuristic_domino_product_eigenbasis():
