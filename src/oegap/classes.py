@@ -23,6 +23,7 @@ from .core import (
     PartitionSpec,
     Povm,
     ValidationError,
+    _exceeds_scaled,
     as_operator,
     dagger,
     embed,
@@ -267,10 +268,9 @@ def effect_is_ppt(effect: np.ndarray, partition: PartitionSpec, dims) -> bool:
     """True when every block-bipartition partial transpose of the effect is PSD."""
     a = as_operator(effect)
     dims = tuple(int(d) for d in dims)
-    scale = max(1.0, opnorm(a))
     for subset in _bipartition_subsets(partition.n_blocks, include_complements=False):
         subs = [i for k in subset for i in partition.blocks[k]]
-        if min_eig(partial_transpose(a, dims, subs)) < -TOL_PSD * scale:
+        if _exceeds_scaled(-min_eig(partial_transpose(a, dims, subs)), TOL_PSD, a):
             return False
     return True
 
@@ -284,12 +284,11 @@ def effect_is_rct(effect: np.ndarray, partition: PartitionSpec, dims) -> bool:
     """Reduction criterion: (Tr_rest M) (x) 1 - M is PSD for every block bipartition."""
     a = as_operator(effect)
     dims = tuple(int(d) for d in dims)
-    scale = max(1.0, opnorm(a))
     for subset in _bipartition_subsets(partition.n_blocks, include_complements=True):
         subs = sorted(i for k in subset for i in partition.blocks[k])
         marginal = partial_trace(a, dims, subs)
         lifted = embed(marginal, subs, dims)
-        if min_eig(lifted - a) < -TOL_PSD * scale:
+        if _exceeds_scaled(-min_eig(lifted - a), TOL_PSD, a):
             return False
     return True
 
@@ -341,9 +340,9 @@ def _try_product_operator(effect: np.ndarray, partition: PartitionSpec, dims):
         marg = partial_trace(effect, dims, block)
         parts.append(marg / tr)
     rebuilt = tr * _product_effects([p[None] for p in parts], partition.blocks, dims)[0]
-    if opnorm(rebuilt - effect) <= PRODUCT_TOL * max(1.0, opnorm(effect)):
-        return parts
-    return None
+    if _exceeds_scaled(opnorm(rebuilt - effect), PRODUCT_TOL, effect):
+        return None
+    return parts
 
 
 def is_separable_effect(effect: np.ndarray, partition: PartitionSpec, dims) -> SeparabilityVerdict:

@@ -4,8 +4,9 @@ Operators are plain ``numpy.ndarray`` objects (complex128, row-major); the
 dataclasses in this module attach subsystem dimensions and enforce the
 physical invariants (Hermiticity, positivity, unit trace, completeness) at
 construction time.  A POVM is validated as one (k, d, d) stack of effects,
-with batched SVDs and one batched ``eigvalsh`` rather than a loop over its
-effects.  All entropies elsewhere in the package are in bits.
+with one batched ``eigvalsh`` rather than a loop over its effects.  Every
+spectral norm comes from a Hermitian eigensolve, not an SVD (``opnorm``).
+All entropies elsewhere in the package are in bits.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ CLUSTER_TOL = 1e-8
 TOL_PURE = 1e-9  # is_pure: purity at least 1 - TOL_PURE
 TOL_PURE_VECTOR = 1e-8  # pure_vector rejects a purity below 1 - TOL_PURE_VECTOR
 TOL_PROJECTIVE = 1e-8  # is_projective: largest ||M_i M_j - delta_ij M_i||
+GRAM_MIN, GRAM_MAX = 1e-250, 1e250  # opnorm: range of Tr(A^dag A) taken without rescaling
 
 CLASS_TAGS = (
     "General",
@@ -56,12 +58,39 @@ def as_operator(mat) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Spectral norm."""
-    return float(np.linalg.norm(a, 2))
+def opnorm(a: np.ndarray) -> float | np.ndarray:
+    """Spectral norm sigma_max(A) = sqrt(lambda_max(A^dag A)); a stack (..., m, n) gives one per matrix.
+
+    The largest eigenvalue of the Gram matrix (taken on the smaller side)
+    comes from ``eigvalsh``, which is backward stable, so the norm is within
+    O(n eps) of sigma_max relative to itself, at a fraction of an SVD's cost.
+    A matrix whose squared Frobenius norm Tr(A^dag A) lies outside
+    [GRAM_MIN, GRAM_MAX], where the Gram matrix could overflow or lose
+    digits to underflow, is divided by its largest |entry| first.  A single
+    matrix gives a float, a stack an array.
+    """
+    a = np.asarray(a)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(stack)
+    frob2 = gram.trace(axis1=1, axis2=2).real
+    peak = np.ones(len(stack))
+    rescale = ~((frob2 >= GRAM_MIN) & (frob2 <= GRAM_MAX))
+    if rescale.any():
+        entry = np.abs(stack[rescale]).max(axis=(1, 2))
+        peak[rescale] = np.where(entry > 0.0, entry, 1.0)
+        gram = _gram(stack / peak[:, None, None])
+    norm = peak * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return float(norm[0]) if a.ndim == 2 else norm.reshape(a.shape[:-2])
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """A^dag A or A A^dag for each matrix A of a stack, whichever is smaller."""
+    return dagger(stack) @ stack if stack.shape[-2] >= stack.shape[-1] else stack @ dagger(stack)
 
 
 def tensor(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -161,8 +190,21 @@ def embed(op: np.ndarray, subsys: Sequence[int], dims: Sequence[int]) -> np.ndar
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    scale = max(1.0, opnorm(a))
-    return opnorm(a - dagger(a)) <= TOL_HERM * scale
+    """Whether ||A - A^dag|| <= TOL_HERM * max(1, ||A||); ||A|| is only needed above TOL_HERM.
+
+    i(A - A^dag) is exactly Hermitian in floating point, so its norm is its
+    largest |eigenvalue|.
+    """
+    vals = np.linalg.eigvalsh(1j * (a - dagger(a)))
+    return not _exceeds_scaled(max(-vals[0], vals[-1]), TOL_HERM, a)
+
+
+def _exceeds_scaled(x: float, tol: float, a: np.ndarray) -> bool:
+    """Whether x > tol * max(1, ||A||), with ||A|| computed only when x > tol.
+
+    As max(1, ||A||) >= 1, no x <= tol can exceed the scaled tolerance.
+    """
+    return x > tol and x > tol * max(1.0, opnorm(a))
 
 
 def min_eig(a: np.ndarray) -> float:
@@ -191,13 +233,11 @@ def validate_state(mat, dims=None) -> list[str]:
         except ValidationError as err:
             problems.append(str(err))
             return problems
-    scale = max(1.0, opnorm(a))
-    herm = opnorm(a - dagger(a)) / scale
+    (herm,), (low,), (scale,) = _hermitian_psd_checks(a[None])
     if herm > TOL_HERM:
         problems.append(f"not Hermitian: relative asymmetry {herm:.3e}")
-    lo = min_eig(a)
-    if lo < -TOL_PSD * scale:
-        problems.append(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+    if low < -TOL_PSD * scale:
+        problems.append(f"not positive semidefinite: min eigenvalue {low:.3e}")
     tr = abs(np.trace(a) - 1.0)
     if tr > TOL_TRACE:
         problems.append(f"trace differs from 1 by {tr:.3e}")
@@ -207,10 +247,12 @@ def validate_state(mat, dims=None) -> list[str]:
 def validate_povm(effects) -> list[str]:
     """List every violated POVM invariant with its magnitude; empty means valid.
 
-    The effects are checked as one (k, d, d) stack: one batched SVD for their
-    norms, one for their asymmetries and one batched ``eigvalsh`` of their
-    Hermitian parts.  Problems are listed by effect, Hermitian before PSD,
-    then completeness.
+    The effects are checked as one (k, d, d) stack by ``_hermitian_psd_checks``:
+    one batched ``eigvalsh`` gives their asymmetries and least eigenvalues,
+    and their norms are computed only for effects that could fail.  The
+    completeness violation's spectral norm is computed only when an upper
+    bound on it, d times its largest |entry|, exceeds TOL_COMPLETE.
+    Problems are listed by effect, Hermitian before PSD, then completeness.
     """
     if not isinstance(effects, np.ndarray):
         effects = list(effects)
@@ -226,9 +268,12 @@ def validate_povm(effects) -> list[str]:
     if d > MAX_DIM:
         return [f"dimension {d} exceeds the supported cap of {MAX_DIM}"]
     problems = _effect_problems(stack)
-    gap = opnorm(stack.sum(axis=0) - np.eye(d))
-    if gap > TOL_COMPLETE:
-        problems.append(f"completeness violation of norm {gap:.3e}")
+    deficit = stack.sum(axis=0) - np.eye(d)
+    # ||X|| <= d max |X_ij|, so the spectral norm is needed only where that bound exceeds the tolerance
+    if d * np.abs(deficit).max() > TOL_COMPLETE:
+        gap = opnorm(deficit)
+        if gap > TOL_COMPLETE:
+            problems.append(f"completeness violation of norm {gap:.3e}")
     return problems
 
 
@@ -251,12 +296,33 @@ def _malformed_povm(effects) -> list[str]:
     return problems + [f"effect {bad} has dimension {mats[bad].shape[0]}, expected {d}"]
 
 
+def _hermitian_psd_checks(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relative asymmetry, least eigenvalue and scale of each matrix A of a (k, d, d) stack.
+
+    The asymmetry ||A - A^dag|| and the least eigenvalue of (A + A^dag) / 2
+    come from one ``eigvalsh`` over the 2k matrices i(A - A^dag) and
+    (A + A^dag) / 2, both exactly Hermitian in floating point, so the norm
+    of the first is its largest |eigenvalue|.  A check fails when
+    asymmetry / scale > TOL_HERM or the least eigenvalue is below -TOL_PSD *
+    scale, with scale = max(1, ||A||).  As scale >= 1 neither can fail where
+    the asymmetry is at most TOL_HERM and the least eigenvalue at least
+    -TOL_PSD, so ||A|| is computed only for the other matrices; the scale is
+    1 where it is not computed, which gives the same verdicts.
+    """
+    k = stack.shape[0]
+    adjoint = dagger(stack)
+    vals = np.linalg.eigvalsh(np.concatenate([1j * (stack - adjoint), 0.5 * (stack + adjoint)]))
+    asym, low = np.maximum(-vals[:k, 0], vals[:k, -1]), vals[k:, 0]
+    scale = np.ones(k)
+    suspect = (asym > TOL_HERM) | (low < -TOL_PSD)
+    if suspect.any():
+        scale[suspect] = np.maximum(1.0, opnorm(stack[suspect]))
+    return asym / scale, low, scale
+
+
 def _effect_problems(stack: np.ndarray) -> list[str]:
     """Hermiticity and positivity problems of a (k, d, d) stack, by effect index."""
-    scale = np.maximum(1.0, np.linalg.svd(stack, compute_uv=False)[:, 0])
-    adjoint = stack.conj().transpose(0, 2, 1)
-    herm = np.linalg.svd(stack - adjoint, compute_uv=False)[:, 0] / scale
-    low = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    herm, low, scale = _hermitian_psd_checks(stack)
     problems = []
     for i in np.flatnonzero((herm > TOL_HERM) | (low < -TOL_PSD * scale)):
         if herm[i] > TOL_HERM:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ConditionalMeasurement, _flat_effects, lo_povm
-from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, dagger, spectral
+from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, dagger, opnorm, spectral
 
 P_EPS = 1e-14
 CERT_OP_TOL = 1e-8  # certify_optimal: relative residual of an effect off its eigenspace
@@ -190,10 +190,12 @@ def certify_optimal(rho, povm: Povm) -> OptimalityCertificate:
 
     An effect E that meets the condition within ``CERT_OP_TOL`` keeps nearly
     all of its trace in that eigenspace, so only the cluster k with the
-    largest Tr(P_k E) can be the one: one stacked SVD of the residuals
-    ||E_i - P_k E_i P_k|| at that cluster decides every effect.  An effect
-    that fails there gets its residual against every cluster, and is reported
-    when the best of them fails too.
+    largest Tr(P_k E) can be the one: the residuals ||E_i - P_k E_i P_k|| at
+    that cluster decide every effect.  They and the norms ||E_i|| come from
+    one batched ``opnorm`` over a 2k stack; a stored effect may be
+    non-Hermitian within validation's tolerance, so none of these operands
+    is taken as Hermitian.  An effect that fails there gets its residual
+    against every cluster, and is reported when the best of them fails too.
     """
     r = _as_mat(rho)
     spec = spectral(r)
@@ -201,11 +203,11 @@ def certify_optimal(rho, povm: Povm) -> OptimalityCertificate:
     s_rho = von_neumann(rho)
     eff = povm.effects
     proj = np.array(spec.projectors)
-    scale = np.linalg.svd(eff, compute_uv=False)[:, 0]
     home = proj[np.argmax(np.real(np.einsum("kab,iba->ik", proj, eff)), axis=1)]
-    residual = np.linalg.svd(eff - home @ eff @ home, compute_uv=False)[:, 0]
+    norms = opnorm(np.concatenate([eff, eff - home @ eff @ home]))
+    scale, residual = norms[: len(eff)], norms[len(eff) :]
     for idx in np.flatnonzero((scale > 1e-12) & (residual > CERT_OP_TOL * scale)):
-        best = np.linalg.svd(eff[idx] - proj @ eff[idx] @ proj, compute_uv=False)[:, 0].min()
+        best = opnorm(eff[idx] - proj @ eff[idx] @ proj).min()
         if best > CERT_OP_TOL * scale[idx]:
             return OptimalityCertificate(
                 False,

@@ -165,11 +165,6 @@ def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return source, sign, np.argsort(source, kind="stable").reshape(-1, 2).T
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
 def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
     """Hermitian matrix: diagonal theta[:d], then (re, im) pairs of the upper triangle by rows.
 
@@ -204,7 +199,7 @@ def _chart(theta: np.ndarray, base: np.ndarray):
     m = base.shape[-1]
     if theta.any():
         vals, vecs = np.linalg.eigh(_hermitian_from_params(theta, m))
-        turned, back = base @ vecs, _adjoint(vecs)
+        turned, back = base @ vecs, dagger(vecs)
         u = (turned * np.exp(1j * vals)[..., None, :]) @ back
         half = np.exp(-0.5j * vals)  # conjugated, as conj(Phi) is what the pullback takes
         diff = vals[..., :, None] - vals[..., None, :]
@@ -214,7 +209,7 @@ def _chart(theta: np.ndarray, base: np.ndarray):
         vecs = back = np.eye(m)
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        inner = _adjoint(turned) @ g @ vecs[..., : g.shape[-1], :]
+        inner = dagger(turned) @ g @ vecs[..., : g.shape[-1], :]
         return _hermitian_gradient_params(-1j * vecs @ (phi_conj * inner) @ back)
 
     return u, pullback
@@ -682,7 +677,7 @@ def _eigenbasis_levels(rho: DensityMatrix, blocks, levels: list[np.ndarray]) -> 
     def level_frames(k, x):
         if k < len(levels):
             return levels[k]
-        return _adjoint(np.linalg.eigh(x @ _adjoint(x))[1][..., ::-1])
+        return dagger(np.linalg.eigh(x @ dagger(x))[1][..., ::-1])
 
     _, fs, leaves = _oneway_forward(_block_factor(rho, blocks), _block_dims(rho, blocks), level_frames)
     return fs if len(blocks) == 1 else [*fs, level_frames(len(blocks) - 1, leaves)]
@@ -751,20 +746,20 @@ def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -
         live_p = p > P_EPS
         vols = np.where(live_p, (abs(q) ** 2).sum(axis=1), 1.0)  # 1 where p is masked
         log_vols = np.log2(vols)
-        lam, vecs = np.linalg.eigh(leaves @ _adjoint(leaves))
+        lam, vecs = np.linalg.eigh(leaves @ dagger(leaves))
         live = lam > P_EPS
         log_lam = np.log2(np.where(live, lam, 1.0))
         s = float(np.dot(p, log_vols) - np.sum(lam * log_lam))  # log_lam is 0 where masked
-        g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ _adjoint(vecs)
+        g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ dagger(vecs)
         leaf_log_vols = np.repeat(log_vols, len(leaves) // len(q))[:, None, None]
         g = 2 * (g_a @ leaves + leaf_log_vols * leaves)  # gradient in the leaves
         grads = []
         for k in range(len(levels) - 1, -1, -1):
             f = levels[k]
             g = g.reshape(f.shape[0], f.shape[1], -1)  # gradient in the level's output
-            grads.append(g @ _adjoint(xs[k]))
+            grads.append(g @ dagger(xs[k]))
             if k:
-                g = _adjoint(f) @ g
+                g = dagger(f) @ g
         ds_dn = np.where(live_p, p, 0.0) / vols
         return s, [grads[-1][0] + 2 * LOG2_E * ds_dn[:, None] * q, *grads[-2::-1]]
 

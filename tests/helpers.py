@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from oegap.core import DensityMatrix, Povm, embed, partial_trace
+from oegap.core import DensityMatrix, Povm, embed, partial_trace, spectral
 
 
 def random_density(rng, dims, rank=None) -> DensityMatrix:
@@ -77,3 +77,22 @@ def conditional_reference(mat, dims, pos, effect):
         return p, np.eye(n) / n
     cond = partial_trace(lifted, dims, rest) / p
     return p, 0.5 * (cond + cond.conj().T)
+
+
+def certify_svd_reference(rho, povm):
+    """certify_optimal's support check with every norm from a stacked SVD: (failing index, reason).
+
+    The same steps as the library's: each effect's residual at the cluster
+    holding most of its trace, then, for an effect that fails there, its
+    best residual over all clusters; (None, None) when every effect passes.
+    """
+    eff = povm.effects
+    proj = np.array(spectral(rho.mat).projectors)
+    scale = np.linalg.svd(eff, compute_uv=False)[:, 0]
+    home = proj[np.argmax(np.real(np.einsum("kab,iba->ik", proj, eff)), axis=1)]
+    residual = np.linalg.svd(eff - home @ eff @ home, compute_uv=False)[:, 0]
+    for idx in np.flatnonzero((scale > 1e-12) & (residual > 1e-8 * scale)):
+        best = np.linalg.svd(eff[idx] - proj @ eff[idx] @ proj, compute_uv=False)[:, 0].min()
+        if best > 1e-8 * scale[idx]:
+            return int(idx), f"effect {idx} is not supported on a single eigenspace (best residual {best:.3e})"
+    return None, None

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import pt_oracle, random_density, random_pure
+from helpers import pt_oracle, random_density, random_povm, random_pure, random_unitary
 from oegap.core import (
     DensityMatrix,
     PartitionSpec,
     Povm,
     ValidationError,
+    is_hermitian,
+    opnorm,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -346,6 +348,163 @@ def test_validate_povm_matches_effect_by_effect_reference(size):
         assert validate_povm(effects) == validate_povm_reference(effects)
 
 
+def _scaled_case(rng, d, factor, asymmetric=False, indefinite=False):
+    """A matrix of norm 3 to 10, off Hermitian or PSD by ``factor`` times the tolerance scaled by its norm.
+
+    ``asymmetric`` adds an anti-Hermitian part with ||A - A^dag|| = factor *
+    1e-9 * ||A||; ``indefinite`` sets the least eigenvalue to -factor * 1e-9
+    * ||A||; with neither the matrix is Hermitian and PSD.
+    """
+    s = rng.uniform(3.0, 10.0)
+    vals = np.concatenate([[s], rng.uniform(0.0, s, size=d - 1)])
+    if indefinite:
+        vals[-1] = -factor * 1e-9 * s
+    u = random_unitary(rng, d)
+    a = (u * vals) @ u.conj().T
+    a = 0.5 * (a + a.conj().T)
+    if asymmetric:
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        n = x - x.conj().T
+        a = a + 0.5 * factor * 1e-9 * s * n / np.linalg.norm(n, 2)
+    return a
+
+
+def test_validate_povm_matches_reference_on_scaled_effects():
+    # stacks of effects of norm 3 to 10, where the tolerances scale with the norm:
+    # at 0.5x no effect fails, at 2x effects 1 to 3 do, with magnitudes relative to
+    # the norm; at 1x each effect falls on either side, as the reference decides
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 4, 8, 16):
+        for factor in (0.5, 1.0, 2.0):
+            effects = np.array(
+                [
+                    _scaled_case(rng, d, factor),
+                    _scaled_case(rng, d, factor, asymmetric=True),
+                    _scaled_case(rng, d, factor, indefinite=True),
+                    _scaled_case(rng, d, factor, asymmetric=True, indefinite=True),
+                ]
+            )
+            got = validate_povm(effects)
+            assert got == validate_povm_reference(effects)
+            per_effect = [p for p in got if p.startswith("effect")]
+            if factor == 0.5:
+                assert per_effect == []
+            if factor == 2.0:
+                assert [p.split(":")[0] for p in per_effect] == [
+                    "effect 1 not Hermitian",
+                    "effect 2 not PSD",
+                    "effect 3 not Hermitian",
+                    "effect 3 not PSD",
+                ]
+                assert per_effect[0] == "effect 1 not Hermitian: relative asymmetry 2.000e-09"
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+def test_validate_povm_completeness_matches_reference(factor):
+    # a completeness violation of spectral norm factor * 1e-9, of rank 1 or a
+    # multiple of the identity: validation bounds it by d times its largest
+    # |entry|, which at d = 16 exceeds the tolerance, so the spectral norm decides
+    rng = np.random.default_rng(79)
+    for d, k in ((2, 3), (4, 4), (16, 5)):
+        effects = random_povm(rng, d, k).effects.copy()
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rank1 = effects.copy()
+        rank1[-1] += factor * 1e-9 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        full = effects.copy()
+        full[-1] += factor * 1e-9 * np.eye(d)
+        for stack in (rank1, full):
+            got = validate_povm(stack)
+            assert got == validate_povm_reference(stack)
+            if factor != 1.0:
+                assert bool(got) == (factor > 1.0)
+
+
+def test_validate_povm_matches_reference_outside_the_gram_range():
+    # effects whose Gram matrices overflow or underflow get the SVD's norms
+    p = np.diag([1.0, 0.0, 0.0])
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1.0
+    for effects in (
+        [1e200 * p, np.eye(3) - 1e200 * p],
+        [1e160 * (p + skew), np.eye(3)],
+        [1e-170 * (p + skew), np.eye(3)],
+        [np.eye(3) - 1e-170 * skew, 1e-170 * skew],
+    ):
+        assert validate_povm(effects) == validate_povm_reference(effects)
+
+
+def validate_state_reference(a):
+    """The state checks with the spectral norm from an SVD."""
+    problems = []
+    scale = max(1.0, np.linalg.norm(a, 2))
+    herm = np.linalg.norm(a - a.conj().T, 2) / scale
+    if herm > 1e-9:
+        problems.append(f"not Hermitian: relative asymmetry {herm:.3e}")
+    low = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]
+    if low < -1e-9 * scale:
+        problems.append(f"not positive semidefinite: min eigenvalue {low:.3e}")
+    tr = abs(np.trace(a) - 1.0)
+    if tr > 1e-10:
+        problems.append(f"trace differs from 1 by {tr:.3e}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "asymmetric, indefinite",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["valid", "asymmetric", "indefinite", "both"],
+)
+def test_validate_state_and_is_hermitian_match_svd_reference(asymmetric, indefinite):
+    # matrices of norm 3 to 10 and their unit-trace rescalings, of norm below 1
+    rng = np.random.default_rng(67)
+    for d in (2, 3, 4, 8, 16):
+        for factor in (0.5, 1.0, 2.0):
+            a = _scaled_case(rng, d, factor, asymmetric, indefinite)
+            for mat in (a, a / np.trace(a).real):
+                assert validate_state(mat) == validate_state_reference(mat)
+                scale = max(1.0, np.linalg.norm(mat, 2))
+                assert is_hermitian(mat) == (np.linalg.norm(mat - mat.conj().T, 2) <= 1e-9 * scale)
+            if factor != 1.0:
+                assert is_hermitian(a) == (not asymmetric or factor < 1.0)
+                assert any("positive" in p for p in validate_state(a)) == (indefinite and factor > 1.0)
+
+
+def test_opnorm_matches_svd_norm():
+    rng = np.random.default_rng(71)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    g = rand(5, 5)
+    v = rand(6)
+    mats = {
+        "non-hermitian": g,
+        "hermitian": g + g.conj().T,
+        "rank-1": np.outer(v, rand(6).conj()),
+        "zero": np.zeros((4, 4), dtype=complex),
+        "1x1": rand(1, 1),
+        "16x16": rand(16, 16),
+        "tall": rand(7, 3),
+        "wide": rand(3, 7),
+        "real": rng.normal(size=(6, 6)),
+        "tiny": 1e-200 * g,
+        "large": 1e150 * g,
+        "huge": 1e300 * g,
+    }
+    for name, a in mats.items():
+        want = np.linalg.norm(a, 2)
+        got = opnorm(a)
+        assert isinstance(got, float), name
+        assert abs(got - want) <= 1e-12 * want, name
+    stack = rand(3, 2, 5, 5)
+    stack[0, 1] = 0.0
+    stack[1, 0] *= 1e-200  # rescaled alone, the rest of the stack as it is
+    want = np.linalg.norm(stack, 2, axis=(-2, -1))
+    got = opnorm(stack)
+    assert got.shape == (3, 2) and np.all(np.abs(got - want) <= 1e-12 * want)
+    assert got[0, 1] == 0.0
+
+
 def test_density_matrix_invariants_enforced():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4), (2, 2))
@@ -363,6 +522,50 @@ def test_povm_projective_flag():
     from helpers import random_povm
 
     assert not random_povm(rng, 2, 3).is_projective()
+
+
+def is_projective_reference(effects):
+    """The projectivity check pair by pair, with the spectral norm from an SVD."""
+    return all(
+        np.linalg.norm(a @ b - (a if i == j else 0.0), 2) <= 1e-8
+        for i, a in enumerate(effects)
+        for j, b in enumerate(effects)
+    )
+
+
+def _nearly_projective(rng, d, eps):
+    """Projectors onto a random rank-2 subspace and its complement, eps of a unit vector moved across.
+
+    With P the rank-2 projector, u a unit vector in its range and Q = 1 - P,
+    the effects P - eps uu^dag and Q + eps uu^dag form a POVM whose largest
+    ||M_i M_j - delta_ij M_i|| is eps (1 - eps).
+    """
+    u = random_unitary(rng, d)
+    p = u[:, :2] @ u[:, :2].conj().T
+    w = u[:, 0] * np.cos(0.3) + u[:, 1] * np.sin(0.3)
+    move = eps * np.outer(w, w.conj())
+    return [p - move, np.eye(d) - p + move]
+
+
+def test_is_projective_matches_pairwise_reference():
+    # TOL_PROJECTIVE = 1e-8: projective at 0.5x the tolerance, not at 2x
+    rng = np.random.default_rng(73)
+    cases = [
+        (Povm.from_basis(np.eye(4, dtype=complex)), True),
+        (Povm.from_basis(random_unitary(rng, 4)), True),
+        (random_povm(rng, 4, 3), False),
+        (random_povm(rng, 4, 5), False),
+        (Povm(np.array(_nearly_projective(rng, 4, 0.5e-8))), True),
+        (Povm(np.array(_nearly_projective(rng, 4, 2e-8))), False),
+    ]
+    basis = random_unitary(rng, 4)
+    # the failing pair in the last row only: a basis whose last effect is split in two
+    last = np.outer(basis[:, 3], basis[:, 3].conj())
+    split = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)] + [0.5 * last, 0.5 * last]
+    cases.append((Povm(np.array(split)), False))
+    for povm, want in cases:
+        assert povm.is_projective() == want
+        assert is_projective_reference(povm.effects) == want
 
 
 def test_povm_unknown_tag_rejected():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    certify_svd_reference,
     conditional_reference,
     haar_basis_povm,
     random_density,
@@ -275,6 +276,48 @@ def test_certify_matches_effect_by_effect_reference(angle):
             cert = certify_optimal(rho, povm)
             reason = cert.reason if cert.failing_outcome is not None else None
             assert (cert.failing_outcome, reason) == certify_reference(rho, povm)
+
+
+def _off_eigenspace_povm(rng, d, delta):
+    """A state with a degenerate eigenspace and a POVM off its eigenspaces by ``delta``.
+
+    In rho's eigenbasis (eigenvalues 0.3, 0.3, 0.25, then smaller distinct
+    ones): E0 = |0><0| + delta X + N, E1 = |1><1| - N, E2 = |2><2| - delta X
+    and |k><k| for the rest, with X = |0><2| + |2><0| and N = 2.5e-10 i (|0><1|
+    + |1><0|) inside the degenerate eigenspace.  E0 and E2 have residual delta
+    at their eigenspaces and norm 1 + O(delta^2); E0 and E1 are non-Hermitian
+    by ||2N|| = 5e-10, which validation accepts.
+    """
+    vals = np.concatenate([[0.3, 0.3, 0.25], np.linspace(0.15, 0.05, d - 3)])
+    u = random_unitary(rng, d)
+    rho = DensityMatrix((u * (vals / vals.sum())) @ u.conj().T, (d,))
+    basis = np.eye(d)
+    x = np.outer(basis[0], basis[2]) + np.outer(basis[2], basis[0])
+    n = 2.5e-10j * (np.outer(basis[0], basis[1]) + np.outer(basis[1], basis[0]))
+    effects = [np.outer(b, b).astype(complex) for b in basis]
+    effects[0] = effects[0] + delta * x + n
+    effects[1] = effects[1] - n
+    effects[2] = effects[2] - delta * x
+    return rho, Povm(np.array([u @ e @ u.conj().T for e in effects]))
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 1.0, 2.0])
+def test_certify_matches_stacked_svd_reference(factor):
+    # residuals at 0.5x, 1x and 2x CERT_OP_TOL times the effect's norm: the
+    # certificate agrees with the same check computed with SVDs
+    rng = np.random.default_rng(83)
+    for d in (3, 4, 6, 8):
+        for _ in range(4):
+            rho, povm = _off_eigenspace_povm(rng, d, factor * 1e-8)
+            assert np.linalg.norm(povm.effects[0] - povm.effects[0].conj().T, 2) == pytest.approx(5e-10)
+            cert = certify_optimal(rho, povm)
+            reason = cert.reason if cert.failing_outcome is not None else None
+            assert (cert.failing_outcome, reason) == certify_svd_reference(rho, povm)
+            if factor < 1.0:
+                assert cert.optimal
+            if factor > 1.0:
+                assert cert.failing_outcome == 0
+                assert cert.reason.endswith("(best residual 2.000e-08)")
 
 
 def test_tensor_decompose_product_state():
