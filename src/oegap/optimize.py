@@ -6,9 +6,12 @@ The LO*, LO and one-way LOCC searches share one restart engine,
 eigenbases and, for LO, the polished LO* bases) come first, seeded random
 starts follow, and the best restart wins with ties resolved to the lowest
 restart index, so results are reproducible bit-for-bit for a fixed seed.
-Each frame is charted as U exp(iH(theta)), and every objective has a
-closed-form gradient, pulled back through the chart by the Daleckii-Krein
-formula.  Every restart is one polish, ``_descent``: one L-BFGS-B run over all
+Every search runs over row frames: a measurement's effects are |q_i^*><q_i^*|
+for the rows q_i of a frame, a basis's bras for LO*, POVM rows for LO and
+one-way LOCC.  Every objective is a plain function of a list of frames that
+returns the value and one gradient per frame, in closed form, pulled back
+through each frame's chart U exp(iH(theta)) by the Daleckii-Krein formula.
+Every restart is one polish, ``_descent``: one L-BFGS-B run over all
 of its frames together, the charts sharing one parameter vector, and the
 frames of one chart size sharing one stacked chart, so an evaluation makes
 one eigh and one pullback per chart size.  A start of bases begins at
@@ -22,8 +25,9 @@ of a product measurement with one row frame per block, applied block by block
 to a factor rho = L L^dag taken once per search.  The LO search is seeded
 with the LO* optimum, and CQ holds its classical block in the declared basis.
 The one-way LOCC search minimizes ``_oneway_objective`` over a tree of
-frames, the first block's POVM and one basis per outcome path at each later
-level but the last, whose block is measured in its conditional eigenbasis;
+frames, its list of levels: one stack of frames per block but the last, the
+first block's POVM frame as a stack of one and one basis per outcome path at
+each later level, the last block measured in its conditional eigenbasis;
 ``_tree_protocol`` reads the witness protocol off the winning tree in one
 forward pass of the same factor.  ``sep_gap_heuristic`` searches
 nothing itself: it returns the best of the LO* and one-way LOCC witnesses
@@ -39,7 +43,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 import scipy.optimize
@@ -69,7 +72,6 @@ from .entropy import (
     P_EPS,
     binary_entropy,
     chain_entropy,
-    entropy_from_stats,
     observational_entropy,
     von_neumann,
 )
@@ -133,15 +135,18 @@ def _haar_frame(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _complete_unitary(q: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary whose first columns equal q."""
-    m, d = q.shape
-    full, r = np.linalg.qr(np.hstack([q, np.eye(m, dtype=complex)]))
-    full = full[:, :m]
-    diag = np.diag(r)[:m].copy()
+    """Extend orthonormal columns to a full unitary whose first columns equal q.
+
+    A stack of frames (n, m, d) gives a stack of unitaries (n, m, m), with one
+    batched QR.
+    """
+    m = q.shape[-2]
+    eye = np.broadcast_to(np.eye(m, dtype=complex), q.shape[:-1] + (m,))
+    full, r = np.linalg.qr(np.concatenate([q, eye], axis=-1))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)[..., :m]
     safe = np.abs(diag) > 1e-12
-    diag[~safe] = 1.0
-    diag[safe] = diag[safe] / np.abs(diag[safe])
-    return full * diag
+    phases = np.where(safe, diag / np.where(safe, np.abs(diag), 1.0), 1.0)
+    return full[..., :m] * phases[..., None, :]
 
 
 @functools.cache
@@ -278,38 +283,6 @@ def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
 # the restart engine
 
 
-@dataclass(frozen=True)
-class _Objective:
-    """A function of a list of frames and its gradient.
-
-    ``grad(frames)`` returns the value and, for each frame Q_k, the matrix G_k
-    with dS = Re Tr(G_k^dag dQ_k).
-    """
-
-    value: Callable[[list[np.ndarray]], float]
-    grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
-
-    def __call__(self, frames: list[np.ndarray]) -> float:
-        return self.value(frames)
-
-    def composed(self, into, back) -> _Objective:
-        """This objective at ``into(xs)``, ``into`` linear; ``back`` maps its gradients to xs's."""
-
-        def grad(xs):
-            s, gs = self.grad(into(xs))
-            return s, back(gs)
-
-        return _Objective(lambda xs: self.value(into(xs)), grad)
-
-
-def _over_bases(objective: _Objective) -> _Objective:
-    """``objective`` over one basis U per block, whose bras (the rows of U^dag) form the frame.
-
-    The gradient in U is G^dag of the frame gradient G.
-    """
-    return objective.composed(lambda us: [dagger(u) for u in us], lambda gs: [dagger(g) for g in gs])
-
-
 def _stationary(base: np.ndarray, g: np.ndarray) -> bool:
     """Whether L-BFGS-B stops at once from theta = 0 on the chart from ``base``.
 
@@ -347,8 +320,12 @@ def _chart_base(frame: np.ndarray) -> np.ndarray:
     return frame if frame.shape[-2] == frame.shape[-1] else _complete_unitary(frame)
 
 
-def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, gen: np.random.Generator):
+def _descent(objective, frames: list[np.ndarray], cfg: OptConfig, gen: np.random.Generator):
     """One L-BFGS-B polish of all of ``frames`` together; returns (value, frames).
+
+    ``objective(frames)`` returns the value and, for each frame Q_k (a row
+    frame, or a stack of them), the matrix G_k of the same shape with
+    dS = Re Tr(G_k^dag dQ_k).
 
     Each frame, or each frame of a stack, is charted from its ``_chart_base``
     on consecutive slices of one parameter vector.  The frames are grouped by
@@ -363,7 +340,7 @@ def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, ge
     zero rows of a padded basis have zero gradient at theta = 0, a saddle.
     The start is kept unless the polish beats it.
     """
-    best, grads = objective.grad(frames)
+    best, grads = objective(frames)
     counts = [f.size // (f.shape[-2] * f.shape[-1]) for f in frames]  # unitaries per frame
     ends = list(itertools.accumulate(n * f.shape[-2] ** 2 for n, f in zip(counts, frames)))
     # per chart size m: ((m, widest frame), [(frame, first row, end row)], stacked bases, theta entries)
@@ -397,7 +374,7 @@ def _descent(objective: _Objective, frames: list[np.ndarray], cfg: OptConfig, ge
 
     def fun(theta):
         new, charts = charted(theta)
-        s, gs = objective.grad(new)
+        s, gs = objective(new)
         jac = np.empty(theta.size)
         for (shape, members, _, idx), (_, pullback) in zip(groups, charts):
             jac[idx] = pullback(stacked(gs, shape, members)).ravel()
@@ -418,7 +395,7 @@ def _blockwise_sampler(last: list[np.ndarray], draw):
     return lambda gen: [last[k] if n > 1 and gen.uniform() < 0.35 else draw(k, gen) for k in range(n)]
 
 
-def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig):
+def _search(objective, warm, sample, offset: int, cfg: OptConfig):
     """Restarted descent over a list of frames.
 
     Restart i < len(warm) starts from ``warm[i]``; each later one from
@@ -438,9 +415,9 @@ def _search(objective: _Objective, warm, sample, offset: int, cfg: OptConfig):
     return values, results[best][1], converged
 
 
-def _marginal_eigenbasis(rho: DensityMatrix, block) -> np.ndarray:
-    """Eigenbasis of rho's reduced state on ``block``, as columns in descending eigenvalue order."""
-    return np.linalg.eigh(partial_trace(rho.mat, rho.dims, block))[1][:, ::-1].copy()
+def _marginal_eigenbras(rho: DensityMatrix, block) -> np.ndarray:
+    """Eigenbasis of rho's reduced state on ``block``, as bras (rows) in descending eigenvalue order."""
+    return dagger(np.linalg.eigh(partial_trace(rho.mat, rho.dims, block))[1][:, ::-1])
 
 
 def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -451,8 +428,8 @@ def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> _Objective:
-    """S_M(rho) as a function of one row frame per block, M the product of their effects.
+def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
+    """S_M(rho) and its gradients, as a function of one row frame per block; M is their product.
 
     Row q_i of block k's frame gives the effect |q_i^*><q_i^*| on that block;
     the outcomes run over the blocks' rows in ``blocks`` order, the first
@@ -469,20 +446,13 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) 
     """
     factor = _block_factor(rho, blocks)
 
-    def forward(qs: list[np.ndarray]):
+    def objective(qs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
         stages, norms, vols = [factor], [], np.ones(1)
         for q in qs:
             stages.append(q @ stages[-1].reshape(vols.size, q.shape[1], -1))
             norms.append((abs(q) ** 2).sum(axis=1))
             vols = np.multiply.outer(vols, norms[-1]).ravel()
-        return stages, norms, (abs(stages[-1]) ** 2).sum(axis=-1).ravel(), vols
-
-    def value(qs: list[np.ndarray]) -> float:
-        _, _, p, vols = forward(qs)
-        return entropy_from_stats(p, vols)
-
-    def grad(qs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        stages, norms, p, vols = forward(qs)
+        p = (abs(stages[-1]) ** 2).sum(axis=-1).ravel()
         live = p > P_EPS
         log_ratio = np.log2(np.where(live, p, 1.0) / np.where(live, vols, 1.0))
         s = max(0.0, float(-np.sum(p[live] * log_ratio[live])))  # entropy_from_stats(p, vols)
@@ -502,7 +472,7 @@ def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) 
                 g = dagger(q) @ g
         return s, grads[::-1]
 
-    return _Objective(value, grad)
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -520,28 +490,31 @@ def _product_search(
     improve on the projective optimum found with the same budget.
     """
     bdims = partition.block_dims(rho.dims)
-    objective = _product_objective(rho, partition.blocks)
+    product = _product_objective(rho, partition.blocks)
     free = list(range(partition.n_blocks))
-    if hold is not None:
+    if hold is None:
+        objective = product
+    else:
         held, frame = hold
         free.remove(held)
-        objective = objective.composed(
-            lambda qs: qs[:held] + [frame] + qs[held:], lambda gs: gs[:held] + gs[held + 1 :]
-        )
+
+        def objective(qs):  # the held block's frame inserted, its gradient dropped
+            s, gs = product(qs[:held] + [frame] + qs[held:])
+            return s, gs[:held] + gs[held + 1 :]
+
     ds = [bdims[k] for k in free]
     eyes = [np.eye(d, dtype=complex) for d in ds]
-    eigs = [_marginal_eigenbasis(rho, partition.blocks[k]) for k in free]
-    values, bases, converged = _search(
-        _over_bases(objective),
+    eigs = [_marginal_eigenbras(rho, partition.blocks[k]) for k in free]
+    values, frames, converged = _search(
+        objective,
         [eyes, eigs],
-        _blockwise_sampler(eigs, lambda k, gen: _haar_frame(ds[k], ds[k], gen)),
+        _blockwise_sampler(eigs, lambda k, gen: dagger(_haar_frame(ds[k], ds[k], gen))),
         0,
         cfg,
     )
-    frames = [dagger(u) for u in bases]
     if lo:
         ms = [4 if d == 2 else d + 1 for d in ds]
-        warm = [[_pad_rows(q, m) for q, m in zip(qs, ms)] for qs in (eyes, frames, map(dagger, eigs))]
+        warm = [[_pad_rows(q, m) for q, m in zip(qs, ms)] for qs in (eyes, frames, eigs)]
         values, frames, converged = _search(
             objective,
             warm,
@@ -563,8 +536,8 @@ def minimize_lostar(
 ) -> OptResult:
     """Upper bound on the minimal OE over local projective measurements.
 
-    The search runs over one basis per block, each parameterized as
-    U0 @ exp(iH); restart 0 starts from the computational bases, restart 1
+    The search runs over one basis per block, its bras the rows of a unitary
+    Q0 @ exp(iH); restart 0 starts from the computational bases, restart 1
     from the marginal eigenbases, the rest from Haar-random bases.
     """
     return _product_search(rho, partition, cfg, lo=False)
@@ -617,27 +590,16 @@ def minimize_locc_oneway(
     blocks = tuple(partition.blocks[k] for k in ordering)
     d0 = _block_dims(rho, blocks)[0]
     m = 4 if d0 == 2 else d0 + 1
-    eig = _marginal_eigenbasis(rho, blocks[0])
-    firsts = [_pad_rows(np.eye(d0, dtype=complex), m), _pad_rows(dagger(eig), m)]
+    firsts = [np.eye(d0, dtype=complex), _marginal_eigenbras(rho, blocks[0])]
     values, tree, converged = _search(
         _oneway_objective(rho, blocks),
-        [_eigenbasis_tree(rho, blocks, q) for q in firsts],
+        [_eigenbasis_tree(rho, blocks, _pad_rows(q, m)) for q in firsts],
         lambda gen: _eigenbasis_tree(rho, blocks, _random_frame(d0, m, gen)),
         20_000,
         cfg,
     )
     witness = _tree_protocol(rho, blocks, tree)
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)
-
-
-def _tree_levels(tree: list[np.ndarray]) -> list[np.ndarray]:
-    """A one-way tree's frames as one stack (paths, rows, d_k) per searched level.
-
-    A tree is the first block's frame q, then, for each later level but the
-    last, the stack of its bases, one per outcome path of the levels before
-    it, the first outcome slowest (a single block's tree is q alone).
-    """
-    return [tree[0][None], *tree[1:]]
 
 
 def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames):
@@ -668,10 +630,11 @@ def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tupl
 def _eigenbasis_levels(rho: DensityMatrix, blocks, levels: list[np.ndarray]) -> list[np.ndarray]:
     """Every block's stacked frames: ``levels`` first, each later block in its conditional eigenbases.
 
-    Level k holds one frame per outcome path of the levels before it, laid
-    out as in ``_tree_levels``.  A block with no level given is measured, on
-    each path, in the eigenvectors of its unnormalised conditional marginal
-    (T T^dag on the last block) in descending eigenvalue order, as bras.
+    Level k is a stack (paths, rows, d_k) of frames, one per outcome path of
+    the levels before it, the first outcome slowest; level 0 has one path.
+    A block with no level given is measured, on each path, in the
+    eigenvectors of its unnormalised conditional marginal (T T^dag on the
+    last block) in descending eigenvalue order, as bras.
     """
 
     def level_frames(k, x):
@@ -687,9 +650,10 @@ def _eigenbasis_tree(rho: DensityMatrix, blocks, q: np.ndarray) -> list[np.ndarr
     """The tree with first frame q and every later searched level in its conditional eigenbasis.
 
     On it ``_oneway_objective`` equals the chain entropy of the greedy
-    eigenbasis protocol after q.
+    eigenbasis protocol after q.  Its levels are those of every block but the
+    last, or of the first block alone when it is the only one.
     """
-    return [q, *_eigenbasis_levels(rho, blocks, [q[None]])[1:-1]]
+    return _eigenbasis_levels(rho, blocks, [q[None]])[: max(1, len(blocks) - 1)]
 
 
 def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> ConditionalMeasurement:
@@ -701,7 +665,7 @@ def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> Condit
     isometries, so ``_frame_povm`` appends no deficit outcome; if it did,
     ``ConditionalMeasurement`` would reject the child count.
     """
-    levels = _eigenbasis_levels(rho, blocks, _tree_levels(tree))
+    levels = _eigenbasis_levels(rho, blocks, tree)
 
     def node(k: int, path: int) -> ConditionalMeasurement:
         frame = levels[k][path]
@@ -716,16 +680,17 @@ def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> Condit
     return node(0, 0)
 
 
-def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> _Objective:
-    """Chain entropy of a one-way protocol as a function of its tree of frames.
+def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
+    """Chain entropy of a one-way protocol and its gradients, as a function of its tree of frames.
 
-    ``blocks`` lists the partition blocks in measurement order.  The tree is
-    laid out as in ``_tree_levels``: the first block's frame q, whose row
-    q_i gives the effect |q_i^*><q_i^*|, then a stack of bases, one per
-    outcome path, for each later level but the last.  The last block is
-    measured in the eigenbasis of its conditional state, so with A = T T^dag
-    the unnormalised final conditional state of each leaf path and
-    V_i = |q_i|^2,
+    ``blocks`` lists the partition blocks in measurement order.  A tree is
+    its list of levels, as in ``_eigenbasis_levels``: the first block's
+    frame q as a (1, m, d_0) stack, whose row q_i gives the effect
+    |q_i^*><q_i^*|, then a stack of bases, one per outcome path, for each
+    later level but the last (a single block's tree is q alone).  The last
+    block is measured in the eigenbasis of its conditional state, so with
+    A = T T^dag the unnormalised final conditional state of each leaf path
+    and V_i = |q_i|^2,
 
         S = sum_leaves -Tr A log2 A + sum_i p_i log2 V_i,
 
@@ -738,32 +703,32 @@ def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -
     bdims = _block_dims(rho, blocks)
     factor = _block_factor(rho, blocks)
 
-    def grad(tree: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        levels = _tree_levels(tree)
-        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: levels[k])
+    def objective(tree: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: tree[k])
         q = tree[0]
-        p = (abs(leaves) ** 2).reshape(len(q), -1).sum(axis=1)
+        p = (abs(leaves) ** 2).reshape(q.shape[1], -1).sum(axis=1)
         live_p = p > P_EPS
-        vols = np.where(live_p, (abs(q) ** 2).sum(axis=1), 1.0)  # 1 where p is masked
+        vols = np.where(live_p, (abs(q) ** 2).sum(axis=-1).ravel(), 1.0)  # 1 where p is masked
         log_vols = np.log2(vols)
         lam, vecs = np.linalg.eigh(leaves @ dagger(leaves))
         live = lam > P_EPS
         log_lam = np.log2(np.where(live, lam, 1.0))
         s = float(np.dot(p, log_vols) - np.sum(lam * log_lam))  # log_lam is 0 where masked
         g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ dagger(vecs)
-        leaf_log_vols = np.repeat(log_vols, len(leaves) // len(q))[:, None, None]
+        leaf_log_vols = np.repeat(log_vols, len(leaves) // len(p))[:, None, None]
         g = 2 * (g_a @ leaves + leaf_log_vols * leaves)  # gradient in the leaves
         grads = []
-        for k in range(len(levels) - 1, -1, -1):
-            f = levels[k]
+        for k in range(len(tree) - 1, -1, -1):
+            f = tree[k]
             g = g.reshape(f.shape[0], f.shape[1], -1)  # gradient in the level's output
             grads.append(g @ dagger(xs[k]))
             if k:
                 g = dagger(f) @ g
         ds_dn = np.where(live_p, p, 0.0) / vols
-        return s, [grads[-1][0] + 2 * LOG2_E * ds_dn[:, None] * q, *grads[-2::-1]]
+        grads[-1] += 2 * LOG2_E * ds_dn[:, None] * q
+        return s, grads[::-1]
 
-    return _Objective(lambda tree: grad(tree)[0], grad)
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -1040,10 +1005,7 @@ def _product_eigenbasis(rho: DensityMatrix, partition: PartitionSpec) -> np.ndar
 
 
 def sep_gap_heuristic(
-    rho: DensityMatrix,
-    partition: PartitionSpec,
-    cfg: OptConfig = DEFAULT_CONFIG,
-    ppt_lower_bits: float | None = None,
+    rho: DensityMatrix, partition: PartitionSpec, cfg: OptConfig = DEFAULT_CONFIG
 ) -> OptResult:
     """Upper bound on the SEP-class entropy: the best separable candidate at hand.
 
@@ -1053,13 +1015,8 @@ def sep_gap_heuristic(
     (``_product_eigenbasis``).  Each is a product POVM, hence separable, so
     SEP never reports more than LO* or LOCC1.  The lowest entropy wins, ties
     going to the earlier candidate, and ``trace`` holds the candidates'
-    entropies in order.  The returned ``bounds`` records the sandwich
-    [max(ppt_lower_bits, 0), heuristic gap]; a lower bound above the gap by at
-    most ENTROPY_TOL is clipped to it, and one above it by more, or NaN, is a
-    ValidationError.
+    entropies in order.  The returned ``bounds`` is [0, heuristic gap].
     """
-    if ppt_lower_bits is not None and math.isnan(ppt_lower_bits):
-        raise ValidationError("ppt_lower_bits is NaN")
     star = minimize_lostar(rho, partition, cfg)
     candidates = [(star.entropy_bits, star.witness.retag("SEP"))]
     if partition.n_blocks >= 2:
@@ -1071,7 +1028,4 @@ def sep_gap_heuristic(
         candidates.append((observational_entropy(rho, povm), povm))
     s_best, witness = min(candidates, key=lambda c: c[0])
     res = _result(rho, s_best, witness, [s for s, _ in candidates], True)
-    lower = max(ppt_lower_bits if ppt_lower_bits is not None else 0.0, 0.0)
-    if lower > res.gap_bits + ENTROPY_TOL:
-        raise ValidationError(f"ppt_lower_bits {lower} exceeds the heuristic SEP gap {res.gap_bits}")
-    return replace(res, bounds=(min(lower, res.gap_bits), res.gap_bits))
+    return replace(res, bounds=(0.0, res.gap_bits))

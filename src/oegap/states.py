@@ -7,6 +7,7 @@ Catalog entries are addressable by name for the CLI, e.g. ``werner(3,0.7)``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,9 +294,19 @@ CATALOG = {
 
 
 def from_catalog(name: str, *args, **kwargs) -> DensityMatrix:
+    """The catalog state ``name`` built from the given arguments.
+
+    An unknown name, or arguments that do not fit the builder's signature,
+    is a ValidationError; an error raised inside the builder propagates.
+    """
     key = name.strip().lower()
     if key not in CATALOG:
         raise ValidationError(
             f"unknown catalog state {name!r}; known: {', '.join(sorted(CATALOG))}"
         )
-    return CATALOG[key][0](*args, **kwargs)
+    build, description = CATALOG[key]
+    try:
+        inspect.signature(build).bind(*args, **kwargs)
+    except TypeError as err:
+        raise ValidationError(f"catalog state {key!r} ({description}): {err}") from None
+    return build(*args, **kwargs)

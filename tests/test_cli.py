@@ -179,6 +179,23 @@ def test_cmd_rejects_empty_search_budget(tmp_path, command, budget):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("spec", ["ghz()", "bell(2)", "werner(3)", "w(x=3)"])
+@pytest.mark.parametrize("command", ["gap", "werner-exact", "scan", "robustness"])
+def test_cmd_rejects_catalog_arguments_that_do_not_fit(tmp_path, command, spec):
+    # arguments that do not fit the catalog builder are a validation failure, not a traceback
+    out_dir = tmp_path / "out"
+    args = {
+        "gap": ["gap", "--state", spec, "--class", "lostar"],
+        "werner-exact": ["gap", "--state", spec, "--class", "werner-exact"],
+        "scan": ["scan", "--state", spec, "--out", str(out_dir / "scan.csv")],
+        "robustness": ["robustness", "--state", spec, "--out", str(out_dir / "robustness.csv")],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_cmd_scan_and_manifest(tmp_path):
     runner = CliRunner()
     out = tmp_path / "scan.csv"

@@ -48,12 +48,10 @@ from oegap.optimize import (
     _hermitian_from_params,
     _hermitian_gradient_params,
     _oneway_objective,
-    _over_bases,
     _pad_rows,
     _product_objective,
     _random_frame,
     _stationary,
-    _tree_levels,
     _tree_protocol,
     cq_gap,
     eigenseparability,
@@ -198,10 +196,10 @@ def joint_polish_reference(objective, frames, cfg):
 
     def fun(theta):
         charts = charted(theta)
-        s, gs = objective.grad([u for u, _ in charts])
+        s, gs = objective([u for u, _ in charts])
         return s, np.concatenate([pullback(g) for (_, pullback), g in zip(charts, gs)])
 
-    start = objective(frames)
+    start = objective(frames)[0]
     res = scipy.optimize.minimize(
         fun, np.zeros(ends[-1]), method="L-BFGS-B", jac=True,
         options={"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL},
@@ -394,18 +392,18 @@ def test_product_objective_matches_observational_entropy(case):
     rho, part = PRODUCT_CASES[case]
     bdims = part.block_dims(rho.dims)
     ms = [4 if d == 2 else d + 1 for d in bdims]
-    value = _product_objective(rho, part.blocks)
+    objective = _product_objective(rho, part.blocks)
     gen = np.random.default_rng(23)
     frame_sets = [[_random_frame(d, m, gen) for d, m in zip(bdims, ms)] for _ in range(6)]
     # Haar bases padded with zero rows: those outcomes have p = 0 and V = 0
     frame_sets.append([_pad_rows(dagger(_haar_frame(d, d, gen)), m) for d, m in zip(bdims, ms)])
     for qs in frame_sets:
         witness = lo_povm([_frame_povm(q) for q in qs], part, rho.dims)
-        assert value(qs) == pytest.approx(observational_entropy(rho, witness), abs=1e-12)
+        assert objective(qs)[0] == pytest.approx(observational_entropy(rho, witness), abs=1e-12)
     for _ in range(4):
         us = [_haar_frame(d, d, gen) for d in bdims]
         witness = lostar_povm(us, part, rho.dims)
-        assert value([dagger(u) for u in us]) == pytest.approx(
+        assert objective([dagger(u) for u in us])[0] == pytest.approx(
             observational_entropy(rho, witness), abs=1e-12
         )
 
@@ -438,26 +436,12 @@ def test_product_objective_gradient_matches_finite_differences(case):
         [_pad_rows(dagger(_haar_frame(d, d, gen)), m) for d, m in zip(bdims, ms)],
     ]
     for qs in frame_sets:
-        value, grads = objective.grad(qs)
-        assert value == objective(qs)
+        grads = objective(qs)[1]
         for k in range(len(qs)):
             numeric = _finite_difference_gradient(
-                lambda z, k=k: objective(qs[:k] + [z] + qs[k + 1 :]), qs[k]
+                lambda z, k=k: objective(qs[:k] + [z] + qs[k + 1 :])[0], qs[k]
             )
             assert _relative_error(grads[k], numeric) <= 1e-6
-
-
-def test_lostar_objective_gradient_matches_finite_differences():
-    # the basis U enters through its frame U^dag, so the gradient in U is G^dag
-    rho, part = PRODUCT_CASES["mixed-232-rank2-AC|B"]
-    objective = _over_bases(_product_objective(rho, part.blocks))
-    gen = np.random.default_rng(31)
-    us = [_haar_frame(d, d, gen) for d in part.block_dims(rho.dims)]
-    value, grads = objective.grad(us)
-    assert value == objective(us)
-    for k in range(len(us)):
-        numeric = _finite_difference_gradient(lambda z, k=k: objective(us[:k] + [z] + us[k + 1 :]), us[k])
-        assert _relative_error(grads[k], numeric) <= 1e-6
 
 
 def _hermitian_params(h: np.ndarray) -> np.ndarray:
@@ -517,6 +501,21 @@ def test_stacked_chart_matches_single_charts(m, d):
         u_k, pullback_k = _chart(thetas[k], bases[k])
         assert np.allclose(u[k], u_k, atol=1e-14)
         assert np.allclose(stacked_grad[k], pullback_k(g[k]), atol=1e-13)
+
+
+def test_stacked_complete_unitary_matches_single_calls():
+    # a one-way tree's first frame is a stack of one; a stack completes frame by frame
+    gen = np.random.default_rng(67)
+    for m, d in [(2, 2), (3, 2), (4, 2), (4, 3)]:
+        frames = [_haar_frame(m, d, gen) for _ in range(3)]
+        if m == 4 and d == 2:  # a basis padded with zero rows: its QR meets |r_ii| <= 1e-12
+            frames.append(_pad_rows(np.eye(2, dtype=complex), 4))
+        stack = _complete_unitary(np.stack(frames))
+        assert stack.shape == (len(frames), m, m)
+        for q, u in zip(frames, stack):
+            assert np.array_equal(u, _complete_unitary(q))
+            assert np.allclose(dagger(u) @ u, np.eye(m), rtol=0, atol=1e-12)
+            assert np.allclose(u[:, :d], q, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("stack", [None, 3])
@@ -579,8 +578,8 @@ DESCENT_CASES = {
     # (search, frame shapes of the recorded start): two POVM frames of one chart size
     "trine-lo": (lambda cfg: minimize_lo(trine_cq().state, FULL2, cfg), [(4, 3), (4, 2)]),
     # a 4 x 4 chart and a stack of four 2 x 2 charts
-    "w3-locc1": (lambda cfg: minimize_locc_oneway(w(3), FULL3, None, cfg), [(4, 2), (4, 2, 2)]),
-    # the classical block held in its basis: the objective is ``composed``
+    "w3-locc1": (lambda cfg: minimize_locc_oneway(w(3), FULL3, None, cfg), [(1, 4, 2), (4, 2, 2)]),
+    # the classical block held in its basis: the objective inserts the held frame
     "cq-example-lo-held": (lambda cfg: cq_gap(CQX.state, CQX.classical_basis, "lo", cfg), [(4, 2)]),
     # the two qubit bases share a chart stack, though the qutrit basis lies between them
     "mixed-232-lostar": (lambda cfg: minimize_lostar(MIXED_232, FULL3, cfg), [(2, 2), (3, 3), (2, 2)]),
@@ -705,7 +704,7 @@ def eigenbasis_protocol_reference(mat, dims, blocks, live, levels=(), path=0) ->
 def _assert_tree_protocol_matches(rho, blocks, tree, reference):
     """The objective, the protocol read off the tree and the rebuilt reference agree within 1e-12."""
     protocol = _tree_protocol(rho, blocks, tree)
-    value = _oneway_objective(rho, blocks)(tree)
+    value = _oneway_objective(rho, blocks)(tree)[0]
     assert value == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
     assert value == pytest.approx(chain_entropy(reference, rho), abs=1e-12)
     assert value == pytest.approx(chain_reference(reference, rho), abs=1e-12)
@@ -733,7 +732,7 @@ def test_oneway_objective_matches_rebuilt_protocol(case):
     gen = np.random.default_rng(19)
     for q in _first_frames(bdims[0], m, gen, 4):
         tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
-        reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, _tree_levels(tree))
+        reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, tree)
         _assert_tree_protocol_matches(rho, blocks, tree, reference)
 
 
@@ -744,11 +743,10 @@ def test_oneway_objective_gradient_matches_finite_differences(case):
     gen = np.random.default_rng(41)
     for q in _first_frames(bdims[0], m, gen, 1):
         tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
-        value, grads = objective.grad(tree)
-        assert value == objective(tree)
+        grads = objective(tree)[1]
         for k in range(len(tree)):
             numeric = _finite_difference_gradient(
-                lambda z, k=k: objective(tree[:k] + [z] + tree[k + 1 :]), tree[k]
+                lambda z, k=k: objective(tree[:k] + [z] + tree[k + 1 :])[0], tree[k]
             )
             assert _relative_error(grads[k], numeric) <= 1e-6
 
@@ -984,23 +982,10 @@ def test_sep_heuristic_werner_matches_analytic():
 
 
 def test_sep_heuristic_w3_sandwich():
-    lower = math.log2(9 / 4)
-    res = sep_gap_heuristic(w(3), FULL3, cfg=FAST, ppt_lower_bits=lower)
-    assert lower - 1e-9 <= res.gap_bits <= 1.551
-    assert res.bounds == (lower, res.gap_bits)
-
-
-def test_sep_heuristic_rejects_an_invalid_lower_bound():
-    # a NaN bound, or one above the heuristic gap, would make a NaN or inverted bracket
-    cfg = OptConfig(1, 2, 100)
-    with pytest.raises(ValidationError, match="NaN"):
-        sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=float("nan"))
-    gap = sep_gap_heuristic(CQX.state, FULL2, cfg).gap_bits
-    with pytest.raises(ValidationError, match="exceeds the heuristic SEP gap"):
-        sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=gap + 0.5)
-    # within ENTROPY_TOL the bound is clipped to the gap: the bracket closes
-    res = sep_gap_heuristic(CQX.state, FULL2, cfg, ppt_lower_bits=gap + 0.5 * ENTROPY_TOL)
-    assert res.bounds == (gap, gap)
+    # the SEP gap lies between W3's proven PPT gap log2(9/4) and its LOCC1 bound
+    res = sep_gap_heuristic(w(3), FULL3, cfg=FAST)
+    assert math.log2(9 / 4) - 1e-9 <= res.gap_bits <= 1.551
+    assert res.bounds == (0.0, res.gap_bits)
 
 
 def test_sep_heuristic_domino_product_eigenbasis():

@@ -190,6 +190,25 @@ def test_twirl_haar_sample_agreement():
     assert np.linalg.norm(acc / n - twirl_uu(op, 2), 2) < 0.05
 
 
+@pytest.mark.parametrize(
+    "name,args,kwargs", [("ghz", (), {}), ("bell", (2,), {}), ("werner", (3,), {}), ("w", (), {"x": 3})]
+)
+def test_from_catalog_rejects_arguments_that_do_not_fit(name, args, kwargs):
+    with pytest.raises(ValidationError, match=f"catalog state '{name}'") as err:
+        from_catalog(name, *args, **kwargs)
+    assert CATALOG[name][1] in str(err.value)
+
+
+def test_from_catalog_leaves_builder_errors_alone(monkeypatch):
+    # only the signature check turns a TypeError into a ValidationError
+    def build(n):
+        raise TypeError(f"inside the builder: {n}")
+
+    monkeypatch.setitem(CATALOG, "broken", (build, "broken(n)"))
+    with pytest.raises(TypeError, match="inside the builder: 3"):
+        from_catalog("broken", 3)
+
+
 def test_from_catalog_dispatch():
     rho = from_catalog("werner", 3, 0.7)
     assert rho.dims == (3, 3)
