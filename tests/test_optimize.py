@@ -1043,3 +1043,62 @@ def test_minimize_lostar_witness_separable_bound():
     res = minimize_lostar(rho, FULL2, FAST)
     marginal = max(von_neumann(rho.reduced([0])), von_neumann(rho.reduced([1])))
     assert res.entropy_bits >= marginal - 1e-8
+
+
+# Gaps at OptConfig(107, 3, 300), recorded on numpy 2.4.6 and scipy 1.17.1. A search
+# is seeded, so a gap that rises above its recorded value is a change in the search,
+# not luck; the 1e-6 slack covers other numpy and scipy versions' rounding.
+PINNED = OptConfig(107, 3, 300)
+PINNED_GAPS = {
+    ("w3", "lostar"): 1.584962500721156,
+    ("w3", "lo"): 1.584962500721156,
+    ("w3", "locc1"): 1.5444958889629756,
+    ("w3", "sep"): 1.5444958889629756,
+    ("trine", "lostar"): 0.5408520829727479,
+    ("trine", "lo"): 0.4150374992788257,
+    ("trine", "locc1"): 0.0,
+    ("trine", "sep"): 0.0,
+    ("bell", "lostar"): 0.9999999999999999,
+    ("bell", "lo"): 0.9999999999999999,
+    ("bell", "locc1"): 0.9999999999999999,
+    ("bell", "sep"): 0.9999999999999999,
+    ("werner-3-0.7", "lostar"): 0.2785494054857076,
+    ("werner-3-0.7", "lo"): 0.2785494054857076,
+    ("werner-3-0.7", "locc1"): 0.2785494054857076,
+    ("werner-3-0.7", "sep"): 0.2785494054857076,
+    ("domino", "lostar"): 0.007190273862303975,
+    ("domino", "lo"): 0.007190273862303975,
+    ("domino", "locc1"): 0.002177774102688712,
+    ("domino", "sep"): 0.0,
+    ("cq-example", "lostar"): 0.5,
+    ("cq-example", "lo"): 0.4526090427302829,
+    ("cq-example", "locc1"): 1.1102230246251565e-14,
+    ("cq-example", "sep"): 1.1102230246251565e-14,
+    ("ghz4", "lostar"): 0.9999999999999999,
+    ("ghz4", "lo"): 0.9999999999999999,
+    ("two-bell", "lostar"): 2.0,
+    ("two-bell", "lo"): 2.0,
+    ("cq_gap", "lostar"): 0.5,
+    ("cq_gap", "lo"): 0.45260904273026936,
+}
+PINNED_STATES = {
+    "w3": lambda: w(3),
+    "trine": lambda: trine_cq().state,
+    "bell": bell,
+    "werner-3-0.7": lambda: werner(3, 0.7),
+    "domino": domino_state,
+    "cq-example": lambda: CQX.state,
+    "ghz4": lambda: ghz(4),
+    "two-bell": two_bell,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GAPS), ids="-".join)
+def test_seeded_gap_not_above_its_pinned_value(case):
+    name, klass = case
+    if name == "cq_gap":
+        res = cq_gap(CQX.state, CQX.classical_basis, klass, PINNED)
+    else:
+        rho = PINNED_STATES[name]()
+        res = CLASS_OPTIMIZERS[klass](rho, PartitionSpec.full(len(rho.dims)), PINNED)
+    assert res.gap_bits <= PINNED_GAPS[case] + 1e-6
