@@ -5,7 +5,10 @@ operator files (``--file state.json``).  Operator JSON is row-major:
 ``{"dims": [2, 2], "re": [...], "im": [...]}``; POVM JSON is
 ``{"effects": [{"re": [...], "im": [...]}, ...], "dims": [...]}``.
 Every file-writing command drops a RunManifest JSON next to its outputs.
-Exit codes: 0 success, 2 validation failure, 3 non-convergence.
+Exit codes: 0 success, 2 validation failure, 3 from ``gap`` when its result
+did not converge and from ``scan`` when its rows break partition
+monotonicity.  ``scan`` and ``robustness`` report ``converged`` on each CSV
+row and otherwise exit 0, as ``reproduce`` does.
 """
 
 from __future__ import annotations

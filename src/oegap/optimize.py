@@ -19,21 +19,23 @@ theta = 0, and when its gradient there already passes L-BFGS-B's own
 stopping test (``_stationary``) no solver is called, since
 L-BFGS-B would return it at iteration 0: a stationary warm start costs one
 gradient.  A start with a POVM frame begins at a seeded nudge, off the
-saddle where a padded basis's zero rows have zero gradient.  LO*, LO and
-CQ are one search, ``_product_search``, of ``_product_objective``: the entropy
-of a product measurement with one row frame per block, applied block by block
-to a factor rho = L L^dag taken once per search.  The LO search is seeded
-with the LO* optimum, and CQ holds its classical block in the declared basis.
-The one-way LOCC search minimizes ``_oneway_objective`` over a tree of
-frames, its list of levels: one stack of frames per block but the last, the
-first block's POVM frame as a stack of one and one basis per outcome path at
-each later level, the last block measured in its conditional eigenbasis;
-``_tree_protocol`` reads the witness protocol off the winning tree in one
-forward pass of the same factor.  ``sep_gap_heuristic`` searches
-nothing itself: it returns the best of the LO* and one-way LOCC witnesses
-and, when it is a product basis, rho's eigenbasis.  ``werner_analytic`` is
-exact in closed form, and ``ppt_gap_w3`` is proven optimal by a primal point
-and a dual certificate checked in rational arithmetic.
+saddle where a padded basis's zero rows have zero gradient.  Every search
+minimizes one objective, ``_tree_objective``: the entropy of a one-way tree
+of frames, its list of levels, applied level by level to a factor
+rho = L L^dag taken once per search.  A product measurement is the tree
+whose levels are frames shared by every outcome path: LO*, LO and CQ are
+one search, ``_product_search``, over one such frame per block; the LO
+search is seeded with the LO* optimum, and CQ holds its classical block in
+the declared basis.  The one-way LOCC search runs over a tree whose first
+level is the first block's POVM frame, as a stack of one, and whose later
+levels but the last hold one basis per outcome path, the last block
+measured in its conditional eigenbasis; ``_tree_protocol`` reads the
+witness protocol off the winning tree after one forward pass of the same
+factor.  ``sep_gap_heuristic`` runs the LO* and one-way LOCC searches
+again at the caller's config and returns the best of their witnesses and,
+when it is a product basis, rho's eigenbasis.  ``werner_analytic`` is exact
+in closed form, and ``ppt_gap_w3`` is proven optimal by a primal point and
+a dual certificate checked in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -428,48 +430,98 @@ def _block_factor(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> np
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _product_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
-    """S_M(rho) and its gradients, as a function of one row frame per block; M is their product.
+def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    return tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
 
-    Row q_i of block k's frame gives the effect |q_i^*><q_i^*| on that block;
-    the outcomes run over the blocks' rows in ``blocks`` order, the first
-    block slowest, as in ``lostar_povm`` and ``lo_povm``.  Each frame acts on
-    the factor of rho with one matmul, p is the squared norm of each
-    outcome's row of the result, and each volume is the product of the
-    rows' squared norms.
 
-    The gradient reuses that forward pass.  With dS/dp_i = -(log2(p_i/V_i)
-    + 1/ln 2) and dS/dV_i = p_i / (V_i ln 2), outcomes with p <= P_EPS masked
-    as in ``entropy_from_stats``, it runs the frames' adjoints back through
-    the stages; the volume term of a row is the block's marginal
-    probability of that row over its squared norm, times 2 q_i / ln 2.
+def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames, count: int):
+    """Apply the first ``count`` levels of a one-way tree to a block-ordered factor of rho.
+
+    ``level_frames(k, x)`` gives level k's frames for its input x, of shape
+    (paths, d_k, R): the unnormalised conditional factors of the blocks from
+    k on, one per outcome path, the first outcome slowest.  A 2-D level
+    (rows, d_k) is one frame that every path shares, and matmul broadcasting
+    applies it to each; a 3-D level (paths, rows, d_k) holds one frame per
+    path.  Returns each level's input and frames, and the leaves T (paths,
+    d, R), whose T T^dag are the unnormalised conditional states of the
+    block after the last level (d = 1 when every block has a level).
     """
-    factor = _block_factor(rho, blocks)
+    x, dims = factor.reshape(1, bdims[0], -1), bdims[1:] + (1,)
+    xs, fs = [], []
+    for k in range(count):
+        f = level_frames(k, x)
+        xs.append(x)
+        fs.append(f)
+        y = f @ x
+        x = y.reshape(y.shape[0] * y.shape[1], dims[k], -1)
+    return xs, fs, x
 
-    def objective(qs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        stages, norms, vols = [factor], [], np.ones(1)
-        for q in qs:
-            stages.append(q @ stages[-1].reshape(vols.size, q.shape[1], -1))
-            norms.append((abs(q) ** 2).sum(axis=1))
-            vols = np.multiply.outer(vols, norms[-1]).ravel()
-        p = (abs(stages[-1]) ** 2).sum(axis=-1).ravel()
-        live = p > P_EPS
-        log_ratio = np.log2(np.where(live, p, 1.0) / np.where(live, vols, 1.0))
-        s = max(0.0, float(-np.sum(p[live] * log_ratio[live])))  # entropy_from_stats(p, vols)
-        ds_dp = np.where(live, -(log_ratio + LOG2_E), 0.0)
-        p_live = np.where(live, p, 0.0).reshape([len(n) for n in norms])
-        g = 2 * ds_dp[:, None] * stages[-1].reshape(p.size, -1)  # gradient in the last stage
+
+def _tree_objective(factor: np.ndarray, bdims: tuple[int, ...]):
+    """S_M(rho) and its gradients, as a function of a one-way tree's list of levels.
+
+    ``factor`` is ``_block_factor``'s L and ``bdims`` its block dimensions,
+    both in measurement order.  Level k measures block k with the rows of
+    its frames, as in ``_oneway_forward``: row q_i gives the effect
+    |q_i^*><q_i^*|.  A product measurement (LO*, LO, CQ) is a list of 2-D
+    levels, one frame per block, its outcomes in ``lostar_povm`` and
+    ``lo_povm`` order; a one-way protocol is a list of 3-D levels, the first
+    a stack of one.  The block left after the last level, if any, is
+    measured on each leaf in its conditional eigenbasis, exactly optimal
+    there.  With A = T T^dag a leaf's unnormalised conditional state and V
+    the product of the squared row norms along its path,
+
+        S = sum_leaves (p log2 V - Tr A log2 A),   p = Tr A,
+
+    eigenvalues of A at or below P_EPS masked, as in ``chain_entropy``.
+    When every block has a level, A is 1 x 1 and equals p, and no eigh runs.
+    A square level is a basis, of volume 1: it takes no volume term.
+
+    The gradient reuses the forward pass.  In A it is U diag(w) U^dag, with
+    A = U diag(lam) U^dag and w = log2 V - log2 lam - 1/ln 2 on the live
+    eigenvalues, 0 elsewhere; it runs back through the levels' frames, a
+    shared level's gradient summed over the paths in one matrix product.
+    The volume term of a row is its live marginal probability over its
+    squared norm, times 2 q_i / ln 2.
+    """
+
+    def objective(levels: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: levels[k], len(levels))
+        norms, vol = [], np.ones(1)  # vol: the volume of each path so far
+        for f in levels:
+            square = f.shape[-2] == f.shape[-1]
+            norms.append(None if square else (abs(f) ** 2).sum(axis=-1))
+            vol = vol.repeat(f.shape[-2]) if square else (vol[:, None] * norms[-1]).ravel()
+        if leaves.shape[1] == 1:
+            lam, vecs = (abs(leaves) ** 2).sum(axis=-1), None
+        else:
+            lam, vecs = np.linalg.eigh(leaves @ dagger(leaves))
+        live = lam > P_EPS
+        ds = np.log2(np.where(live, vol[:, None], 1.0) / np.where(live, lam, 1.0))  # 0 where masked
+        s = max(0.0, float((lam * ds).sum()))
+        w = np.where(live, ds - LOG2_E, 0.0)
+        if vecs is None:
+            g = 2 * w[..., None] * leaves
+        else:
+            g = 2 * (vecs * w[:, None, :]) @ dagger(vecs) @ leaves
+        p_live = np.where(live, lam, 0.0).sum(axis=-1)
         grads = []
-        for k in range(len(qs) - 1, -1, -1):
-            q = qs[k]
-            g = g.reshape(stages[k + 1].shape)  # (paths, rows, rest)
-            x = stages[k].reshape(g.shape[0], q.shape[1], -1)
-            marginal = p_live.sum(axis=tuple(j for j in range(len(qs)) if j != k))
-            ds_dn = marginal / np.where(norms[k] > 0, norms[k], 1.0)  # a zero row's marginal is 0
-            g_q = g.swapaxes(0, 1).reshape(len(q), -1) @ x.swapaxes(0, 1).reshape(q.shape[1], -1).conj().T
-            grads.append(g_q + 2 * LOG2_E * ds_dn[:, None] * q)
+        for k in range(len(levels) - 1, -1, -1):
+            f, x, n = levels[k], xs[k], norms[k]
+            if n is not None:  # each row's live marginal probability over its squared norm
+                ds_dn = p_live.reshape(x.shape[0], f.shape[-2], -1).sum(axis=(0, 2) if f.ndim == 2 else 2)
+                ds_dn /= np.where(n > 0, n, 1.0)  # a zero row's marginal is 0
+            g = g.reshape(x.shape[0], f.shape[-2], -1)  # gradient in the level's output
+            if f.ndim == 2:
+                rows = g.swapaxes(0, 1).reshape(f.shape[0], -1)
+                grad = rows @ x.swapaxes(0, 1).reshape(f.shape[1], -1).conj().T
+            else:
+                grad = g @ dagger(x)
+            if n is not None:
+                grad += 2 * LOG2_E * ds_dn[..., None] * f
+            grads.append(grad)
             if k:
-                g = dagger(q) @ g
+                g = dagger(f) @ g
         return s, grads[::-1]
 
     return objective
@@ -490,7 +542,7 @@ def _product_search(
     improve on the projective optimum found with the same budget.
     """
     bdims = partition.block_dims(rho.dims)
-    product = _product_objective(rho, partition.blocks)
+    product = _tree_objective(_block_factor(rho, partition.blocks), bdims)
     free = list(range(partition.n_blocks))
     if hold is None:
         objective = product
@@ -569,7 +621,7 @@ def minimize_locc_oneway(
 ) -> OptResult:
     """Upper bound on the minimal OE over one-way LOCC protocols.
 
-    The search runs over a tree of frames (``_oneway_objective``): the first
+    The search runs over a tree of frames (``_tree_objective``): the first
     block's POVM (rank-1 effects, Stiefel-row encoding) and, at each later
     level but the last, one basis per outcome path; the last block is
     measured in the eigenbasis of its conditional state, which is exactly
@@ -580,7 +632,6 @@ def minimize_locc_oneway(
     (``_tree_protocol``), whose ``chain_entropy`` on rho is the reported
     entropy.
     """
-    dims = rho.dims
     if ordering is None:
         ordering = tuple(range(partition.n_blocks))
     else:
@@ -588,53 +639,30 @@ def minimize_locc_oneway(
         if sorted(ordering) != list(range(partition.n_blocks)):
             raise ValidationError("ordering must be a permutation of the partition blocks")
     blocks = tuple(partition.blocks[k] for k in ordering)
-    d0 = _block_dims(rho, blocks)[0]
+    factor, bdims = _block_factor(rho, blocks), _block_dims(rho, blocks)
+    d0 = bdims[0]
     m = 4 if d0 == 2 else d0 + 1
     firsts = [np.eye(d0, dtype=complex), _marginal_eigenbras(rho, blocks[0])]
     values, tree, converged = _search(
-        _oneway_objective(rho, blocks),
-        [_eigenbasis_tree(rho, blocks, _pad_rows(q, m)) for q in firsts],
-        lambda gen: _eigenbasis_tree(rho, blocks, _random_frame(d0, m, gen)),
+        _tree_objective(factor, bdims),
+        [_eigenbasis_tree(factor, bdims, _pad_rows(q, m)) for q in firsts],
+        lambda gen: _eigenbasis_tree(factor, bdims, _random_frame(d0, m, gen)),
         20_000,
         cfg,
     )
-    witness = _tree_protocol(rho, blocks, tree)
+    witness = _tree_protocol(blocks, _eigenbasis_levels(factor, bdims, tree))
     return _result(rho, chain_entropy(witness, rho), witness, values, converged)
 
 
-def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames):
-    """Apply a one-way tree's levels to a block-ordered factor of rho.
-
-    ``level_frames(k, x)`` gives level k's stacked frames for its input x,
-    of shape (paths, d_k, R): the unnormalised conditional factors of the
-    blocks from k on, one per outcome path.  Returns each level's input and
-    frames, and the leaves T (paths, d_last, rank), whose T T^dag are the
-    unnormalised conditional states of the last block (d_last = 1 when the
-    first block is the only one).
-    """
-    x = factor.reshape(1, bdims[0], -1)
-    xs, fs = [], []
-    for k in range(max(1, len(bdims) - 1)):
-        f = level_frames(k, x)
-        xs.append(x)
-        fs.append(f)
-        y = f @ x
-        x = y.reshape(y.shape[0] * y.shape[1], (bdims + (1,))[k + 1], -1)
-    return xs, fs, x
-
-
-def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    return tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
-
-
-def _eigenbasis_levels(rho: DensityMatrix, blocks, levels: list[np.ndarray]) -> list[np.ndarray]:
+def _eigenbasis_levels(factor: np.ndarray, bdims, levels: list[np.ndarray]) -> list[np.ndarray]:
     """Every block's stacked frames: ``levels`` first, each later block in its conditional eigenbases.
 
     Level k is a stack (paths, rows, d_k) of frames, one per outcome path of
     the levels before it, the first outcome slowest; level 0 has one path.
     A block with no level given is measured, on each path, in the
     eigenvectors of its unnormalised conditional marginal (T T^dag on the
-    last block) in descending eigenvalue order, as bras.
+    last block) in descending eigenvalue order, as bras.  ``factor`` and
+    ``bdims`` are those of ``_tree_objective``.
     """
 
     def level_frames(k, x):
@@ -642,22 +670,21 @@ def _eigenbasis_levels(rho: DensityMatrix, blocks, levels: list[np.ndarray]) -> 
             return levels[k]
         return dagger(np.linalg.eigh(x @ dagger(x))[1][..., ::-1])
 
-    _, fs, leaves = _oneway_forward(_block_factor(rho, blocks), _block_dims(rho, blocks), level_frames)
-    return fs if len(blocks) == 1 else [*fs, level_frames(len(blocks) - 1, leaves)]
+    return _oneway_forward(factor, bdims, level_frames, len(bdims))[1]
 
 
-def _eigenbasis_tree(rho: DensityMatrix, blocks, q: np.ndarray) -> list[np.ndarray]:
+def _eigenbasis_tree(factor: np.ndarray, bdims, q: np.ndarray) -> list[np.ndarray]:
     """The tree with first frame q and every later searched level in its conditional eigenbasis.
 
-    On it ``_oneway_objective`` equals the chain entropy of the greedy
+    On it ``_tree_objective`` equals the chain entropy of the greedy
     eigenbasis protocol after q.  Its levels are those of every block but the
     last, or of the first block alone when it is the only one.
     """
-    return _eigenbasis_levels(rho, blocks, [q[None]])[: max(1, len(blocks) - 1)]
+    return _eigenbasis_levels(factor, bdims, [q[None]])[: max(1, len(bdims) - 1)]
 
 
-def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> ConditionalMeasurement:
-    """The one-way protocol of a tree, its last block in the conditional eigenbases.
+def _tree_protocol(blocks, levels: list[np.ndarray]) -> ConditionalMeasurement:
+    """The one-way protocol of every block's stacked frames, as ``_eigenbasis_levels`` gives them.
 
     Node k on a path measures ``blocks[k]`` with the rows of that path's
     frame; row i of a frame leads to path ``path * rows + i`` of the next
@@ -665,7 +692,6 @@ def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> Condit
     isometries, so ``_frame_povm`` appends no deficit outcome; if it did,
     ``ConditionalMeasurement`` would reject the child count.
     """
-    levels = _eigenbasis_levels(rho, blocks, tree)
 
     def node(k: int, path: int) -> ConditionalMeasurement:
         frame = levels[k][path]
@@ -678,57 +704,6 @@ def _tree_protocol(rho: DensityMatrix, blocks, tree: list[np.ndarray]) -> Condit
         )
 
     return node(0, 0)
-
-
-def _oneway_objective(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]):
-    """Chain entropy of a one-way protocol and its gradients, as a function of its tree of frames.
-
-    ``blocks`` lists the partition blocks in measurement order.  A tree is
-    its list of levels, as in ``_eigenbasis_levels``: the first block's
-    frame q as a (1, m, d_0) stack, whose row q_i gives the effect
-    |q_i^*><q_i^*|, then a stack of bases, one per outcome path, for each
-    later level but the last (a single block's tree is q alone).  The last
-    block is measured in the eigenbasis of its conditional state, so with
-    A = T T^dag the unnormalised final conditional state of each leaf path
-    and V_i = |q_i|^2,
-
-        S = sum_leaves -Tr A log2 A + sum_i p_i log2 V_i,
-
-    where p_i sums Tr A over the leaves after outcome i.  The gradient in A
-    is -(log2 A + 1/ln 2) on its support plus log2 V_i of the leaf's first
-    outcome, and in V_i it is p_i / (V_i ln 2); eigenvalues and p_i at or
-    below P_EPS are masked, as in ``chain_entropy``.  It runs back through
-    the levels' frames as in ``_product_objective``.
-    """
-    bdims = _block_dims(rho, blocks)
-    factor = _block_factor(rho, blocks)
-
-    def objective(tree: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: tree[k])
-        q = tree[0]
-        p = (abs(leaves) ** 2).reshape(q.shape[1], -1).sum(axis=1)
-        live_p = p > P_EPS
-        vols = np.where(live_p, (abs(q) ** 2).sum(axis=-1).ravel(), 1.0)  # 1 where p is masked
-        log_vols = np.log2(vols)
-        lam, vecs = np.linalg.eigh(leaves @ dagger(leaves))
-        live = lam > P_EPS
-        log_lam = np.log2(np.where(live, lam, 1.0))
-        s = float(np.dot(p, log_vols) - np.sum(lam * log_lam))  # log_lam is 0 where masked
-        g_a = (vecs * np.where(live, -(log_lam + LOG2_E), 0.0)[:, None, :]) @ dagger(vecs)
-        leaf_log_vols = np.repeat(log_vols, len(leaves) // len(p))[:, None, None]
-        g = 2 * (g_a @ leaves + leaf_log_vols * leaves)  # gradient in the leaves
-        grads = []
-        for k in range(len(tree) - 1, -1, -1):
-            f = tree[k]
-            g = g.reshape(f.shape[0], f.shape[1], -1)  # gradient in the level's output
-            grads.append(g @ dagger(xs[k]))
-            if k:
-                g = dagger(f) @ g
-        ds_dn = np.where(live_p, p, 0.0) / vols
-        grads[-1] += 2 * LOG2_E * ds_dn[:, None] * q
-        return s, grads[::-1]
-
-    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -1015,17 +990,20 @@ def sep_gap_heuristic(
     (``_product_eigenbasis``).  Each is a product POVM, hence separable, so
     SEP never reports more than LO* or LOCC1.  The lowest entropy wins, ties
     going to the earlier candidate, and ``trace`` holds the candidates'
-    entropies in order.  The returned ``bounds`` is [0, heuristic gap].
+    entropies in order.  ``converged`` is the winner's own flag; the product
+    eigenbasis has gap 0, the proven minimum, so its flag is True.  The
+    returned ``bounds`` is [0, heuristic gap].
     """
     star = minimize_lostar(rho, partition, cfg)
-    candidates = [(star.entropy_bits, star.witness.retag("SEP"))]
+    candidates = [(star.entropy_bits, star.witness.retag("SEP"), star.converged)]
     if partition.n_blocks >= 2:
         locc = minimize_locc_oneway(rho, partition, None, cfg)
-        candidates.append((locc.entropy_bits, flatten_locc(locc.witness, rho.dims).retag("SEP")))
+        flat = flatten_locc(locc.witness, rho.dims).retag("SEP")
+        candidates.append((locc.entropy_bits, flat, locc.converged))
     basis = _product_eigenbasis(rho, partition)
     if basis is not None:
         povm = Povm.from_basis(basis, "SEP")
-        candidates.append((observational_entropy(rho, povm), povm))
-    s_best, witness = min(candidates, key=lambda c: c[0])
-    res = _result(rho, s_best, witness, [s for s, _ in candidates], True)
+        candidates.append((observational_entropy(rho, povm), povm, True))
+    s_best, witness, converged = min(candidates, key=lambda c: c[0])
+    res = _result(rho, s_best, witness, [c[0] for c in candidates], converged)
     return replace(res, bounds=(0.0, res.gap_bits))

@@ -134,6 +134,19 @@ def test_cmd_gap_locc_cq_example():
     assert abs(payload["gap"]) < 1e-6
 
 
+def test_cmd_gap_sep_exits_3_when_its_winner_did_not_converge():
+    # W3 at two restarts: SEP's winner is the LOCC1 witness, whose search did not converge
+    runner = CliRunner()
+    result = runner.invoke(
+        main,
+        ["gap", "--state", "w(3)", "--class", "sep", "--seed", "1", "--restarts", "2", "--max-iters", "300"],
+    )
+    assert result.exit_code == 3, result.output
+    payload = json.loads(result.output)
+    assert payload["converged"] is False
+    assert payload["gap"] == pytest.approx(1.544496, abs=1e-6)
+
+
 def test_cmd_gap_requires_exactly_one_source(tmp_path):
     rho = bell()
     state_file = tmp_path / "bell.json"

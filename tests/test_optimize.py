@@ -38,20 +38,21 @@ from oegap.optimize import (
     STEP_TOL,
     OptConfig,
     _block_dims,
+    _block_factor,
     _certify_ppt_w3,
     _chart,
     _complete_unitary,
     _descent,
+    _eigenbasis_levels,
     _eigenbasis_tree,
     _frame_povm,
     _haar_frame,
     _hermitian_from_params,
     _hermitian_gradient_params,
-    _oneway_objective,
     _pad_rows,
-    _product_objective,
     _random_frame,
     _stationary,
+    _tree_objective,
     _tree_protocol,
     cq_gap,
     eigenseparability,
@@ -373,6 +374,11 @@ def test_hermitian_chart_matches_loop(d):
     assert np.array_equal(_hermitian_from_params(theta, d), h)
 
 
+def _objective(rho, blocks):
+    """The tree objective of rho with ``blocks`` in measurement order."""
+    return _tree_objective(_block_factor(rho, blocks), _block_dims(rho, blocks))
+
+
 PRODUCT_CASES = {
     "w3": (w(3), FULL3),
     "w3-AC|B": (w(3), PartitionSpec.from_string("AC|B", 3)),
@@ -388,11 +394,11 @@ PRODUCT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
 def test_product_objective_matches_observational_entropy(case):
-    # the factor-and-matmul objective against the product POVM it stands for
+    # the tree objective on one shared level per block against the product POVM it stands for
     rho, part = PRODUCT_CASES[case]
     bdims = part.block_dims(rho.dims)
     ms = [4 if d == 2 else d + 1 for d in bdims]
-    objective = _product_objective(rho, part.blocks)
+    objective = _objective(rho, part.blocks)
     gen = np.random.default_rng(23)
     frame_sets = [[_random_frame(d, m, gen) for d, m in zip(bdims, ms)] for _ in range(6)]
     # Haar bases padded with zero rows: those outcomes have p = 0 and V = 0
@@ -425,10 +431,11 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
 def test_product_objective_gradient_matches_finite_differences(case):
+    # the tree objective's gradient in shared levels
     rho, part = PRODUCT_CASES[case]
     bdims = part.block_dims(rho.dims)
     ms = [4 if d == 2 else d + 1 for d in bdims]
-    objective = _product_objective(rho, part.blocks)
+    objective = _objective(rho, part.blocks)
     gen = np.random.default_rng(29)
     frame_sets = [
         [_random_frame(d, m, gen) for d, m in zip(bdims, ms)],
@@ -442,6 +449,31 @@ def test_product_objective_gradient_matches_finite_differences(case):
                 lambda z, k=k: objective(qs[:k] + [z] + qs[k + 1 :])[0], qs[k]
             )
             assert _relative_error(grads[k], numeric) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["w3", "mixed-232-rank2-AC|B"])
+def test_shared_level_equals_its_per_path_stack(case):
+    # a level every path shares is its frame repeated once per path: the same value,
+    # and its gradient is the per-path gradients summed over the paths
+    rho, part = PRODUCT_CASES[case]
+    bdims = part.block_dims(rho.dims)
+    ms = [4 if d == 2 else d + 1 for d in bdims]
+    objective = _objective(rho, part.blocks)
+    gen = np.random.default_rng(31)
+    frame_sets = [
+        [_random_frame(d, m, gen) for d, m in zip(bdims, ms)],
+        [dagger(_haar_frame(d, d, gen)) for d in bdims],  # bases: no volume term
+        [_pad_rows(dagger(_haar_frame(d, d, gen)), m) for d, m in zip(bdims, ms)],
+    ]
+    for qs in frame_sets:
+        paths = np.cumprod([1] + [len(q) for q in qs[:-1]])
+        stacks = [np.broadcast_to(q, (n,) + q.shape).copy() for q, n in zip(qs, paths)]
+        value, grads = objective(qs)
+        stacked_value, stacked_grads = objective(stacks)
+        assert stacked_value == pytest.approx(value, abs=1e-12)
+        for g, stacked, n in zip(grads, stacked_grads, paths):
+            assert stacked.shape == (n,) + g.shape
+            assert np.allclose(stacked.sum(axis=0), g, rtol=0, atol=1e-12)
 
 
 def _hermitian_params(h: np.ndarray) -> np.ndarray:
@@ -638,11 +670,11 @@ DEEP_ONEWAY_CASES = ONEWAY_CASES | {
 
 
 def _oneway_case(case: str):
-    """(rho, blocks in measurement order, block dims, first-frame rows) of a one-way case."""
+    """(rho, blocks in measurement order, block factor, block dims, first-frame rows) of a one-way case."""
     rho, part, ordering = DEEP_ONEWAY_CASES[case]
     blocks = tuple(part.blocks[k] for k in ordering)
     bdims = _block_dims(rho, blocks)
-    return rho, blocks, bdims, 4 if bdims[0] == 2 else bdims[0] + 1
+    return rho, blocks, _block_factor(rho, blocks), bdims, 4 if bdims[0] == 2 else bdims[0] + 1
 
 
 def _first_frames(d0: int, m: int, gen, n_random: int) -> list[np.ndarray]:
@@ -703,8 +735,9 @@ def eigenbasis_protocol_reference(mat, dims, blocks, live, levels=(), path=0) ->
 
 def _assert_tree_protocol_matches(rho, blocks, tree, reference):
     """The objective, the protocol read off the tree and the rebuilt reference agree within 1e-12."""
-    protocol = _tree_protocol(rho, blocks, tree)
-    value = _oneway_objective(rho, blocks)(tree)[0]
+    factor, bdims = _block_factor(rho, blocks), _block_dims(rho, blocks)
+    protocol = _tree_protocol(blocks, _eigenbasis_levels(factor, bdims, tree))
+    value = _objective(rho, blocks)(tree)[0]
     assert value == pytest.approx(chain_entropy(protocol, rho), abs=1e-12)
     assert value == pytest.approx(chain_entropy(reference, rho), abs=1e-12)
     assert value == pytest.approx(chain_reference(reference, rho), abs=1e-12)
@@ -714,10 +747,10 @@ def _assert_tree_protocol_matches(rho, blocks, tree, reference):
 def test_oneway_objective_matches_chain_entropy(case):
     # on each first frame's conditional-eigenbasis tree, the objective equals the
     # chain entropy of the greedy protocol after that frame
-    rho, blocks, bdims, m = _oneway_case(case)
+    rho, blocks, factor, bdims, m = _oneway_case(case)
     live = tuple(range(len(rho.dims)))
     for q in _first_frames(bdims[0], m, np.random.default_rng(17), 12):
-        tree = _eigenbasis_tree(rho, blocks, q)
+        tree = _eigenbasis_tree(factor, bdims, q)
         # one stack of bases per level between the first and the last: m of them on three blocks
         assert [len(level) for level in tree[1:]] == ([m] if len(bdims) == 3 else [])
         reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, [q[None]])
@@ -727,28 +760,42 @@ def test_oneway_objective_matches_chain_entropy(case):
 @pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
 def test_oneway_objective_matches_rebuilt_protocol(case):
     # random level bases: the objective against the protocol read off the whole tree
-    rho, blocks, bdims, m = _oneway_case(case)
+    rho, blocks, factor, bdims, m = _oneway_case(case)
     live = tuple(range(len(rho.dims)))
     gen = np.random.default_rng(19)
     for q in _first_frames(bdims[0], m, gen, 4):
-        tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
+        tree = _random_levels(_eigenbasis_tree(factor, bdims, q), gen)
         reference = eigenbasis_protocol_reference(rho.mat, rho.dims, blocks, live, tree)
         _assert_tree_protocol_matches(rho, blocks, tree, reference)
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
 def test_oneway_objective_gradient_matches_finite_differences(case):
-    rho, blocks, bdims, m = _oneway_case(case)
-    objective = _oneway_objective(rho, blocks)
+    rho, blocks, factor, bdims, m = _oneway_case(case)
+    objective = _tree_objective(factor, bdims)
     gen = np.random.default_rng(41)
     for q in _first_frames(bdims[0], m, gen, 1):
-        tree = _random_levels(_eigenbasis_tree(rho, blocks, q), gen)
+        tree = _random_levels(_eigenbasis_tree(factor, bdims, q), gen)
         grads = objective(tree)[1]
         for k in range(len(tree)):
             numeric = _finite_difference_gradient(
                 lambda z, k=k: objective(tree[:k] + [z] + tree[k + 1 :])[0], tree[k]
             )
             assert _relative_error(grads[k], numeric) <= 1e-6
+
+
+def test_oneway_search_factors_rho_once(monkeypatch):
+    # the objective, every start's tree and the witness protocol share one block factor
+    calls = []
+    real = oegap.optimize._block_factor
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oegap.optimize, "_block_factor", counting)
+    minimize_locc_oneway(w(3), FULL3, cfg=OptConfig(1, 4, 20))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cfg", [OptConfig(107, 3, 300), OptConfig(11, 4, 300)], ids=["107-3", "11-4"])
@@ -995,6 +1042,7 @@ def test_sep_heuristic_domino_product_eigenbasis():
     sep = sep_gap_heuristic(rho, FULL2, cfg=cfg)
     locc = minimize_locc_oneway(rho, FULL2, cfg=cfg)
     assert sep.gap_bits <= 1e-12
+    assert sep.converged  # the product eigenbasis reaches the proven minimum
     assert locc.gap_bits == pytest.approx(0.002178, abs=1e-6)
     # the witness is rho's eigenbasis: nine rank-1 projectors, each onto an eigenvector
     effects = np.array(sep.witness.effects)
@@ -1017,6 +1065,16 @@ def test_sep_heuristic_returns_its_best_seed(name):
     locc = minimize_locc_oneway(rho, part, cfg=cfg)
     assert sep.entropy_bits == min(star.entropy_bits, locc.entropy_bits)
     assert sep.trace == (star.entropy_bits, locc.entropy_bits)
+
+
+def test_sep_heuristic_reports_its_winners_convergence():
+    # W3 at two restarts: the LOCC1 witness wins, and its search did not converge
+    cfg = OptConfig(1, 2, 300)
+    sep = sep_gap_heuristic(w(3), FULL3, cfg=cfg)
+    locc = minimize_locc_oneway(w(3), FULL3, cfg=cfg)
+    assert sep.entropy_bits == locc.entropy_bits
+    assert sep.gap_bits == pytest.approx(1.544496, abs=1e-6)
+    assert sep.converged is locc.converged is False
 
 
 def test_sep_heuristic_below_its_seed_searches():
