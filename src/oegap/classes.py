@@ -136,13 +136,9 @@ def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
     if any(opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9 for u in bases):
         raise ValidationError("local basis matrix is not unitary")
     dims = tuple(int(d) for d in dims)
-    bdims = partition.block_dims(dims)
     if len(bases) != partition.n_blocks:
         raise ValidationError(f"{len(bases)} bases for {partition.n_blocks} blocks")
-    for u, db in zip(bases, bdims):
-        if u.shape[0] != db:
-            raise ValidationError(f"basis dimension {u.shape[0]} does not match block dimension {db}")
-    grid = _grid(bdims)
+    grid = _grid([u.shape[0] for u in bases])
     projectors = [u.T[:, :, None] * u.T.conj()[:, None, :] for u in bases]
     effects = _product_effects([p[i] for p, i in zip(projectors, grid)], partition.blocks, dims)
     labels = tuple(",".join(map(str, combo)) for combo in grid.T.tolist())
@@ -152,12 +148,8 @@ def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
 def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     """Tensor product of one local POVM per block."""
     dims = tuple(int(d) for d in dims)
-    bdims = partition.block_dims(dims)
     if len(povms) != partition.n_blocks:
         raise ValidationError(f"{len(povms)} local POVMs for {partition.n_blocks} blocks")
-    for m, db in zip(povms, bdims):
-        if m.d != db:
-            raise ValidationError(f"local POVM dimension {m.d} does not match block dimension {db}")
     grid = _grid([m.n_outcomes for m in povms])
     effects = _product_effects([m.effects[i] for m, i in zip(povms, grid)], partition.blocks, dims)
     labels = tuple(

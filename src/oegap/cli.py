@@ -5,10 +5,9 @@ operator files (``--file state.json``).  Operator JSON is row-major:
 ``{"dims": [2, 2], "re": [...], "im": [...]}``; POVM JSON is
 ``{"effects": [{"re": [...], "im": [...]}, ...], "dims": [...]}``.
 Every file-writing command drops a RunManifest JSON next to its outputs.
-Exit codes: 0 success, 2 validation failure, 3 from ``gap`` when its result
-did not converge and from ``scan`` when its rows break partition
-monotonicity.  ``scan`` and ``robustness`` report ``converged`` on each CSV
-row and otherwise exit 0, as ``reproduce`` does.
+Exit codes: 0 success, 2 validation failure, 3 from ``gap`` alone, when its
+result did not converge.  ``scan``, ``robustness`` and ``reproduce`` report
+``converged`` on each CSV row instead.
 """
 
 from __future__ import annotations
@@ -25,15 +24,7 @@ import numpy as np
 
 from . import __version__
 from .classes import ConditionalMeasurement
-from .core import (
-    DensityMatrix,
-    PartitionSpec,
-    Povm,
-    ValidationError,
-    opnorm,
-    validate_povm,
-    validate_state,
-)
+from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, opnorm
 from .entropy import certify_optimal, observational_entropy, recovery_bounds, von_neumann
 from .optimize import (
     OptConfig,
@@ -65,37 +56,47 @@ def operator_to_json(mat: np.ndarray, dims) -> dict:
     }
 
 
+def _decode_dims(payload, name: str) -> tuple[int, ...]:
+    """The "dims" of a JSON payload: a nonempty list of positive integers (2.0 reads as 2)."""
+    dims = payload.get("dims") if isinstance(payload, dict) else None
+    if not isinstance(dims, list) or not dims or not all(
+        isinstance(n, (int, float)) and float(n).is_integer() and n >= 1 for n in dims
+    ):
+        raise ValidationError(f'{name} must be a JSON object whose "dims" is a list of positive integers')
+    return tuple(int(n) for n in dims)
+
+
+def _decode_operator(entry, d: int, name: str) -> np.ndarray:
+    """The d x d matrix of a row-major {"re": [...], "im": [...]} entry; "im" defaults to zeros."""
+    if not isinstance(entry, dict) or "re" not in entry:
+        raise ValidationError(f'{name} must be a JSON object with an "re" field')
+    parts = []
+    for key in ("re", "im"):
+        try:
+            part = np.asarray(entry.get(key, np.zeros(d * d)), dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f'{name} "{key}" is not a list of numbers') from None
+        if part.size != d * d:
+            raise ValidationError(f'{name} "{key}" has {part.size} entries, expected {d * d}')
+        parts.append(part)
+    return (parts[0] + 1j * parts[1]).reshape(d, d)
+
+
 def operator_from_json(payload: dict) -> tuple[np.ndarray, tuple[int, ...]]:
-    dims = tuple(int(d) for d in payload["dims"])
-    d = int(np.prod(dims))
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
-    if re.size != d * d or im.size != d * d:
-        raise ValidationError(
-            f"operator payload has {re.size} entries, expected {d * d} for dims {dims}"
-        )
-    return (re + 1j * im).reshape(d, d), dims
+    dims = _decode_dims(payload, "operator")
+    return _decode_operator(payload, int(np.prod(dims)), "operator"), dims
 
 
 def state_from_json(payload: dict) -> DensityMatrix:
-    mat, dims = operator_from_json(payload)
-    problems = validate_state(mat, dims)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return DensityMatrix(mat, dims)
+    return DensityMatrix(*operator_from_json(payload))
 
 
 def povm_from_json(payload: dict) -> Povm:
-    dims = tuple(int(d) for d in payload["dims"])
-    d = int(np.prod(dims))
-    effects = []
-    for entry in payload["effects"]:
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
-        effects.append((re + 1j * im).reshape(d, d))
-    problems = validate_povm(effects)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    d = int(np.prod(_decode_dims(payload, "POVM")))
+    entries = payload.get("effects")
+    if not isinstance(entries, list):
+        raise ValidationError('POVM "effects" must be a list')
+    effects = [_decode_operator(e, d, f"effect {i}") for i, e in enumerate(entries)]
     labels = tuple(payload.get("labels", ()))
     tag = payload.get("class_tag", "Unverified")
     return Povm(np.array(effects), labels, tag)
@@ -144,7 +145,7 @@ def _split_state_spec(spec: str) -> tuple[str, list, dict]:
     """Split "name(a, b, key=c)" into (name, positional args, keyword args)."""
     spec = spec.strip()
     if "(" not in spec:
-        return spec, [], {}
+        return spec.lower(), [], {}
     name, rest = spec.split("(", 1)
     if not rest.endswith(")"):
         raise ValidationError(f"malformed state spec {spec!r}")
@@ -161,7 +162,7 @@ def _split_state_spec(spec: str) -> tuple[str, list, dict]:
                 args.append(_parse_number(token))
     if "lambda" in kwargs:  # python keyword; catalog uses lam
         kwargs["lam"] = kwargs.pop("lambda")
-    return name, args, kwargs
+    return name.strip().lower(), args, kwargs
 
 
 def _parse_state_spec(spec: str) -> DensityMatrix:
@@ -309,9 +310,9 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
                 res_w3.gap_bits, res_w3.gap_bits, res_w3.witness, (res_w3.gap_bits,), True
             )
         elif klass == "werner-exact":
-            if state is None or not state.startswith("werner"):
+            name, args, kwargs = _split_state_spec(state or "")
+            if name != "werner":
                 raise ValidationError('class "werner-exact" requires --state "werner(d,lambda)"')
-            name, args, kwargs = _split_state_spec(state)
             rho = from_catalog(name, *args, **kwargs)
             lam = kwargs["lam"] if "lam" in kwargs else args[1]
             exact = werner_analytic(rho.dims[0], float(lam))
@@ -366,9 +367,6 @@ def scan(state, file, klass, seed, restarts, max_iters, out):
     except (ValidationError, json.JSONDecodeError) as err:
         _echo_fail(err)
         sys.exit(EXIT_VALIDATION)
-    except RuntimeError as err:  # partition monotonicity failed: a search fell short
-        _echo_fail(err)
-        sys.exit(EXIT_NO_CONVERGENCE)
     out_path = Path(out)
     out_path.write_text(result.to_csv())
     json_path = out_path.with_suffix(".json")

@@ -407,10 +407,8 @@ class Povm:
 
     def __post_init__(self):
         eff = np.asarray(self.effects, dtype=complex)
-        if eff.ndim == 2:
-            eff = eff[None, :, :]
-        if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
-            raise ValidationError(f"effects must be a list of square matrices, got shape {eff.shape}")
+        if eff.ndim in (0, 2):  # one effect; a scalar then fails validate_povm's shape check
+            eff = eff[None]
         problems = validate_povm(eff)
         if problems:
             raise ValidationError("invalid POVM: " + "; ".join(problems))

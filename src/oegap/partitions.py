@@ -21,8 +21,6 @@ from .optimize import (
     sep_gap_heuristic,
 )
 
-MONOTONICITY_TOL = 5e-3  # slack before a scan's partition monotonicity counts as broken
-
 # class name -> minimizer(rho, partition, cfg); each entry looks its function up
 # at call time, so a wrapper installed on this module's globals is honoured
 CLASS_OPTIMIZERS = {
@@ -143,8 +141,8 @@ def scan_partitions(
 
     Pure-state bipartitions use the Schmidt value directly.  Results are
     min-reduced along the refinement order (a finer partition's witness is a
-    valid coarser-partition measurement), after which partition monotonicity
-    is asserted.
+    valid coarser-partition measurement), so no coarser partition's gap
+    exceeds a finer one's.
     """
     minimize = _class_optimizer(klass)
     n = len(rho.dims)
@@ -167,14 +165,6 @@ def scan_partitions(
                 r = raw[q]
                 best = OptResult(r.entropy_bits, r.gap_bits, r.witness, best.trace, best.converged)
         repaired[p] = best
-
-    for p in partitions:
-        for q in partitions:
-            if p.refines(q) and repaired[p].gap_bits < repaired[q].gap_bits - MONOTONICITY_TOL:
-                raise RuntimeError(
-                    f"partition monotonicity violated: gap({p}) < gap({q}) "
-                    f"({repaired[p].gap_bits:.6f} < {repaired[q].gap_bits:.6f})"
-                )
 
     shapes: dict[str, list[float]] = {}
     for p in partitions:

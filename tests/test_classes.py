@@ -64,8 +64,19 @@ def test_lostar_single_block_eigenbasis_optimal():
 
 
 def test_lostar_dimension_mismatch():
-    with pytest.raises(ValidationError):
+    # _product_effects is the one check of each basis's dimension against its block
+    with pytest.raises(ValidationError, match=r"operator dimension 2 does not match subsystems \(1,\)"):
         lostar_povm([np.eye(2, dtype=complex)] * 2, FULL2, (2, 3))
+    with pytest.raises(ValidationError, match="2 bases for 3 blocks"):
+        lostar_povm([np.eye(2, dtype=complex)] * 2, PartitionSpec.full(3), (2, 2, 2))
+
+
+def test_lo_dimension_mismatch():
+    # as for LO*: one dimension check in _product_effects, and a count check before it
+    with pytest.raises(ValidationError, match=r"operator dimension 2 does not match subsystems \(1,\)"):
+        lo_povm([Povm.from_basis(np.eye(2))] * 2, FULL2, (2, 3))
+    with pytest.raises(ValidationError, match="2 local POVMs for 3 blocks"):
+        lo_povm([Povm.from_basis(np.eye(2))] * 2, PartitionSpec.full(3), (2, 2, 2))
 
 
 def test_lostar_rejects_non_unitary_basis():

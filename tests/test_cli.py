@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import random_density
 from oegap.cli import (
     main,
     operator_from_json,
@@ -18,7 +19,7 @@ from oegap.cli import (
 )
 from oegap.classes import lostar_povm
 from oegap.core import PartitionSpec, Povm
-from oegap.optimize import OptResult
+from oegap.optimize import OptResult, werner_analytic
 from oegap.states import bell, werner
 
 
@@ -35,6 +36,12 @@ def test_operator_json_roundtrip():
     assert np.allclose(mat, rho.mat)
     again = operator_to_json(*operator_from_json(payload))
     assert again == payload
+
+
+def test_operator_json_reads_integral_float_dims():
+    payload = operator_to_json(np.eye(4) / 4, (2, 2))
+    _, dims = operator_from_json(dict(payload, dims=[2.0, 2.0]))
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
 
 
 def test_povm_json_roundtrip():
@@ -81,6 +88,58 @@ def test_cmd_entropy_validation_exit_code(tmp_path):
     assert result.exit_code == 2
 
 
+def _povm_payload(first=None, **change):
+    """The computational-basis POVM payload, with fields changed and effect 0's updated by ``first``."""
+    payload = dict(local_computational_payload(), **change)
+    if first is not None:
+        payload["effects"] = [dict(payload["effects"][0], **first)] + payload["effects"][1:]
+    return payload
+
+
+def _state_payload(**change):
+    return dict({"dims": [2], "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}, **change)
+
+
+DIMS_ERROR = '"dims" is a list of positive integers'
+MALFORMED_PAYLOADS = [  # command, payload, a fragment of the error line
+    pytest.param("entropy", _povm_payload({"re": [1.0] * 15}), 'effect 0 "re" has 15 entries, expected 16', id="povm-re-short"),
+    pytest.param("entropy", _povm_payload({"im": [0.0] * 3}), 'effect 0 "im" has 3 entries, expected 16', id="povm-im-short"),
+    pytest.param("entropy", _povm_payload({"re": ["a"] * 16}), 'effect 0 "re" is not a list of numbers', id="povm-re-text"),
+    pytest.param("entropy", _povm_payload({"im": "x"}), 'effect 0 "im" is not a list of numbers', id="povm-im-text"),
+    pytest.param("entropy", _povm_payload(effects=[5]), 'effect 0 must be a JSON object', id="povm-effect-not-object"),
+    pytest.param("entropy", _povm_payload(effects=5), 'POVM "effects" must be a list', id="povm-effects-not-list"),
+    pytest.param("entropy", _povm_payload(dims=4), DIMS_ERROR, id="povm-dims-int"),
+    pytest.param("entropy", _povm_payload(dims=[2, 2.5]), DIMS_ERROR, id="povm-dims-fraction"),
+    pytest.param("entropy", [1.0, 0.0], "POVM must be a JSON object", id="povm-list"),
+    pytest.param("entropy", _povm_payload({"re": [0.0] * 16}), "completeness violation", id="povm-incomplete"),
+    pytest.param("gap", [0.5, 0.0, 0.0, 0.5], "operator must be a JSON object", id="state-list"),
+    pytest.param("gap", _state_payload(re=[0.5, 0.0, 0.0]), 'operator "re" has 3 entries, expected 4', id="state-re-short"),
+    pytest.param("gap", _state_payload(im=[0.0] * 3), 'operator "im" has 3 entries, expected 4', id="state-im-short"),
+    pytest.param("gap", _state_payload(re=["a", 0, 0, 0.5]), 'operator "re" is not a list of numbers', id="state-re-text"),
+    pytest.param("gap", {"dims": [2]}, 'operator must be a JSON object with an "re" field', id="state-no-re"),
+    pytest.param("gap", _state_payload(dims=2), DIMS_ERROR, id="state-dims-int"),
+    pytest.param("gap", _state_payload(dims=[2.5]), DIMS_ERROR, id="state-dims-fraction"),
+    pytest.param("gap", _state_payload(dims=["x"]), DIMS_ERROR, id="state-dims-text"),
+    pytest.param("gap", _state_payload(re=[1.0, 0.0, 0.0, 1.0]), "trace differs from 1", id="state-trace-2"),
+]
+
+
+@pytest.mark.parametrize("command, payload, fragment", MALFORMED_PAYLOADS)
+def test_cmd_rejects_malformed_json_payloads(tmp_path, command, payload, fragment):
+    # a malformed or invalid operator file is one error line and exit 2, never a traceback
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    args = {
+        "entropy": ["entropy", "--state", "bell", "--povm", str(path)],
+        "gap": ["gap", "--file", str(path), "--class", "lostar", "--restarts", "1", "--max-iters", "10"],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+    assert fragment in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_cmd_entropy_nats(tmp_path):
     povm_file = tmp_path / "povm.json"
     povm_file.write_text(json.dumps(local_computational_payload()))
@@ -118,6 +177,22 @@ def test_cmd_gap_werner_exact_and_witness(tmp_path):
     assert len(witness["effects"]) == 2
     manifest = json.loads((tmp_path / "witness.manifest.json").read_text())
     assert manifest["outputs"] == [str(out)]
+
+
+@pytest.mark.parametrize("spec", ["Werner(3,0.5)", " werner(3,0.5)", "WERNER(3, lambda=0.5)", "werner (3, lam=0.5)"])
+def test_cmd_gap_werner_exact_accepts_every_catalog_spelling(spec):
+    # werner-exact reads the name as the catalog does: stripped, in lower case
+    result = CliRunner().invoke(main, ["gap", "--state", spec, "--class", "werner-exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["gap"] == pytest.approx(werner_analytic(3, 0.5).gap_bits, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [None, "w(3)", "werner2(3,0.5)"])
+def test_cmd_gap_werner_exact_rejects_other_states(spec):
+    args = ["gap", "--class", "werner-exact"] + ([] if spec is None else ["--state", spec])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == 'error: class "werner-exact" requires --state "werner(d,lambda)"\n'
 
 
 def test_cmd_gap_locc_cq_example():
@@ -230,19 +305,18 @@ def test_cmd_scan_and_manifest(tmp_path):
     assert (tmp_path / "scan.json").exists()
 
 
-def test_cmd_scan_monotonicity_failure_exits_3(tmp_path, monkeypatch):
-    def failing_scan(*args, **kwargs):
-        raise RuntimeError("partition monotonicity violated: gap(A|B|C) < gap(AB|C)")
-
-    monkeypatch.setattr("oegap.cli.scan_partitions", failing_scan)
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["scan", "--state", "ghz(3)", "--out", str(tmp_path / "scan.csv")]
+def test_cmd_scan_exits_0_with_unconverged_rows(tmp_path):
+    # scan reports convergence per row; only gap exits 3
+    rho = random_density(np.random.default_rng(22), (2, 2, 2), 2)
+    state_file = tmp_path / "rank2.json"
+    state_file.write_text(json.dumps(operator_to_json(rho.mat, rho.dims)))
+    out = tmp_path / "scan.csv"
+    result = CliRunner().invoke(
+        main,
+        ["scan", "--file", str(state_file), "--seed", "5", "--restarts", "1", "--max-iters", "40", "--out", str(out)],
     )
-    assert result.exit_code == 3
-    assert "partition monotonicity violated" in result.output
-    assert "Traceback" not in result.output
-    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 0, result.output
+    assert ",False\n" in out.read_text()
 
 
 def test_cmd_scan_leaves_no_results_alive(tmp_path):

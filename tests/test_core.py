@@ -515,6 +515,25 @@ def test_density_matrix_invariants_enforced():
         rho.mat[0, 0] = 5.0  # stored matrix is read-only
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((2, 3), "expected a square matrix, got shape (2, 3)"),
+        ((3, 2, 3), "expected a square matrix, got shape (2, 3)"),
+        ((1, 1, 2, 2), "expected a square matrix, got shape (1, 2, 2)"),
+        ((2,), "expected a square matrix, got shape ()"),
+        ((), "expected a square matrix, got shape ()"),
+        ((0,), "POVM has no effects"),
+    ],
+    ids=["one-2x3", "stack-2x3", "4-d", "1-d", "scalar", "empty"],
+)
+def test_povm_rejects_effects_that_are_not_square_matrices(shape, message):
+    # validate_povm is the one shape check: Povm only turns a single matrix into a stack
+    with pytest.raises(ValidationError) as err:
+        Povm(np.ones(shape))
+    assert str(err.value) == f"invalid POVM: {message}"
+
+
 def test_povm_projective_flag():
     basis = Povm.from_basis(np.eye(2, dtype=complex))
     assert basis.is_projective()

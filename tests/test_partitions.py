@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_pure
+from helpers import random_density, random_pure
 from oegap.core import PartitionSpec, ValidationError, schmidt
 from oegap.entropy import shannon
-from oegap.optimize import OptConfig, minimize_lostar
+from oegap.optimize import OptConfig, OptResult, minimize_lo, minimize_lostar
 from oegap.partitions import (
     enumerate_partitions,
     robustness_scan,
@@ -45,11 +45,40 @@ def test_scan_two_bell_lostar():
     assert averages["2+2"] == pytest.approx(4 / 3, abs=1e-9)
 
 
-def test_scan_refinement_monotonicity_recorded():
-    scan = scan_partitions(ghz(3), "lostar", FAST, state_name="ghz3")
-    fine = scan.gap(PartitionSpec.full(3))
-    for p, res in scan.results:
-        assert fine >= res.gap_bits - 5e-3
+MONOTONICITY_STATES = {
+    "ghz3": ghz(3),
+    **{f"mixed-222-rank{r}": random_density(np.random.default_rng(20 + r), (2, 2, 2), r) for r in (1, 2, 3)},
+}
+# (state, class, bits added to every two-block search's result)
+MONOTONICITY_CASES = [(s, k, 0.0) for s in MONOTONICITY_STATES for k in ("lostar", "lo")] + [
+    (s, k, 3.0) for s in ("mixed-222-rank2", "mixed-222-rank3") for k in ("lostar", "lo")
+]
+
+
+@pytest.mark.parametrize(
+    "state, klass, handicap",
+    MONOTONICITY_CASES,
+    ids=[f"{s}-{k}" + ("-handicapped" if h else "") for s, k, h in MONOTONICITY_CASES],
+)
+def test_scan_refinement_monotonicity_recorded(monkeypatch, state, klass, handicap):
+    # the lattice repair orders every pair: a coarser partition's gap is at most a
+    # finer one's.  A handicap of 3 bits, the largest gap on three qubits, on each
+    # searched bipartition leaves that order to the repair alone; pure states'
+    # bipartitions take the Schmidt value and are never searched.
+    minimize = {"lostar": minimize_lostar, "lo": minimize_lo}[klass]
+
+    def handicapped(rho, partition, cfg):
+        res = minimize(rho, partition, cfg)
+        if partition.n_blocks == 3:
+            return res
+        return OptResult(res.entropy_bits + handicap, res.gap_bits + handicap, res.witness, res.trace, res.converged)
+
+    monkeypatch.setattr(f"oegap.partitions.{minimize.__name__}", handicapped)
+    scan = scan_partitions(MONOTONICITY_STATES[state], klass, OptConfig(seed=5, restarts=1, max_iters=20))
+    pairs = [(p, q) for p, _ in scan.results for q, _ in scan.results if p != q and p.refines(q)]
+    assert len(pairs) == 3  # A|B|C refines each of the three bipartitions
+    for p, q in pairs:
+        assert scan.gap(q) <= scan.gap(p) + 1e-12, (p, q)
 
 
 def test_scan_pure_bipartition_fast_path_matches_optimizer():
