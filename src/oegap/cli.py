@@ -97,9 +97,11 @@ def povm_from_json(payload: dict) -> Povm:
     if not isinstance(entries, list):
         raise ValidationError('POVM "effects" must be a list')
     effects = [_decode_operator(e, d, f"effect {i}") for i, e in enumerate(entries)]
-    labels = tuple(payload.get("labels", ()))
+    labels = payload.get("labels", [])
+    if not isinstance(labels, list):
+        raise ValidationError('POVM "labels" must be a list')
     tag = payload.get("class_tag", "Unverified")
-    return Povm(np.array(effects), labels, tag)
+    return Povm(np.array(effects), tuple(labels), tag)
 
 
 def povm_to_json(povm: Povm, dims) -> dict:

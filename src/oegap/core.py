@@ -265,6 +265,8 @@ def validate_povm(effects) -> list[str]:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
         return _malformed_povm(effects)
     d = stack.shape[1]
+    if d == 0:
+        return ["effects have dimension 0"]
     if d > MAX_DIM:
         return [f"dimension {d} exceeds the supported cap of {MAX_DIM}"]
     problems = _effect_problems(stack)
@@ -406,9 +408,13 @@ class Povm:
     class_tag: str = "Unverified"
 
     def __post_init__(self):
-        eff = np.asarray(self.effects, dtype=complex)
-        if eff.ndim in (0, 2):  # one effect; a scalar then fails validate_povm's shape check
-            eff = eff[None]
+        try:
+            eff = np.asarray(self.effects, dtype=complex)
+        except ValueError:  # effects of different shapes: validate_povm names the odd one out
+            eff = list(self.effects)
+        else:
+            if eff.ndim in (0, 2):  # one effect; a scalar then fails validate_povm's shape check
+                eff = eff[None]
         problems = validate_povm(eff)
         if problems:
             raise ValidationError("invalid POVM: " + "; ".join(problems))

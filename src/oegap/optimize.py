@@ -11,31 +11,35 @@ for the rows q_i of a frame, a basis's bras for LO*, POVM rows for LO and
 one-way LOCC.  Every objective is a plain function of a list of frames that
 returns the value and one gradient per frame, in closed form, pulled back
 through each frame's chart U exp(iH(theta)) by the Daleckii-Krein formula.
-Every restart is one polish, ``_descent``: one L-BFGS-B run over all
-of its frames together, the charts sharing one parameter vector, and the
-frames of one chart size sharing one stacked chart, so an evaluation makes
-one eigh and one pullback per chart size.  A start of bases begins at
-theta = 0, and when its gradient there already passes L-BFGS-B's own
-stopping test (``_stationary``) no solver is called, since
-L-BFGS-B would return it at iteration 0: a stationary warm start costs one
-gradient.  A start with a POVM frame begins at a seeded nudge, off the
-saddle where a padded basis's zero rows have zero gradient.  Every search
-minimizes one objective, ``_tree_objective``: the entropy of a one-way tree
-of frames, its list of levels, applied level by level to a factor
-rho = L L^dag taken once per search.  A product measurement is the tree
-whose levels are frames shared by every outcome path: LO*, LO and CQ are
-one search, ``_product_search``, over one such frame per block; the LO
-search is seeded with the LO* optimum, and CQ holds its classical block in
-the declared basis.  The one-way LOCC search runs over a tree whose first
-level is the first block's POVM frame, as a stack of one, and whose later
-levels but the last hold one basis per outcome path, the last block
-measured in its conditional eigenbasis; ``_tree_protocol`` reads the
-witness protocol off the winning tree after one forward pass of the same
-factor.  ``sep_gap_heuristic`` runs the LO* and one-way LOCC searches
-again at the caller's config and returns the best of their witnesses and,
-when it is a product basis, rho's eigenbasis.  ``werner_analytic`` is exact
-in closed form, and ``ppt_gap_w3`` is proven optimal by a primal point and
-a dual certificate checked in rational arithmetic.
+All restarts of a search are one polish, ``_descent``, in lockstep: the
+objective takes every live restart's frames stacked restart first and
+returns one value per restart, and every frame is charted in one stack of
+charts of the largest size, a smaller chart as a top-left block, so each
+step makes one objective call, one eigh and one pullback for all restarts.
+``_lbfgs``, a batched L-BFGS with L-BFGS-B's Moré–Thuente line search and
+stopping tests, drives them, each restart with its own memory and line
+search, so a restart's iterates do not depend on the others.  A start of
+bases begins at theta = 0, where its evaluation is the optimizer's first,
+and a start whose gradient there already passes the stopping test takes no
+step: a stationary warm start costs one evaluation.  A start with a POVM
+frame begins at a seeded nudge, off the saddle where a padded basis's zero
+rows have zero gradient.  Every search minimizes one objective,
+``_tree_objective``: the entropy of a one-way tree of frames, its list of
+levels, applied level by level to a factor rho = L L^dag taken once per
+search.  A product measurement is the tree whose levels are frames shared
+by every outcome path: LO*, LO and CQ are one search, ``_product_search``,
+over one such frame per block; the LO search is seeded with the LO*
+optimum, and CQ holds its classical block in the declared basis.  The
+one-way LOCC search runs over a tree whose first level is the first block's
+POVM frame, as a stack of one, and whose later levels but the last hold one
+basis per outcome path, the last block measured in its conditional
+eigenbasis; ``_tree_protocol`` reads the witness protocol off the winning
+tree after one forward pass of the same factor.  ``sep_gap_heuristic``
+runs the LO* and one-way LOCC searches again at the caller's config and
+returns the best of their witnesses and, when it is a product basis, rho's
+eigenbasis.  ``werner_analytic`` is exact in closed form, and
+``ppt_gap_w3`` is proven optimal by a primal point and a dual certificate
+checked in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -79,7 +84,12 @@ from .entropy import (
 )
 
 LOG2_E = 1 / math.log(2)
-STEP_TOL = 1e-7  # L-BFGS-B bound on the projected gradient
+STEP_TOL = 1e-7  # a restart stops once max |gradient| is at most this
+MEMORY = 10  # L-BFGS pairs each restart keeps
+LINE_EVALS = 20  # evaluations a line search may take before it counts as failed
+LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1  # Moré–Thuente decrease, curvature and interval tolerances
+STEP_MAX = 1e10  # largest line-search step
+EPS = np.finfo(float).eps  # a pair with s.y at most EPS (-g.d) is not stored
 ENTROPY_TOL = 1e-6  # restarts this close to the best count as agreeing
 CQ_TOL = 1e-9  # largest off-diagonal block norm of a CQ state in its classical basis
 ZERO_ROW = 1e-7  # a frame row of at most this norm is dropped: it is no outcome
@@ -103,6 +113,19 @@ class OptConfig:
 DEFAULT_CONFIG = OptConfig()
 
 
+class RestartRecord(NamedTuple):
+    """One restart's polish: objective evaluations, L-BFGS iterations and why it stopped.
+
+    ``stop`` is "gradient" (max |gradient| <= STEP_TOL), "decrease" (the last
+    step lowered the value by at most 1e-13 relative), "max_iters", or "line
+    search" (a line search failed with no L-BFGS memory left to drop).
+    """
+
+    evaluations: int
+    iterations: int
+    stop: str
+
+
 @dataclass(frozen=True)
 class OptResult:
     """Minimized entropy, gap, witnessing measurement, and optimizer trace."""
@@ -113,14 +136,15 @@ class OptResult:
     trace: tuple[float, ...]
     converged: bool
     bounds: tuple[float, float] | None = None
+    records: tuple[RestartRecord, ...] = ()  # one per restart of the final search, as ``trace``
 
 
-def _result(rho: DensityMatrix, s_best: float, witness, values, converged: bool) -> OptResult:
+def _result(rho: DensityMatrix, s_best: float, witness, values, converged: bool, records) -> OptResult:
     """OptResult for a witness with entropy s_best; a gap short of 0 by float rounding is 0."""
     gap = s_best - von_neumann(rho)
     if -1e-12 < gap < 0:
         gap = 0.0
-    return OptResult(s_best, gap, witness, tuple(values), converged)
+    return OptResult(s_best, gap, witness, tuple(values), converged, records=tuple(records))
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -201,7 +225,7 @@ def _chart(theta: np.ndarray, base: np.ndarray):
     and base @ V.  At theta = 0 the chart is the base itself and Phi = 1,
     with no eigh.  A stack of parameter vectors (n, m * m) and bases
     (n, m, m) charts n unitaries with one eigh, as ``_descent`` charts all
-    frames of one size.
+    frames of a search.
     """
     m = base.shape[-1]
     if theta.any():
@@ -285,19 +309,246 @@ def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
 # the restart engine
 
 
-def _stationary(base: np.ndarray, g: np.ndarray) -> bool:
-    """Whether L-BFGS-B stops at once from theta = 0 on the chart from ``base``.
+class _LineSearch:
+    """Moré–Thuente line search on phi(t) = f(x + t d), driven by its caller one trial at a time.
 
-    ``base`` is a frame's ``_chart_base`` and g the objective's gradient in
-    that frame; a stack of bases, as ``_descent`` groups them by chart size,
-    is tested as one.  With no bounds the projected gradient is the gradient,
-    and L-BFGS-B runs its stopping test, max |jac| <= STEP_TOL, before its
-    first step, so from a point that passes it returns that point at
-    iteration 0.
+    This is MINPACK-2's dcsrch with L-BFGS-B's tolerances (LS_FTOL, LS_GTOL,
+    LS_XTOL) and step bounds [0, STEP_MAX].  It starts from phi(0), phi'(0) < 0
+    and a first trial ``step``; ``advance(f, g)`` takes phi and phi' at
+    ``step`` and returns True when that step is accepted, else it sets the
+    next trial.  A step is accepted when it meets the sufficient decrease and
+    curvature conditions, or when the bracket can shrink no further (dcsrch's
+    warnings, which L-BFGS-B accepts too).  The interval ends ``lo_end`` (the
+    best step so far) and ``hi_end`` are (step, phi, phi') triples.
     """
-    m = base.shape[-1]
-    jac = _chart(np.zeros(base.shape[:-2] + (m * m,)), base)[1](g)
-    return bool(np.max(np.abs(jac)) <= STEP_TOL)
+
+    def __init__(self, f0: float, g0: float, step: float):
+        self.step, self.evaluations, self.stage, self.bracketed = step, 0, 1, False
+        self.f0, self.g0, self.slope = f0, g0, LS_FTOL * g0
+        self.lo_end = self.hi_end = (0.0, f0, g0)
+        self.width, self.width1 = STEP_MAX, 2 * STEP_MAX
+        self.lo, self.hi = 0.0, 5.0 * step
+
+    def advance(self, f: float, g: float) -> bool:
+        self.evaluations += 1
+        stp, ftest = self.step, self.f0 + self.step * self.slope
+        if self.stage == 1 and f <= ftest and g >= 0:
+            self.stage = 2
+        if (f <= ftest and abs(g) <= -LS_GTOL * self.g0) or (self.bracketed and self._stuck(stp)) or (
+            stp == STEP_MAX and f <= ftest and g <= self.slope
+        ):
+            return True
+        if self.stage == 1 and ftest < f <= self.lo_end[1]:
+            # a step with a lower value that fails sufficient decrease: step on phi(t) - slope * t
+            shift = lambda e, sign: (e[0], e[1] + sign * e[0] * self.slope, e[2] + sign * self.slope)
+            lo_end, hi_end, nxt, self.bracketed = _dcstep(
+                shift(self.lo_end, -1), shift(self.hi_end, -1), shift((stp, f, g), -1),
+                self.bracketed, self.lo, self.hi,
+            )
+            self.lo_end, self.hi_end = shift(lo_end, 1), shift(hi_end, 1)
+        else:
+            self.lo_end, self.hi_end, nxt, self.bracketed = _dcstep(
+                self.lo_end, self.hi_end, (stp, f, g), self.bracketed, self.lo, self.hi
+            )
+        a, b = self.lo_end[0], self.hi_end[0]
+        if self.bracketed:
+            if abs(b - a) >= 0.66 * self.width1:
+                nxt = a + 0.5 * (b - a)
+            self.width1, self.width = self.width, abs(b - a)
+            self.lo, self.hi = min(a, b), max(a, b)
+        else:
+            self.lo, self.hi = nxt + 1.1 * (nxt - a), nxt + 4.0 * (nxt - a)
+        nxt = min(max(nxt, 0.0), STEP_MAX)
+        self.step = a if self.bracketed and self._stuck(nxt) else nxt
+        return False
+
+    def _stuck(self, step: float) -> bool:
+        """Whether ``step`` is not inside the bracket (lo, hi), or the bracket is LS_XTOL narrow."""
+        return step <= self.lo or step >= self.hi or self.hi - self.lo <= LS_XTOL * self.hi
+
+
+def _cubic(u: float, fu: float, du: float, v: float, fv: float, dv: float) -> tuple[float, float]:
+    """(r, gamma): the cubic with values fu, fv and slopes du, dv at u, v is least at u + r (v - u)."""
+    theta = 3 * (fu - fv) / (v - u) + du + dv
+    s = max(abs(theta), abs(du), abs(dv))
+    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (du / s) * (dv / s))) if s else 0.0
+    if v < u:
+        gamma = -gamma
+    p, q = (gamma - du) + theta, ((gamma - du) + gamma) + dv
+    return (p / q if q else 0.0), gamma
+
+
+def _dcstep(lo_end, hi_end, trial, bracketed: bool, lo: float, hi: float):
+    """One Moré–Thuente interval update (MINPACK-2's dcstep): new ends, next step and bracket flag.
+
+    ``lo_end`` is the end with the lowest value so far, ``trial`` the step just
+    evaluated, each a (step, phi, phi') triple; the next step lies in [lo, hi].
+    """
+    (sx, fx, dx), (sy, fy, dy), (sp, fp, dp) = lo_end, hi_end, trial
+    sgnd = dp if dx > 0 else -dp if dx < 0 else 0.0
+    if fp > fx:  # a higher value: the minimum is bracketed
+        stpc = sx + _cubic(sx, fx, dx, sp, fp, dp)[0] * (sp - sx)
+        stpq = sx + dx / ((fx - fp) / (sp - sx) + dx) / 2 * (sp - sx)
+        nxt = stpc if abs(stpc - sx) < abs(stpq - sx) else stpc + (stpq - stpc) / 2
+        bracketed = True
+    elif sgnd < 0:  # slopes of opposite signs: the minimum is bracketed
+        stpc = sp + _cubic(sp, fp, dp, sx, fx, dx)[0] * (sx - sp)
+        stpq = sp + dp / (dp - dx) * (sx - sp)
+        nxt = stpc if abs(stpc - sp) > abs(stpq - sp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):  # the slope falls in magnitude
+        r, gamma = _cubic(sp, fp, dp, sx, fx, dx)
+        stpc = sp + r * (sx - sp) if r < 0 and gamma != 0 else hi if sp > sx else lo
+        stpq = sp + dp / (dp - dx) * (sx - sp)
+        if bracketed:
+            nxt = stpc if abs(stpc - sp) < abs(stpq - sp) else stpq
+            bound = sp + 0.66 * (sy - sp)
+            nxt = min(bound, nxt) if sp > sx else max(bound, nxt)
+        else:
+            nxt = min(max(stpc if abs(stpc - sp) > abs(stpq - sp) else stpq, lo), hi)
+    elif bracketed:  # the slope does not fall: the cubic through the trial and the other end
+        nxt = sp + _cubic(sp, fp, dp, sy, fy, dy)[0] * (sy - sp)
+    else:
+        nxt = hi if sp > sx else lo
+    if fp > fx:
+        hi_end = trial
+    else:
+        if sgnd < 0:
+            hi_end = lo_end
+        lo_end = trial
+    return lo_end, hi_end, nxt, bracketed
+
+
+_OLDER = np.tril(np.ones((MEMORY, MEMORY)), -1)  # pair i older than pair j, at [j, i]
+
+
+def _lbfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray, rinv: np.ndarray, scale: np.ndarray):
+    """-H g for each row of g (k, n): the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    Each row has MEMORY pairs s, y (k, MEMORY, n), oldest first, and the
+    initial H = scale * I; an unused pair is zero.  Each loop of the
+    recursion is a triangular system in the pairs' inner products, with
+    R[j, i] = s_j.y_i for pairs i no older than j (an unused pair's diagonal
+    entry 1), and ``rinv`` holds R^-1: the first loop's
+    alpha_j = (s_j.(g - sum_{i newer} alpha_i y_i)) / s_j.y_j is R alpha = S g,
+    and with r = scale (g - sum_i alpha_i y_i) the second loop's
+    beta_j = (y_j.(r + sum_{i older} (alpha_i - beta_i) s_i)) / s_j.y_j is
+    R^T beta = Y r + L alpha, L the part of R^T below its diagonal.  Then
+    H g = r + sum_i (alpha_i - beta_i) s_i.
+    """
+    alpha = rinv @ (s @ g[:, :, None])
+    r = scale[:, None] * (g - (y.swapaxes(1, 2) @ alpha)[..., 0])
+    lower = (y @ s.swapaxes(1, 2)) * _OLDER  # y_j . s_i for pairs i older than j
+    beta = rinv.swapaxes(1, 2) @ (y @ r[:, :, None] + lower @ alpha)
+    return -(r + (s.swapaxes(1, 2) @ (alpha - beta))[..., 0])
+
+
+def _lbfgs(fun, x0: np.ndarray, max_iters: int, first=None):
+    """Minimize a stack of functions, one per row of x0 (R, n), by L-BFGS in lockstep.
+
+    ``fun(x, rows)`` returns the values (k,) and gradients (k, n) of the
+    functions ``rows`` at the rows of x (k, n); ``first`` is its result at
+    x0 for every row, when the caller has it.  Each step makes one call, at
+    one point per live row, and each row keeps its own MEMORY pairs and its
+    own ``_LineSearch``, so a row's iterates do not depend on the others.
+
+    This is L-BFGS-B with no bounds: the first step along -g is 1 / |g|, each
+    later one starts at 1; a pair with s.y <= eps (-g.d) is not stored; a
+    line search that has not ended after LINE_EVALS evaluations, or a
+    direction that is not a descent, clears the row's memory and restarts
+    from -g, or stops the row when its memory is already empty.  A row stops
+    when max |g| <= STEP_TOL, at its start too, when a step lowers the value
+    by at most 1e-13 relative, or after ``max_iters`` steps; and, as on the
+    decrease test, when its next trial step is too small to move x in
+    floating point, where L-BFGS-B would accept dcsrch's rounding warning.
+    Returns the final points and values and one RestartRecord per row.
+    """
+    count, n = x0.shape
+    rows = np.arange(count)  # the row of x0 at each live position
+    x, trial, d, g = x0.copy(), x0.copy(), np.zeros((count, n)), np.zeros((count, n))
+    f, slope, scale = np.zeros(count), np.zeros(count), np.ones(count)
+    s_mem, y_mem = np.zeros((count, MEMORY, n)), np.zeros((count, MEMORY, n))
+    rinv = np.tile(np.eye(MEMORY), (count, 1, 1))  # each row's R^-1, as _lbfgs_direction takes it
+    searches: list[_LineSearch | None] = [None] * count
+    evaluations, iterations, stops = [0] * count, [0] * count, [""] * count
+    x_out, f_out = x0.copy(), np.zeros(count)
+
+    def clear(k):  # drop position k's memory; False when it was empty already
+        had = bool(s_mem[k, -1].any())
+        s_mem[k], y_mem[k], rinv[k], scale[k] = 0.0, 0.0, np.eye(MEMORY), 1.0
+        return had
+
+    while rows.size:
+        ft, gt = fun(trial, rows) if first is None else first
+        first = None
+        flat = (np.abs(gt).max(axis=1) <= STEP_TOL).tolist()
+        fresh = []  # positions that need a new direction
+        for k, r in enumerate(rows.tolist()):
+            evaluations[r] += 1
+            value, grad, search = float(ft[k]), gt[k], searches[k]
+            if search is not None and not search.advance(value, float(grad @ d[k])):
+                if search.evaluations < LINE_EVALS:
+                    continue
+                if clear(k):  # a failed line search: x, f and g still hold the last accepted point
+                    fresh.append(k)
+                else:
+                    stops[r] = "line search"
+                continue
+            previous = f[k]
+            if search is not None:
+                s, y = trial[k] - x[k], grad - g[k]
+                iterations[r] += 1
+            x[k], f[k], g[k] = trial[k], value, grad
+            if search is not None and iterations[r] >= max_iters:
+                stops[r] = "max_iters"
+            elif flat[k]:
+                stops[r] = "gradient"
+            elif search is not None and previous - value <= 1e-13 * max(abs(previous), abs(value), 1.0):
+                stops[r] = "decrease"
+            else:
+                fresh.append(k)
+                sy = 0.0 if search is None else float(s @ y)
+                if sy > 0 and sy > EPS * -slope[k] * search.step:
+                    for mem, entry in ((s_mem, s), (y_mem, y)):  # oldest pair out
+                        mem[k, :-1] = mem[k, 1:]
+                        mem[k, -1] = entry
+                    # R loses its first row and column, which leaves its inverse's
+                    # trailing block, and gains the column s_j.y and the diagonal s.y
+                    column = -(rinv[k, 1:, 1:] @ (s_mem[k, :-1] @ y)) / sy
+                    rinv[k, :-1, :-1] = rinv[k, 1:, 1:]
+                    rinv[k, :-1, -1], rinv[k, -1, :-1], rinv[k, -1, -1] = column, 0.0, 1 / sy
+                    scale[k] = sy / (y @ y)
+        while fresh:
+            new = _lbfgs_direction(g, s_mem, y_mem, rinv, scale)
+            retry = []
+            for k in fresh:
+                r, descent = rows[k], float(new[k] @ g[k])
+                if descent >= 0:  # not a descent direction: drop the memory
+                    if clear(k):
+                        retry.append(k)
+                    else:
+                        stops[r] = "line search"
+                    continue
+                d[k], slope[k] = new[k], descent
+                step = min(1 / math.sqrt(new[k] @ new[k]), STEP_MAX) if iterations[r] == 0 else 1.0
+                searches[k] = _LineSearch(f[k], descent, step)
+            fresh = retry
+        for k, (r, search) in enumerate(zip(rows.tolist(), searches)):
+            if not stops[r]:
+                np.add(x[k], search.step * d[k], out=trial[k])
+                if (trial[k] == x[k]).all():  # a step below rounding: x cannot move
+                    stops[r] = "decrease"
+        done = np.array([bool(stops[r]) for r in rows.tolist()])
+        if done.any():
+            x_out[rows[done]], f_out[rows[done]] = x[done], f[done]
+            if done.all():
+                break
+            live = ~done
+            rows, x, trial, d, g, f, slope = (a[live] for a in (rows, x, trial, d, g, f, slope))
+            scale, s_mem, y_mem, rinv = scale[live], s_mem[live], y_mem[live], rinv[live]
+            searches = [search for search, alive in zip(searches, live) if alive]
+    records = tuple(RestartRecord(e, i, stop) for e, i, stop in zip(evaluations, iterations, stops))
+    return x_out, f_out, records
 
 
 def _reduce_restarts(values: list[float]) -> tuple[int, bool]:
@@ -318,76 +569,105 @@ def _chart_base(frame: np.ndarray) -> np.ndarray:
 
     U is the frame itself when square (a basis) and its completion to an
     m x m unitary otherwise (a POVM frame); theta = 0 gives the frame back.
+    A stack of frames gives a stack of unitaries.
     """
     return frame if frame.shape[-2] == frame.shape[-1] else _complete_unitary(frame)
 
 
-def _descent(objective, frames: list[np.ndarray], cfg: OptConfig, gen: np.random.Generator):
-    """One L-BFGS-B polish of all of ``frames`` together; returns (value, frames).
+@functools.cache
+def _block_params(k: int, m: int) -> np.ndarray:
+    """Where the parameters of a k x k Hermitian matrix sit among an m x m one's, as its top-left block.
 
-    ``objective(frames)`` returns the value and, for each frame Q_k (a row
-    frame, or a stack of them), the matrix G_k of the same shape with
-    dS = Re Tr(G_k^dag dQ_k).
-
-    Each frame, or each frame of a stack, is charted from its ``_chart_base``
-    on consecutive slices of one parameter vector.  The frames are grouped by
-    chart size m, and each group's m x m bases form one stacked chart: an
-    evaluation makes one eigh and one pullback per group, its frames'
-    gradients stacked at the width of its widest frame, narrower ones padded
-    with zero columns.  When every frame is square (a basis or a stack of
-    bases) the polish starts at theta0 = 0, and it is skipped when every
-    group's gradient there passes ``_stationary``: L-BFGS-B would return the
-    start at iteration 0.  With any POVM frame (more rows than columns) it
-    starts at the seeded theta0 = 1e-2 N(0, 1) drawn from ``gen``, since the
-    zero rows of a padded basis have zero gradient at theta = 0, a saddle.
-    The start is kept unless the polish beats it.
+    Both follow ``_hermitian_from_params``: the diagonal, then the (re, im)
+    pairs of the upper triangle by rows.
     """
-    best, grads = objective(frames)
-    counts = [f.size // (f.shape[-2] * f.shape[-1]) for f in frames]  # unitaries per frame
-    ends = list(itertools.accumulate(n * f.shape[-2] ** 2 for n, f in zip(counts, frames)))
-    # per chart size m: ((m, widest frame), [(frame, first row, end row)], stacked bases, theta entries)
-    groups = []
-    for m in dict.fromkeys(f.shape[-2] for f in frames):
-        ks = [k for k, f in enumerate(frames) if f.shape[-2] == m]
-        rows = np.cumsum([0] + [counts[k] for k in ks])
-        idx = np.concatenate([np.arange(ends[k] - counts[k] * m * m, ends[k]) for k in ks])
-        bases = np.concatenate([_chart_base(frames[k]).reshape(-1, m, m) for k in ks])
-        widest = max(frames[k].shape[-1] for k in ks)
-        groups.append(((m, widest), list(zip(ks, rows, rows[1:])), bases, idx))
+    upper = {pair: m + 2 * p for p, pair in enumerate(zip(*np.triu_indices(m, 1)))}
+    pairs = [upper[pair] + part for pair in zip(*np.triu_indices(k, 1)) for part in (0, 1)]
+    return np.array(list(range(k)) + pairs, dtype=np.intp)
 
-    def stacked(gs, shape, members):  # a group's frame gradients as one stack of the given (m, widest)
-        g = np.zeros((members[-1][2],) + shape, dtype=complex)
-        for k, a, b in members:
-            g[a:b, :, : gs[k].shape[-1]] = gs[k].reshape(b - a, shape[0], -1)
-        return g
 
-    square = all(f.shape[-2] == f.shape[-1] for f in frames)
-    stationary = (_stationary(b, stacked(grads, shape, members)) for shape, members, b, _ in groups)
-    if square and all(stationary):
-        return best, frames
+def _descent(objective, starts: list[list[np.ndarray]], cfg: OptConfig, gens: list[np.random.Generator]):
+    """Polish every restart's frames together, in lockstep; returns the values, frames and records.
 
-    def charted(theta):
-        charts = [_chart(theta[idx].reshape(len(bases), -1), bases) for _, _, bases, idx in groups]
-        new = [None] * len(frames)
-        for (_, members, _, _), (u, _) in zip(groups, charts):
-            for k, a, b in members:
-                new[k] = u[a:b, :, : frames[k].shape[-1]].reshape(frames[k].shape)
-        return new, charts
+    ``starts[i]`` is restart i's list of frames, each a row frame (rows, d)
+    or a stack of them (paths, rows, d), of the same shapes for every
+    restart.  The objective takes the restarts' frames stacked level by
+    level, restart first, each level a (G, rows, d) stack, and returns one
+    value per restart and, for each level, the matrices G_k of its shape
+    with dS = Re Tr(G_k^dag dQ_k) for each restart.
 
-    def fun(theta):
-        new, charts = charted(theta)
-        s, gs = objective(new)
-        jac = np.empty(theta.size)
-        for (shape, members, _, idx), (_, pullback) in zip(groups, charts):
-            jac[idx] = pullback(stacked(gs, shape, members)).ravel()
-        return s, jac
+    Each frame is charted from its ``_chart_base`` on consecutive slices of
+    its restart's parameter vector.  The charts of every live restart form
+    one stack of m x m charts, m the largest chart size: a smaller chart is
+    the top-left block of an m x m one, its base padded with the identity and
+    its other parameters held at 0.  So each step of ``_lbfgs`` makes one
+    objective call, one eigh and one pullback, the frames' gradients stacked
+    at the width of the widest frame, smaller ones padded with zeros.  When every
+    frame is square (a basis) the polish starts at theta = 0, and the start's
+    evaluation is the optimizer's first.  With POVM frames (more rows than
+    columns) it starts at the seeded theta0 = 1e-2 N(0, 1) drawn from the
+    restart's generator, since the zero rows of a padded basis have zero
+    gradient at theta = 0, a saddle.  A restart keeps its start unless the
+    polish beats it by 1e-13.
+    """
+    count = len(starts)
+    levels = [np.concatenate([f.reshape((-1,) + f.shape[-2:]) for f in column]) for column in zip(*starts)]
+    units = [len(f) // count for f in levels]  # frames per restart on each level
+    offsets = np.cumsum([0] + units)  # each level's first chart among a restart's charts
+    m, widest = max(f.shape[-2] for f in levels), max(f.shape[-1] for f in levels)
+    bases = np.tile(np.eye(m, dtype=complex), (count, offsets[-1], 1, 1))
+    for f, a, u in zip(levels, offsets, units):
+        k = f.shape[-2]
+        bases[:, a : a + u, :k, :k] = _chart_base(f).reshape(count, u, k, k)
+    # a restart's parameters, chart by chart, at their places in the charts' m x m parameter vectors
+    params = np.concatenate([
+        c * m * m + _block_params(f.shape[-2], m)
+        for f, a, u in zip(levels, offsets, units)
+        for c in range(a, a + u)
+    ])
+    padded = params.size < offsets[-1] * m * m
 
-    theta0 = np.zeros(ends[-1]) if square else 1e-2 * gen.normal(size=ends[-1])
-    options = {"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL}
-    res = scipy.optimize.minimize(fun, theta0, method="L-BFGS-B", jac=True, options=options)
-    if float(res.fun) < best - 1e-13:
-        return float(res.fun), charted(res.x)[0]
-    return best, frames
+    def charted(theta, rows):
+        full = theta
+        if padded:
+            full = np.zeros((len(rows), offsets[-1] * m * m))
+            full[:, params] = theta
+        live = bases if len(rows) == count else bases[rows]
+        u, pullback = _chart(full.reshape(-1, m * m), live.reshape(-1, m, m))
+        u = u.reshape(len(rows), -1, m, m)
+        return [
+            u[:, a:b, : f.shape[-2], : f.shape[-1]].reshape((-1,) + f.shape[1:])
+            for f, a, b in zip(levels, offsets, offsets[1:])
+        ], pullback
+
+    def fun(theta, rows):
+        new, pullback = charted(theta, rows)
+        values, gs = objective(new)
+        if len(levels) == 1:
+            g = gs[0]
+        else:
+            g = np.zeros((len(rows), offsets[-1], m, widest), dtype=complex)
+            for f, gk, a, b in zip(levels, gs, offsets, offsets[1:]):
+                g[:, a:b, : f.shape[-2], : f.shape[-1]] = gk.reshape(len(rows), b - a, *f.shape[1:])
+        jac = pullback(g.reshape(-1, m, g.shape[-1])).reshape(len(rows), -1)
+        return values, jac[:, params] if padded else jac
+
+    everyone = np.arange(count)
+    if all(f.shape[-2] == f.shape[-1] for f in levels):
+        theta0 = np.zeros((count, params.size))
+        first = fun(theta0, everyone)
+        start = first[0]
+    else:
+        theta0 = 1e-2 * np.stack([gen.normal(size=params.size) for gen in gens])
+        first, start = None, objective(levels)[0]
+    theta, values, records = _lbfgs(fun, theta0, cfg.max_iters, first)
+    better = values < start - 1e-13
+    polished = charted(theta, everyone)[0] if better.any() else levels
+    frames = [
+        [(polished if won else levels)[k].reshape(count, *f.shape)[i] for k, f in enumerate(own)]
+        for i, (won, own) in enumerate(zip(better, starts))
+    ]
+    return np.where(better, values, start).tolist(), frames, records
 
 
 def _blockwise_sampler(last: list[np.ndarray], draw):
@@ -398,23 +678,19 @@ def _blockwise_sampler(last: list[np.ndarray], draw):
 
 
 def _search(objective, warm, sample, offset: int, cfg: OptConfig):
-    """Restarted descent over a list of frames.
+    """Restarted descent over a list of frames, every restart in one lockstep ``_descent``.
 
     Restart i < len(warm) starts from ``warm[i]``; each later one from
     ``sample(gen)``, with gen seeded by (seed, offset + i) and handed on to
-    ``_descent``.  Returns the per-restart values, the best restart's frames
-    and the convergence flag.
+    ``_descent`` for the restart's nudge.  Returns the per-restart values,
+    the best restart's frames, the convergence flag and the per-restart
+    records.
     """
-
-    def restart(idx: int):
-        gen = _rng(cfg.seed, offset + idx)
-        start = warm[idx] if idx < len(warm) else sample(gen)
-        return _descent(objective, start, cfg, gen)
-
-    results = [restart(i) for i in range(max(cfg.restarts, len(warm)))]
-    values = [r[0] for r in results]
+    gens = [_rng(cfg.seed, offset + i) for i in range(max(cfg.restarts, len(warm)))]
+    starts = [warm[i] if i < len(warm) else sample(gen) for i, gen in enumerate(gens)]
+    values, frames, records = _descent(objective, starts, cfg, gens)
     best, converged = _reduce_restarts(values)
-    return values, results[best][1], converged
+    return values, frames[best], converged, records
 
 
 def _marginal_eigenbras(rho: DensityMatrix, block) -> np.ndarray:
@@ -434,71 +710,80 @@ def _block_dims(rho: DensityMatrix, blocks: tuple[tuple[int, ...], ...]) -> tupl
     return tuple(int(np.prod([rho.dims[i] for i in b])) for b in blocks)
 
 
-def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames, count: int):
-    """Apply the first ``count`` levels of a one-way tree to a block-ordered factor of rho.
+def _oneway_forward(factor: np.ndarray, bdims: tuple[int, ...], level_frames, count: int, restarts=1):
+    """Apply the first ``count`` levels of one-way trees, one per restart, to a block-ordered factor.
 
     ``level_frames(k, x)`` gives level k's frames for its input x, of shape
-    (paths, d_k, R): the unnormalised conditional factors of the blocks from
-    k on, one per outcome path, the first outcome slowest.  A 2-D level
-    (rows, d_k) is one frame that every path shares, and matmul broadcasting
-    applies it to each; a 3-D level (paths, rows, d_k) holds one frame per
-    path.  Returns each level's input and frames, and the leaves T (paths,
-    d, R), whose T T^dag are the unnormalised conditional states of the
-    block after the last level (d = 1 when every block has a level).
+    (restarts * paths, d_k, R): the unnormalised conditional factors of the
+    blocks from k on, one per restart and outcome path, restart first, then
+    the first outcome slowest.  A level is a stack (G, rows, d_k): with G =
+    restarts it holds one frame per restart, which every path of that
+    restart shares and matmul broadcasting applies to each; with G =
+    restarts * paths it holds one frame per path.  Returns each level's
+    input and frames, and the leaves T (restarts * paths, d, R), whose T T^dag
+    are the unnormalised conditional states of the block after the last
+    level (d = 1 when every block has a level).
     """
-    x, dims = factor.reshape(1, bdims[0], -1), bdims[1:] + (1,)
+    x, dims = np.repeat(factor.reshape(1, bdims[0], -1), restarts, axis=0), bdims[1:] + (1,)
     xs, fs = [], []
     for k in range(count):
         f = level_frames(k, x)
         xs.append(x)
         fs.append(f)
-        y = f @ x
-        x = y.reshape(y.shape[0] * y.shape[1], dims[k], -1)
+        y = f[:, None] @ x.reshape(len(f), -1, *x.shape[1:])  # (G, paths per frame, rows, ...)
+        x = y.reshape(-1, dims[k], y.shape[-1] // dims[k])
     return xs, fs, x
 
 
 def _tree_objective(factor: np.ndarray, bdims: tuple[int, ...]):
-    """S_M(rho) and its gradients, as a function of a one-way tree's list of levels.
+    """S_M(rho) and its gradients, as a function of a stack of one-way trees' levels.
 
     ``factor`` is ``_block_factor``'s L and ``bdims`` its block dimensions,
-    both in measurement order.  Level k measures block k with the rows of
-    its frames, as in ``_oneway_forward``: row q_i gives the effect
-    |q_i^*><q_i^*|.  A product measurement (LO*, LO, CQ) is a list of 2-D
-    levels, one frame per block, its outcomes in ``lostar_povm`` and
-    ``lo_povm`` order; a one-way protocol is a list of 3-D levels, the first
-    a stack of one.  The block left after the last level, if any, is
-    measured on each leaf in its conditional eigenbasis, exactly optimal
-    there.  With A = T T^dag a leaf's unnormalised conditional state and V
-    the product of the squared row norms along its path,
+    both in measurement order.  The objective takes a list of levels, level
+    k a (G, rows, d_k) stack as in ``_oneway_forward``, for as many restarts
+    as level 0 has frames: row q_i of a frame gives the effect |q_i^*><q_i^*|.  A
+    product measurement (LO*, LO, CQ) has one frame per restart on every
+    level, its outcomes in ``lostar_povm`` and ``lo_povm`` order; a one-way
+    protocol has one frame per restart and path.  The block left after the
+    last level, if any, is measured on each leaf in its conditional
+    eigenbasis, exactly optimal there.  With A = T T^dag a leaf's
+    unnormalised conditional state and V the product of the squared row
+    norms along its path, each restart's value is
 
         S = sum_leaves (p log2 V - Tr A log2 A),   p = Tr A,
 
     eigenvalues of A at or below P_EPS masked, as in ``chain_entropy``.
-    When every block has a level, A is 1 x 1 and equals p, and no eigh runs.
+    When every block has a level, A is 1 x 1 and equals p; when rho is pure,
+    T is a column and A has one nonzero eigenvalue, p: then no eigh runs.
     A square level is a basis, of volume 1: it takes no volume term.
+    Returns one value per restart and one gradient per level, of its shape.
 
     The gradient reuses the forward pass.  In A it is U diag(w) U^dag, with
     A = U diag(lam) U^dag and w = log2 V - log2 lam - 1/ln 2 on the live
     eigenvalues, 0 elsewhere; it runs back through the levels' frames, a
-    shared level's gradient summed over the paths in one matrix product.
+    shared frame's gradient summed over its paths in one matrix product.
     The volume term of a row is its live marginal probability over its
     squared norm, times 2 q_i / ln 2.
     """
 
-    def objective(levels: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: levels[k], len(levels))
-        norms, vol = [], np.ones(1)  # vol: the volume of each path so far
+    def objective(levels: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        restarts = len(levels[0])
+        xs, _, leaves = _oneway_forward(factor, bdims, lambda k, x: levels[k], len(levels), restarts)
+        norms, vol = [], np.ones(restarts)  # vol: the volume of each path so far
         for f in levels:
             square = f.shape[-2] == f.shape[-1]
             norms.append(None if square else (abs(f) ** 2).sum(axis=-1))
-            vol = vol.repeat(f.shape[-2]) if square else (vol[:, None] * norms[-1]).ravel()
-        if leaves.shape[1] == 1:
-            lam, vecs = (abs(leaves) ** 2).sum(axis=-1), None
+            if square:
+                vol = vol.repeat(f.shape[-2])
+            else:  # each frame's row norms, on the paths that share it
+                vol = (vol.reshape(len(f), -1, 1) * norms[-1][:, None]).ravel()
+        if 1 in leaves.shape[1:]:  # A = T T^dag has one eigenvalue that can be live, p
+            lam, vecs = (abs(leaves) ** 2).sum(axis=(1, 2))[:, None], None
         else:
             lam, vecs = np.linalg.eigh(leaves @ dagger(leaves))
         live = lam > P_EPS
         ds = np.log2(np.where(live, vol[:, None], 1.0) / np.where(live, lam, 1.0))  # 0 where masked
-        s = max(0.0, float((lam * ds).sum()))
+        values = np.maximum(0.0, (lam * ds).reshape(restarts, -1).sum(axis=1))
         w = np.where(live, ds - LOG2_E, 0.0)
         if vecs is None:
             g = 2 * w[..., None] * leaves
@@ -508,21 +793,18 @@ def _tree_objective(factor: np.ndarray, bdims: tuple[int, ...]):
         grads = []
         for k in range(len(levels) - 1, -1, -1):
             f, x, n = levels[k], xs[k], norms[k]
+            share = len(x) // len(f)  # the paths each frame serves
+            g = g.reshape(len(f), share, f.shape[-2], -1)  # gradient in the level's output
+            xt = x.reshape(len(f), share, *x.shape[1:]).swapaxes(1, 2).reshape(len(f), x.shape[-2], -1)
+            grad = g.swapaxes(1, 2).reshape(len(f), f.shape[-2], -1) @ dagger(xt)
             if n is not None:  # each row's live marginal probability over its squared norm
-                ds_dn = p_live.reshape(x.shape[0], f.shape[-2], -1).sum(axis=(0, 2) if f.ndim == 2 else 2)
+                ds_dn = p_live.reshape(len(f), share, f.shape[-2], -1).sum(axis=(1, 3))
                 ds_dn /= np.where(n > 0, n, 1.0)  # a zero row's marginal is 0
-            g = g.reshape(x.shape[0], f.shape[-2], -1)  # gradient in the level's output
-            if f.ndim == 2:
-                rows = g.swapaxes(0, 1).reshape(f.shape[0], -1)
-                grad = rows @ x.swapaxes(0, 1).reshape(f.shape[1], -1).conj().T
-            else:
-                grad = g @ dagger(x)
-            if n is not None:
                 grad += 2 * LOG2_E * ds_dn[..., None] * f
             grads.append(grad)
             if k:
-                g = dagger(f) @ g
-        return s, grads[::-1]
+                g = dagger(f)[:, None] @ g
+        return values, grads[::-1]
 
     return objective
 
@@ -550,14 +832,14 @@ def _product_search(
         held, frame = hold
         free.remove(held)
 
-        def objective(qs):  # the held block's frame inserted, its gradient dropped
-            s, gs = product(qs[:held] + [frame] + qs[held:])
-            return s, gs[:held] + gs[held + 1 :]
+        def objective(qs):  # the held block's frame inserted, one per restart, its gradient dropped
+            values, gs = product(qs[:held] + [np.repeat(frame[None], len(qs[0]), axis=0)] + qs[held:])
+            return values, gs[:held] + gs[held + 1 :]
 
     ds = [bdims[k] for k in free]
     eyes = [np.eye(d, dtype=complex) for d in ds]
     eigs = [_marginal_eigenbras(rho, partition.blocks[k]) for k in free]
-    values, frames, converged = _search(
+    values, frames, converged, records = _search(
         objective,
         [eyes, eigs],
         _blockwise_sampler(eigs, lambda k, gen: dagger(_haar_frame(ds[k], ds[k], gen))),
@@ -567,7 +849,7 @@ def _product_search(
     if lo:
         ms = [4 if d == 2 else d + 1 for d in ds]
         warm = [[_pad_rows(q, m) for q, m in zip(qs, ms)] for qs in (eyes, frames, eigs)]
-        values, frames, converged = _search(
+        values, frames, converged, records = _search(
             objective,
             warm,
             _blockwise_sampler(warm[-1], lambda k, gen: _random_frame(ds[k], ms[k], gen)),
@@ -580,7 +862,7 @@ def _product_search(
         witness = lo_povm([_frame_povm(q) for q in frames], partition, rho.dims)
     else:
         witness = lostar_povm([dagger(q) for q in frames], partition, rho.dims)
-    return _result(rho, observational_entropy(rho, witness), witness, values, converged)
+    return _result(rho, observational_entropy(rho, witness), witness, values, converged, records)
 
 
 def minimize_lostar(
@@ -628,7 +910,7 @@ def minimize_locc_oneway(
     optimal there.  Each start is a first-block frame and the conditional
     eigenbases of its paths: the computational basis, the marginal
     eigenbasis, then random frames.  All of a restart's frames are polished
-    together with L-BFGS-B.  The winning tree is read off as a protocol
+    together, every restart in lockstep.  The winning tree is read off as a protocol
     (``_tree_protocol``), whose ``chain_entropy`` on rho is the reported
     entropy.
     """
@@ -643,7 +925,7 @@ def minimize_locc_oneway(
     d0 = bdims[0]
     m = 4 if d0 == 2 else d0 + 1
     firsts = [np.eye(d0, dtype=complex), _marginal_eigenbras(rho, blocks[0])]
-    values, tree, converged = _search(
+    values, tree, converged, records = _search(
         _tree_objective(factor, bdims),
         [_eigenbasis_tree(factor, bdims, _pad_rows(q, m)) for q in firsts],
         lambda gen: _eigenbasis_tree(factor, bdims, _random_frame(d0, m, gen)),
@@ -651,7 +933,7 @@ def minimize_locc_oneway(
         cfg,
     )
     witness = _tree_protocol(blocks, _eigenbasis_levels(factor, bdims, tree))
-    return _result(rho, chain_entropy(witness, rho), witness, values, converged)
+    return _result(rho, chain_entropy(witness, rho), witness, values, converged, records)
 
 
 def _eigenbasis_levels(factor: np.ndarray, bdims, levels: list[np.ndarray]) -> list[np.ndarray]:
@@ -995,15 +1277,15 @@ def sep_gap_heuristic(
     returned ``bounds`` is [0, heuristic gap].
     """
     star = minimize_lostar(rho, partition, cfg)
-    candidates = [(star.entropy_bits, star.witness.retag("SEP"), star.converged)]
+    candidates = [(star.entropy_bits, star.witness.retag("SEP"), star.converged, star.records)]
     if partition.n_blocks >= 2:
         locc = minimize_locc_oneway(rho, partition, None, cfg)
         flat = flatten_locc(locc.witness, rho.dims).retag("SEP")
-        candidates.append((locc.entropy_bits, flat, locc.converged))
+        candidates.append((locc.entropy_bits, flat, locc.converged, locc.records))
     basis = _product_eigenbasis(rho, partition)
     if basis is not None:
         povm = Povm.from_basis(basis, "SEP")
-        candidates.append((observational_entropy(rho, povm), povm, True))
-    s_best, witness, converged = min(candidates, key=lambda c: c[0])
-    res = _result(rho, s_best, witness, [c[0] for c in candidates], converged)
+        candidates.append((observational_entropy(rho, povm), povm, True, ()))
+    s_best, witness, converged, records = min(candidates, key=lambda c: c[0])
+    res = _result(rho, s_best, witness, [c[0] for c in candidates], converged, records)
     return replace(res, bounds=(0.0, res.gap_bits))

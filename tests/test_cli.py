@@ -112,6 +112,8 @@ MALFORMED_PAYLOADS = [  # command, payload, a fragment of the error line
     pytest.param("entropy", _povm_payload(dims=[2, 2.5]), DIMS_ERROR, id="povm-dims-fraction"),
     pytest.param("entropy", [1.0, 0.0], "POVM must be a JSON object", id="povm-list"),
     pytest.param("entropy", _povm_payload({"re": [0.0] * 16}), "completeness violation", id="povm-incomplete"),
+    pytest.param("entropy", _povm_payload(labels=5), 'POVM "labels" must be a list', id="povm-labels-int"),
+    pytest.param("entropy", _povm_payload(labels={"a": 1, "b": 2, "c": 3, "d": 4}), 'POVM "labels" must be a list', id="povm-labels-object"),
     pytest.param("gap", [0.5, 0.0, 0.0, 0.5], "operator must be a JSON object", id="state-list"),
     pytest.param("gap", _state_payload(re=[0.5, 0.0, 0.0]), 'operator "re" has 3 entries, expected 4', id="state-re-short"),
     pytest.param("gap", _state_payload(im=[0.0] * 3), 'operator "im" has 3 entries, expected 4', id="state-im-short"),

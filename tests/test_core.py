@@ -516,21 +516,23 @@ def test_density_matrix_invariants_enforced():
 
 
 @pytest.mark.parametrize(
-    "shape, message",
+    "effects, message",
     [
-        ((2, 3), "expected a square matrix, got shape (2, 3)"),
-        ((3, 2, 3), "expected a square matrix, got shape (2, 3)"),
-        ((1, 1, 2, 2), "expected a square matrix, got shape (1, 2, 2)"),
-        ((2,), "expected a square matrix, got shape ()"),
-        ((), "expected a square matrix, got shape ()"),
-        ((0,), "POVM has no effects"),
+        (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.ones((3, 2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.ones((1, 1, 2, 2)), "expected a square matrix, got shape (1, 2, 2)"),
+        (np.ones((2,)), "expected a square matrix, got shape ()"),
+        (np.ones(()), "expected a square matrix, got shape ()"),
+        (np.ones((0,)), "POVM has no effects"),
+        ([np.eye(2), np.eye(3)], "effect 1 has dimension 3, expected 2"),
+        (np.zeros((2, 0, 0)), "effects have dimension 0"),
     ],
-    ids=["one-2x3", "stack-2x3", "4-d", "1-d", "scalar", "empty"],
+    ids=["one-2x3", "stack-2x3", "4-d", "1-d", "scalar", "empty", "unequal-dims", "dimension-0"],
 )
-def test_povm_rejects_effects_that_are_not_square_matrices(shape, message):
+def test_povm_rejects_effects_that_are_not_square_matrices(effects, message):
     # validate_povm is the one shape check: Povm only turns a single matrix into a stack
     with pytest.raises(ValidationError) as err:
-        Povm(np.ones(shape))
+        Povm(effects)
     assert str(err.value) == f"invalid POVM: {message}"
 
 

@@ -35,10 +35,14 @@ from oegap.optimize import (
     ENTROPY_TOL,
     EXACT_W3_COEFFS,
     EXACT_W3_DUAL,
+    LINE_EVALS,
     STEP_TOL,
     OptConfig,
+    RestartRecord,
+    _LineSearch,
     _block_dims,
     _block_factor,
+    _block_params,
     _certify_ppt_w3,
     _chart,
     _complete_unitary,
@@ -49,9 +53,10 @@ from oegap.optimize import (
     _haar_frame,
     _hermitian_from_params,
     _hermitian_gradient_params,
+    _lbfgs,
+    _lbfgs_direction,
     _pad_rows,
     _random_frame,
-    _stationary,
     _tree_objective,
     _tree_protocol,
     cq_gap,
@@ -157,23 +162,25 @@ def test_search_deterministic(search):
     _assert_same_result(SEARCHES[search](cfg), SEARCHES[search](cfg))
 
 
+STOPS = {"gradient", "decrease", "max_iters", "line search"}
+
+
 def test_polish_method_follows_the_objective(monkeypatch):
-    # every search objective has a gradient, so every polish is L-BFGS-B, LOCC1 included
-    methods = []
-    real = scipy.optimize.minimize
+    # every search objective has a gradient, so every polish is the package's L-BFGS, LOCC1
+    # included: scipy's minimize is never called, and each search reports one record per
+    # restart of its final search, each with an L-BFGS stop reason
+    def unused(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize was called")
 
-    def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", unused)
     # three restarts, so that each search polishes a seeded random start: the warm
     # starts of cq-lostar on cq-example are stationary, and never polished
     cfg = OptConfig(seed=3, restarts=3, max_iters=50)
     for run in (SEARCHES["lo"], SEARCHES["locc1"], SEARCHES["cq-lostar"], SEARCHES["cq-lo"]):
-        methods.clear()
-        run(cfg)
-        assert methods and set(methods) == {"L-BFGS-B"}
+        records = run(cfg).records
+        assert len(records) == 3 and {r.stop for r in records} <= STOPS
+        assert any(r.iterations > 0 for r in records)
+        assert all(r.evaluations >= r.iterations + 1 for r in records)
 
 
 @pytest.mark.parametrize("args", [(1, 0, 300), (1, 3, 0), (1, 3, -5)], ids=["restarts-0", "max-iters-0", "max-iters-neg"])
@@ -184,12 +191,14 @@ def test_opt_config_rejects_empty_budget(args):
 
 
 def joint_polish_reference(objective, frames, cfg):
-    """One L-BFGS-B over all of the square ``frames`` from theta = 0, run whether stationary or not.
+    """scipy's L-BFGS-B over one restart's square ``frames`` from theta = 0, stationary or not.
 
+    ``objective`` is a search's stacked objective, here given one restart.
     Each frame is charted from itself on consecutive slices of one parameter
     vector, and the start is kept unless the polish beats it by 1e-13.
     Returns the value, the frames and L-BFGS-B's iteration count.
     """
+    single = _one_restart(objective)
     ends = np.cumsum([0] + [f.size for f in frames])
 
     def charted(theta):
@@ -197,10 +206,10 @@ def joint_polish_reference(objective, frames, cfg):
 
     def fun(theta):
         charts = charted(theta)
-        s, gs = objective([u for u, _ in charts])
+        s, gs = single([u for u, _ in charts])
         return s, np.concatenate([pullback(g) for (_, pullback), g in zip(charts, gs)])
 
-    start = objective(frames)[0]
+    start = single(frames)[0]
     res = scipy.optimize.minimize(
         fun, np.zeros(ends[-1]), method="L-BFGS-B", jac=True,
         options={"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": STEP_TOL},
@@ -220,9 +229,9 @@ def joint_polish_reference(objective, frames, cfg):
     ids=["ghz4-1-2", "two-bell-1-2", "w3-107-3"],
 )
 def test_descent_skip_equals_joint_polish(case, monkeypatch):
-    # a start of bases whose every chart gradient passes _stationary is returned with
-    # no solver call, exactly as an unconditional joint L-BFGS-B from theta = 0 would
-    # return it; the other starts of bases take that L-BFGS-B itself
+    # a start of bases whose chart gradient passes the stop test takes no step and is
+    # returned as it is, exactly as scipy's L-BFGS-B from theta = 0 returns it at iteration
+    # 0; the other starts of bases are polished to L-BFGS-B's value
     rho, part, cfg, all_stationary = case
     calls = []
 
@@ -232,14 +241,20 @@ def test_descent_skip_equals_joint_polish(case, monkeypatch):
 
     monkeypatch.setattr(oegap.optimize, "_descent", recording)
     minimize_lostar(rho, part, cfg)
+    (objective, starts, cfg, gens), = calls
+    values, got, records = _descent(objective, starts, cfg, gens)
+    assert len(records) == max(cfg.restarts, 2)
     iterations = []
-    for objective, frames, cfg, gen in calls:
-        value, got = _descent(objective, frames, cfg, gen)
-        want_value, want, nit = joint_polish_reference(objective, frames, cfg)
-        assert value == want_value
-        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    for value, frames, record, start in zip(values, got, records, starts):
+        want_value, want, nit = joint_polish_reference(objective, start, cfg)
+        assert (record.iterations == 0) == (nit == 0)
+        if nit == 0:
+            assert record == RestartRecord(1, 0, "gradient")
+            assert value == want_value
+            assert all(np.array_equal(a, b) for a, b in zip(frames, start))
+        else:
+            assert value == pytest.approx(want_value, abs=1e-9)
         iterations.append(nit)
-    assert len(iterations) == max(cfg.restarts, 2)
     assert all(nit == 0 for nit in iterations) == all_stationary
 
 
@@ -267,11 +282,20 @@ def _stationary_cases(m: int, d: int, gen):
 
 @pytest.mark.parametrize("m,d", [(2, 2), (3, 3), (4, 2), (4, 3)])
 def test_stationary_agrees_with_lbfgsb(m, d):
-    # _stationary holds exactly where L-BFGS-B, from theta = 0 on the frame's chart,
-    # stops at iteration 0; here f = Re Tr(G^dag Q), Q the chart's first d columns
-    gen = np.random.default_rng(53 + m + d)
+    # the optimizer takes no step from theta = 0 on a frame's chart exactly where scipy's
+    # L-BFGS-B stops at iteration 0; here f = Re Tr(G^dag Q), Q the chart's first d
+    # columns, and every case of one chart size runs as one lockstep batch
+    cases = list(_stationary_cases(m, d, np.random.default_rng(53 + m + d)))
+    bases = np.stack([base for base, _, _ in cases])
+    gs = np.stack([g for _, g, _ in cases])
+
+    def batch(theta, rows):
+        u, pullback = _chart(theta, bases[rows])
+        return np.real((gs[rows].conj() * u[..., :d]).sum(axis=(1, 2))), pullback(gs[rows])
+
+    records = _lbfgs(batch, np.zeros((len(cases), m * m)), 300)[2]
     kinds = set()
-    for base, g, kind in _stationary_cases(m, d, gen):
+    for (base, g, kind), record in zip(cases, records):
 
         def fun(theta):
             u, pullback = _chart(theta, base)
@@ -281,34 +305,145 @@ def test_stationary_agrees_with_lbfgsb(m, d):
             fun, np.zeros(m * m), method="L-BFGS-B", jac=True,
             options={"maxiter": 300, "ftol": 1e-13, "gtol": STEP_TOL},
         )
-        assert _stationary(base, g) == (res.nit == 0), kind
+        assert (record.iterations == 0) == (res.nit == 0), kind
+        if res.nit == 0:
+            assert record == RestartRecord(1, 0, "gradient"), kind
         kinds.add((kind, res.nit == 0))
     assert {("random", False), ("zero", True), ("hermitian", True)} <= kinds
     assert {(f"threshold-{1 - 1e-6}", True), (f"threshold-{1 + 1e-6}", False)} <= kinds
 
 
 @pytest.mark.parametrize(
-    "run,calls",
+    "runs,stepping",
     [
-        (lambda: minimize_lostar(ghz(4), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
-        (lambda: minimize_lostar(two_bell(), PartitionSpec.full(4), OptConfig(1, 2, 300)), 0),
-        (lambda: minimize_lo(w(3), FULL3, OptConfig(107, 3, 300)), 4),
+        (lambda: [minimize_lostar(ghz(4), PartitionSpec.full(4), OptConfig(1, 2, 300))], 0),
+        (lambda: [minimize_lostar(two_bell(), PartitionSpec.full(4), OptConfig(1, 2, 300))], 0),
+        # minimize_lo runs minimize_lostar's search, same seeds, before its own
+        (lambda: [minimize_lostar(w(3), FULL3, PINNED), minimize_lo(w(3), FULL3, PINNED)], 4),
     ],
     ids=["ghz4-lostar-1-2", "two-bell-lostar-1-2", "w3-lo-107-3"],
 )
-def test_stationary_starts_make_no_solver_call(run, calls, monkeypatch):
+def test_stationary_starts_make_no_solver_call(runs, stepping):
     # the warm starts of GHZ4 and two-bell are stationary on every block; of W3 LO's
-    # six starts, the LO* random start and the three padded LO starts are polished
-    made = []
-    real = scipy.optimize.minimize
+    # six starts, the LO* random start and the three padded LO starts are polished.
+    # A stationary start costs its one evaluation and takes no step.
+    records = [r for res in runs() for r in res.records]
+    assert sum(r.iterations > 0 for r in records) == stepping
+    assert all(r == RestartRecord(1, 0, "gradient") for r in records if r.iterations == 0)
 
-    def counting(*args, **kwargs):
-        made.append(kwargs["method"])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counting)
-    run()
-    assert len(made) == calls
+def _quadratics(conditions, n: int = 8, seed: int = 7):
+    """A batch of convex quadratics f_i = x.A_i x / 2 - b_i.x, A_i of the given condition numbers."""
+    gen = np.random.default_rng(seed)
+    mats = []
+    for kappa in conditions:
+        q = np.linalg.qr(gen.normal(size=(n, n)))[0]
+        mats.append((q * np.logspace(0, np.log10(kappa), n)) @ q.T)
+    mats, b = np.array(mats), gen.normal(size=(len(conditions), n))
+
+    def fun(x, rows):
+        ax = (mats[rows] @ x[:, :, None])[..., 0]
+        return 0.5 * (x * ax).sum(axis=1) - (b[rows] * x).sum(axis=1), ax - b[rows]
+
+    best = np.linalg.solve(mats, b[:, :, None])[..., 0]
+    return fun, best, -0.5 * (b * best).sum(axis=1), gen.normal(size=(len(conditions), n))
+
+
+def test_lbfgs_reaches_quadratic_minimizers():
+    fun, best, lowest, x0 = _quadratics([1.0, 10.0, 1e3, 1e5])
+    x, values, records = _lbfgs(fun, x0, 300)
+    assert np.allclose(values, lowest, rtol=0, atol=1e-10)
+    assert np.allclose(x, best, rtol=0, atol=1e-6)
+    assert {r.stop for r in records} <= {"gradient", "decrease"}
+    assert records[0].iterations <= 2  # on the identity, the step after the first pair is exact
+
+
+def test_lbfgs_rows_match_batches_of_one():
+    # each row keeps its own memory and line search: in a batch it takes the very iterates
+    # it takes alone, though the rows stop at different steps
+    fun, _, _, x0 = _quadratics([3.0, 1e2, 1e4])
+    x, values, records = _lbfgs(fun, x0, 300)
+    assert len({r.evaluations for r in records}) > 1
+    for i in range(len(x0)):
+        alone = _lbfgs(lambda t, rows: fun(t, rows + i), x0[i : i + 1], 300)
+        assert np.array_equal(alone[0][0], x[i]) and alone[1][0] == values[i]
+        assert alone[2][0] == records[i]
+
+
+def test_lbfgs_line_searches_end_on_a_flat_function(monkeypatch):
+    # values flat within 1e-14, gradients that promise descent: no line search can meet its
+    # sufficient decrease, and each ends within LINE_EVALS evaluations; so does every line
+    # search of cq-lostar, whose third restart ends in rounding noise around 1.5
+    counts = {}
+    advance = _LineSearch.advance
+
+    def counting(self, f, g):
+        accepted = advance(self, f, g)
+        counts[id(self)] = self.evaluations
+        return accepted
+
+    monkeypatch.setattr(_LineSearch, "advance", counting)
+    gen = np.random.default_rng(71)
+    weights, slopes = gen.normal(size=6), 1e-3 * (1 + gen.uniform(size=(4, 6)))
+
+    def flat(x, rows):
+        return 1.5 + 1e-14 * np.sin(1e4 * x @ weights), slopes[rows]
+
+    _, _, records = _lbfgs(flat, gen.normal(size=(4, 6)), 300)
+    assert counts and max(counts.values()) <= LINE_EVALS
+    assert {r.stop for r in records} <= {"decrease", "line search"}
+    assert all(r.iterations <= 2 for r in records)
+    counts.clear()
+    res = SEARCHES["cq-lostar"](PINNED)
+    assert counts and max(counts.values()) <= LINE_EVALS
+    assert {r.stop for r in res.records} <= STOPS - {"max_iters"}
+
+
+def test_lbfgs_stationary_start_takes_no_step():
+    # a start that passes the gradient test is returned as it is, after its one evaluation
+    fun, best, lowest, _ = _quadratics([1.0, 50.0])
+    calls = []
+
+    def counting(x, rows):
+        calls.append(rows.tolist())
+        return fun(x, rows)
+
+    x, values, records = _lbfgs(counting, best, 300)
+    assert calls == [[0, 1]] and np.array_equal(x, best)
+    assert records == (RestartRecord(1, 0, "gradient"),) * 2
+    calls.clear()
+    x, values, records = _lbfgs(counting, best, 300, first=fun(best, np.arange(2)))
+    assert calls == [] and records == (RestartRecord(1, 0, "gradient"),) * 2
+
+
+def _two_loop_reference(g, s, y, scale):
+    """-H g by the two loops of Nocedal & Wright's Alg. 7.4, one row and one pair at a time."""
+    out = []
+    for gi, si, yi, ci in zip(g, s, y, scale):
+        q, alpha = gi.copy(), np.zeros(len(si))
+        rho = [1 / (a @ b) if a.any() else 0.0 for a, b in zip(si, yi)]
+        for j in reversed(range(len(si))):
+            alpha[j] = rho[j] * (si[j] @ q)
+            q -= alpha[j] * yi[j]
+        q *= ci
+        for j in range(len(si)):
+            q += si[j] * (alpha[j] - rho[j] * (yi[j] @ q))
+        out.append(-q)
+    return np.array(out)
+
+
+def test_lbfgs_direction_matches_two_loop_recursion():
+    # rows with full, partial and empty memories; unused pairs are zero, with R's diagonal 1
+    gen = np.random.default_rng(73)
+    s = gen.normal(size=(3, 10, 7))
+    y = s + 0.3 * gen.normal(size=s.shape)
+    s[1, :6] = y[1, :6] = 0.0
+    s[2] = y[2] = 0.0
+    r = np.triu(s @ y.swapaxes(1, 2)) + np.eye(10) * ~s.any(axis=2)[:, None, :]
+    g, scale = gen.normal(size=(3, 7)), np.array([0.7, 1.3, 1.0])
+    got = _lbfgs_direction(g, s, y, np.linalg.inv(r), scale)
+    assert np.allclose(got, _two_loop_reference(g, s, y, scale), rtol=0, atol=1e-12)
+    assert np.array_equal(got[2], -g[2])
 
 
 def test_minimize_locc_gap_not_below_zero():
@@ -374,9 +509,23 @@ def test_hermitian_chart_matches_loop(d):
     assert np.array_equal(_hermitian_from_params(theta, d), h)
 
 
+def _one_restart(objective):
+    """A stacked objective on one restart's frames, as a search holds them: a value and their gradients.
+
+    A row frame (rows, d) is that restart's shared level, a stack (paths,
+    rows, d) one frame per path.
+    """
+
+    def single(frames):
+        values, grads = objective([f.reshape((-1,) + f.shape[-2:]) for f in frames])
+        return float(values[0]), [g.reshape(f.shape) for g, f in zip(grads, frames)]
+
+    return single
+
+
 def _objective(rho, blocks):
-    """The tree objective of rho with ``blocks`` in measurement order."""
-    return _tree_objective(_block_factor(rho, blocks), _block_dims(rho, blocks))
+    """The tree objective of rho with ``blocks`` in measurement order, on one restart."""
+    return _one_restart(_tree_objective(_block_factor(rho, blocks), _block_dims(rho, blocks)))
 
 
 PRODUCT_CASES = {
@@ -476,6 +625,58 @@ def test_shared_level_equals_its_per_path_stack(case):
             assert np.allclose(stacked.sum(axis=0), g, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind,case",
+    [
+        ("product", "w3"),
+        ("product", "trine"),
+        ("product", "mixed-232-rank2-AC|B"),
+        ("oneway", "w3"),
+        ("oneway", "mixed-2222-rank3-ordered-3102"),
+    ],
+)
+def test_stacked_objective_matches_single_restarts(kind, case):
+    # three restarts' levels stacked restart first: one value per restart and gradients
+    # stacked the same way, each equal to that restart's own call
+    gen = np.random.default_rng(79)
+    if kind == "oneway":
+        rho, blocks, factor, bdims, m = _oneway_case(case)
+        firsts = [_random_frame(bdims[0], m, gen) for _ in range(3)]
+        trees = [_random_levels(_eigenbasis_tree(factor, bdims, q), gen) for q in firsts]
+    else:
+        rho, part = PRODUCT_CASES[case]
+        blocks, bdims = part.blocks, part.block_dims(rho.dims)
+        factor = _block_factor(rho, blocks)
+        trees = [[_random_frame(d, 4 if d == 2 else d + 1, gen)[None] for d in bdims] for _ in range(3)]
+    objective = _tree_objective(factor, bdims)
+    values, grads = objective([np.concatenate(level) for level in zip(*trees)])
+    assert values.shape == (3,)
+    for i, tree in enumerate(trees):
+        value, own = objective(tree)
+        assert values[i] == pytest.approx(value[0], abs=1e-13)
+        for stacked, g in zip(grads, own):
+            assert np.allclose(stacked[i * len(g) : (i + 1) * len(g)], g, rtol=0, atol=1e-13)
+
+
+LOCKSTEP_SEARCHES = {
+    "trine-lostar": lambda cfg: minimize_lostar(trine_cq().state, FULL2, cfg),
+    "w3-lo": lambda cfg: minimize_lo(w(3), FULL3, cfg),
+    "w3-locc1": lambda cfg: minimize_locc_oneway(w(3), FULL3, cfg=cfg),
+    "cq-lostar": SEARCHES["cq-lostar"],
+    "cq-lo": SEARCHES["cq-lo"],
+}
+
+
+@pytest.mark.parametrize("search", sorted(LOCKSTEP_SEARCHES))
+def test_restarts_do_not_depend_on_each_other(search):
+    # every restart steps in lockstep with the others, on its own seed stream and its own
+    # optimizer state: two more restarts leave the first three where they were
+    run = LOCKSTEP_SEARCHES[search]
+    three, five = run(OptConfig(107, 3, 300)), run(OptConfig(107, 5, 300))
+    assert np.allclose(three.trace, five.trace[:3], rtol=0, atol=1e-12)
+    assert three.records == five.records[:3]
+
+
 def _hermitian_params(h: np.ndarray) -> np.ndarray:
     """theta with _hermitian_from_params(theta, d) == h."""
     d = h.shape[0]
@@ -518,6 +719,21 @@ def test_chart_gradient_matches_finite_differences(kind, m, d):
     h = 1e-6
     numeric = np.array([(f(theta + h * e) - f(theta - h * e)) / (2 * h) for e in np.eye(m * m)])
     assert _relative_error(pullback(g), numeric) <= 1e-6
+
+
+@pytest.mark.parametrize("k,m", [(1, 3), (2, 2), (2, 4), (3, 4)])
+def test_block_params_embed_a_smaller_chart(k, m):
+    # a k x k chart charted as the top-left block of an m x m one: H is the block, and the
+    # chart is exp(iH) on that block and the identity elsewhere
+    theta = np.random.default_rng(83 + k + m).normal(size=k * k)
+    full = np.zeros(m * m)
+    full[_block_params(k, m)] = theta
+    h = _hermitian_from_params(full, m)
+    assert np.array_equal(h[:k, :k], _hermitian_from_params(theta, k))
+    assert not h[k:].any() and not h[:, k:].any()
+    u = _chart(full, np.eye(m, dtype=complex))[0]
+    assert np.allclose(u[:k, :k], _chart(theta, np.eye(k, dtype=complex))[0], rtol=0, atol=1e-14)
+    assert np.allclose(u[k:, k:], np.eye(m - k), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m,d", [(2, 2), (4, 2), (4, 3)])
@@ -590,36 +806,40 @@ def test_chart_of_a_large_block_costs_quadratic_memory():
     assert jac @ direction == pytest.approx(numeric, rel=1e-6)
 
 
-def _descent_fun(objective, frames, monkeypatch):
-    """The function of theta that ``_descent`` hands to L-BFGS-B, and its start; no step is taken."""
+def _descent_fun(objective, starts, monkeypatch):
+    """The stacked function of theta that ``_descent`` hands to ``_lbfgs``, and its start; no step."""
     seen = []
 
-    def stub(fun, x0, **kwargs):
+    def stub(fun, x0, max_iters, first=None):
         seen.append((fun, x0))
-        return scipy.optimize.OptimizeResult(fun=np.inf, x=x0)
+        return x0, np.full(len(x0), np.inf), (RestartRecord(0, 0, "gradient"),) * len(x0)
 
+    gens = [np.random.default_rng(i) for i in range(len(starts))]
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.optimize, "minimize", stub)
-        _descent(objective, frames, OptConfig(1, 1, 300), np.random.default_rng(0))
+        patch.setattr(oegap.optimize, "_lbfgs", stub)
+        _descent(objective, starts, OptConfig(1, 1, 300), gens)
     assert len(seen) == 1
     return seen[0]
 
 
 MIXED_232 = random_density(np.random.default_rng(4), (2, 3, 2), rank=2)
 DESCENT_CASES = {
-    # (search, frame shapes of the recorded start): two POVM frames of one chart size
+    # (search, frame shapes of the recorded starts): two POVM frames of one chart size
     "trine-lo": (lambda cfg: minimize_lo(trine_cq().state, FULL2, cfg), [(4, 3), (4, 2)]),
-    # a 4 x 4 chart and a stack of four 2 x 2 charts
+    # a 4 x 4 chart and four 2 x 2 charts, the latter as blocks of 4 x 4 charts
     "w3-locc1": (lambda cfg: minimize_locc_oneway(w(3), FULL3, None, cfg), [(1, 4, 2), (4, 2, 2)]),
     # the classical block held in its basis: the objective inserts the held frame
     "cq-example-lo-held": (lambda cfg: cq_gap(CQX.state, CQX.classical_basis, "lo", cfg), [(4, 2)]),
-    # the two qubit bases share a chart stack, though the qutrit basis lies between them
+    # the two qubit bases are 2 x 2 blocks of 3 x 3 charts, in one stack with the qutrit's
     "mixed-232-lostar": (lambda cfg: minimize_lostar(MIXED_232, FULL3, cfg), [(2, 2), (3, 3), (2, 2)]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
 def test_descent_gradient_matches_finite_differences(case, monkeypatch):
+    # the stacked function of all restarts: each row's gradient against central differences
+    # of its own value, every row moved at once, and a subset of live rows gives those
+    # rows' values and gradients unchanged
     search, shapes = DESCENT_CASES[case]
     calls = []
 
@@ -630,18 +850,23 @@ def test_descent_gradient_matches_finite_differences(case, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oegap.optimize, "_descent", recording)
         search(OptConfig(3, 3, 20))
-    objective, frames = next(
-        (o, f) for o, f, _, _ in calls if [q.shape for q in f] == [tuple(s) for s in shapes]
+    objective, starts = next(
+        (o, s) for o, s, _, _ in calls if [q.shape for q in s[0]] == [tuple(t) for t in shapes]
     )
-    fun, theta0 = _descent_fun(objective, frames, monkeypatch)
-    theta = theta0 + 0.3 * np.random.default_rng(59).normal(size=theta0.size)
-    value, jac = fun(theta)
+    fun, theta0 = _descent_fun(objective, starts, monkeypatch)
+    theta = theta0 + 0.3 * np.random.default_rng(59).normal(size=theta0.shape)
+    rows = np.arange(len(theta))
+    values, jac = fun(theta, rows)
     h = 1e-6
-    numeric = np.array(
-        [(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h) for e in np.eye(theta.size)]
-    )
-    assert value == fun(theta)[0]
-    assert _relative_error(jac, numeric) <= 1e-6
+    steps = h * np.eye(theta.shape[1])
+    numeric = np.stack([fun(theta + e, rows)[0] - fun(theta - e, rows)[0] for e in steps], axis=1) / (2 * h)
+    assert np.array_equal(values, fun(theta, rows)[0])
+    for got, want in zip(jac, numeric):
+        assert _relative_error(got, want) <= 1e-6
+    live = rows[1:]
+    live_values, live_jac = fun(theta[live], live)
+    assert np.allclose(live_values, values[live], rtol=0, atol=1e-14)
+    assert np.allclose(live_jac, jac[live], rtol=0, atol=1e-12)
 
 
 ONEWAY_CASES = {
@@ -772,7 +997,7 @@ def test_oneway_objective_matches_rebuilt_protocol(case):
 @pytest.mark.parametrize("case", sorted(DEEP_ONEWAY_CASES))
 def test_oneway_objective_gradient_matches_finite_differences(case):
     rho, blocks, factor, bdims, m = _oneway_case(case)
-    objective = _tree_objective(factor, bdims)
+    objective = _one_restart(_tree_objective(factor, bdims))
     gen = np.random.default_rng(41)
     for q in _first_frames(bdims[0], m, gen, 1):
         tree = _random_levels(_eigenbasis_tree(factor, bdims, q), gen)
