@@ -7,6 +7,8 @@ reduction-criterion (RCT) measurements, plus classical postprocessing.
 Product witnesses (``lostar_povm``, ``lo_povm``, ``flatten_locc``) are built
 as stacks: ``_product_effects`` forms all their effects in one broadcast
 product, with the same bits as ``np.kron``, and one subsystem permutation.
+They and ``cpp_apply`` combine validated parts, so ``Povm._built`` wraps
+their outputs and checks only the class tag.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
     projectors = [u.T[:, :, None] * u.T.conj()[:, None, :] for u in bases]
     effects = _product_effects([p[i] for p, i in zip(projectors, grid)], partition.blocks, dims)
     labels = tuple(",".join(map(str, combo)) for combo in grid.T.tolist())
-    return Povm(effects, labels, "LOStar")
+    return Povm._built(effects, labels, "LOStar")
 
 
 def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
@@ -155,11 +157,11 @@ def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     labels = tuple(
         ",".join(m.labels[i] for m, i in zip(povms, combo)) for combo in grid.T.tolist()
     )
-    return Povm(effects, labels, "LO")
+    return Povm._built(effects, labels, "LO")
 
 
-def _flat_effects(protocol: ConditionalMeasurement, dims) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Product effects A_i (x) B_j|i (x) ... of a one-way protocol and their path labels.
+def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
+    """Global POVM of a one-way protocol: product effects A_i (x) B_j|i (x) ... and path labels.
 
     Outcomes are listed depth first.  The outcome paths that measure the same
     blocks in the same order are assembled by one ``_product_effects`` call;
@@ -191,12 +193,7 @@ def _flat_effects(protocol: ConditionalMeasurement, dims) -> tuple[np.ndarray, t
             stacks.append(np.broadcast_to(np.eye(d_rest), (len(rows), d_rest, d_rest)))
             blocks += (rest,)
         effects[[r for r, _ in rows]] = _product_effects(stacks, blocks, dims)
-    return effects, tuple(labels)
-
-
-def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:
-    """Global POVM of a one-way protocol: its product effects, as in ``_flat_effects``."""
-    return Povm(*_flat_effects(protocol, dims), "LOCC1")
+    return Povm._built(effects, labels, "LOCC1")
 
 
 def rank1_refine(povm: Povm) -> Povm:
@@ -241,7 +238,7 @@ def cpp_apply(stoch, povm: Povm) -> Povm:
         tag = "SEP"  # positive sums of product effects stay separable, not product
     elif tag not in ("General", "SEP", "PPT", "RCT"):
         tag = "Unverified"
-    return Povm(effects, class_tag=tag)
+    return Povm._built(effects, class_tag=tag)
 
 
 def _bipartition_subsets(n_blocks: int, include_complements: bool):

@@ -11,7 +11,6 @@ All entropies elsewhere in the package are in bits.
 
 from __future__ import annotations
 
-import copy
 import functools
 import string
 from dataclasses import dataclass
@@ -390,8 +389,9 @@ def _check_tag(class_tag: str) -> None:
         raise ValidationError(f"unknown class tag {class_tag!r}")
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """Labels as strings; "0" to "n-1" when there are none."""
+    return tuple(str(x) for x in labels) or tuple(str(i) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -418,7 +418,7 @@ class Povm:
         problems = validate_povm(eff)
         if problems:
             raise ValidationError("invalid POVM: " + "; ".join(problems))
-        labels = tuple(str(x) for x in self.labels) or _default_labels(eff.shape[0])
+        labels = _labels(self.labels, eff.shape[0])
         if len(labels) != eff.shape[0]:
             raise ValidationError(
                 f"{len(labels)} labels for {eff.shape[0]} effects"
@@ -450,16 +450,24 @@ class Povm:
                     return False
         return True
 
-    def retag(self, class_tag: str) -> "Povm":
-        """The same read-only effects and labels under another class tag.
+    @classmethod
+    def _built(cls, effects: np.ndarray, labels=(), class_tag: str = "Unverified") -> "Povm":
+        """A POVM whose effects the package built from validated parts: only the tag is checked.
 
-        The effects were validated when this POVM was built, so only the tag
-        is checked.
+        ``effects`` is a (k, d, d) complex array that nothing else writes to;
+        it is stored read-only without a copy.
         """
         _check_tag(class_tag)
-        out = copy.copy(self)
+        effects.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "effects", effects)
+        object.__setattr__(out, "labels", _labels(labels, len(effects)))
         object.__setattr__(out, "class_tag", class_tag)
         return out
+
+    def retag(self, class_tag: str) -> "Povm":
+        """The same read-only effects and labels under another class tag."""
+        return Povm._built(self.effects, self.labels, class_tag)
 
     @staticmethod
     def trivial(d: int) -> "Povm":
@@ -471,8 +479,7 @@ class Povm:
         u = as_operator(basis)
         if opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9:
             raise ValidationError("basis matrix is not unitary")
-        eff = np.einsum("ai,bi->iab", u, u.conj())
-        return Povm(eff, class_tag=class_tag)
+        return Povm._built(np.einsum("ai,bi->iab", u, u.conj(), order="C"), class_tag=class_tag)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ All values are in bits (base-2 logarithms); 0*log(0) is 0 and outcome
 probabilities at or below ``P_EPS`` drop out of every sum.  Infinite relative
 entropies are encoded as ``math.inf`` so optimizers can still rank candidates.
 A one-way protocol has one entropy, that of its flattened product effects:
-``chain_entropy`` evaluates it on the effects that ``flatten_locc`` wraps.
+``chain_entropy`` is the observational entropy of ``flatten_locc``'s POVM.
+A ``Povm`` was validated when it was built, so nothing here checks it again;
+``coarse_grain`` validates the state it returns, as its input may be a raw array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import ConditionalMeasurement, _flat_effects, lo_povm
+from .classes import ConditionalMeasurement, flatten_locc, lo_povm
 from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, dagger, opnorm, spectral
 
 P_EPS = 1e-14
@@ -104,20 +106,12 @@ def probabilities(rho, povm: Povm) -> np.ndarray:
     r = _as_mat(rho)
     if r.shape[0] != povm.d:
         raise ValidationError(f"state dimension {r.shape[0]} does not match POVM dimension {povm.d}")
-    return _probabilities(r, povm.effects)
-
-
-def _probabilities(mat: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    return np.clip(np.real(np.einsum("iab,ba->i", effects, mat)), 0.0, None)
+    return np.clip(np.real(np.einsum("iab,ba->i", povm.effects, r)), 0.0, None)
 
 
 def outcome_stats(rho, povm: Povm) -> OutcomeStats:
-    volumes = povm.volumes()
-    if abs(volumes.sum() - povm.d) > 1e-9 * max(1.0, povm.d):
-        raise ValidationError(
-            f"macrostate volumes sum to {volumes.sum():.12f}, expected {povm.d}"
-        )
-    return OutcomeStats(probabilities(rho, povm), volumes, povm.labels)
+    """Probabilities, volumes and labels of the outcomes of ``povm`` on ``rho``."""
+    return OutcomeStats(probabilities(rho, povm), povm.volumes(), povm.labels)
 
 
 def observational_entropy(rho, povm: Povm) -> float:
@@ -269,9 +263,6 @@ def chain_entropy(protocol: ConditionalMeasurement, rho: DensityMatrix) -> float
     leaves unmeasured carries an identity factor and its full volume.  On a
     protocol that measures every subsystem along every path this is the
     chain formula S = S_first(rho_block) + sum_i p_i S_followup(rho_i on the
-    rest).  No ``Povm`` is built: each node's POVM was validated when it was
-    built.  Protocol blocks refer to the subsystem indices of ``rho``.
+    rest).  Protocol blocks refer to the subsystem indices of ``rho``.
     """
-    effects, _ = _flat_effects(protocol, rho.dims)
-    volumes = np.real(np.trace(effects, axis1=1, axis2=2))
-    return entropy_from_stats(_probabilities(rho.mat, effects), volumes)
+    return observational_entropy(rho, flatten_locc(protocol, rho.dims))

@@ -140,10 +140,14 @@ class OptResult:
 
 
 def _result(rho: DensityMatrix, s_best: float, witness, values, converged: bool, records) -> OptResult:
-    """OptResult for a witness with entropy s_best; a gap short of 0 by float rounding is 0."""
+    """OptResult for a witness with entropy s_best; a gap short of 0 by float rounding is 0.
+
+    No gap is below 0 (S_M >= S), so one within ENTROPY_TOL of 0 counts as converged.
+    """
     gap = s_best - von_neumann(rho)
     if -1e-12 < gap < 0:
         gap = 0.0
+    converged = converged or gap <= ENTROPY_TOL
     return OptResult(s_best, gap, witness, tuple(values), converged, records=tuple(records))
 
 
@@ -251,12 +255,8 @@ def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
 
 
 def _frame_povm(q: np.ndarray) -> Povm:
-    """POVM of a frame's rows (effects |row><row|), dropped rows' deficit reabsorbed."""
-    effects = [np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > ZERO_ROW]
-    deficit = np.eye(q.shape[1]) - sum(effects)
-    if opnorm(deficit) > 1e-10:
-        effects.append(deficit)
-    return Povm(np.array(effects))
+    """Validated POVM of a frame's nonzero rows (effects |row><row|); the frame must be an isometry."""
+    return Povm(np.array([np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > ZERO_ROW]))
 
 
 def _extremal_qubit_povm(m: int, rng: np.random.Generator) -> np.ndarray | None:
@@ -970,9 +970,8 @@ def _tree_protocol(blocks, levels: list[np.ndarray]) -> ConditionalMeasurement:
 
     Node k on a path measures ``blocks[k]`` with the rows of that path's
     frame; row i of a frame leads to path ``path * rows + i`` of the next
-    level.  Rows dropped by ``_frame_povm`` get no child.  Search frames are
-    isometries, so ``_frame_povm`` appends no deficit outcome; if it did,
-    ``ConditionalMeasurement`` would reject the child count.
+    level.  Rows dropped by ``_frame_povm`` get no child, so every node has
+    one child per outcome.
     """
 
     def node(k: int, path: int) -> ConditionalMeasurement:

@@ -142,7 +142,8 @@ def scan_partitions(
     Pure-state bipartitions use the Schmidt value directly.  Results are
     min-reduced along the refinement order (a finer partition's witness is a
     valid coarser-partition measurement), so no coarser partition's gap
-    exceeds a finer one's.
+    exceeds a finer one's: a repaired row is the finer partition's whole
+    result, its trace and ``converged`` flag included.
     """
     minimize = _class_optimizer(klass)
     n = len(rho.dims)
@@ -156,15 +157,12 @@ def scan_partitions(
         else:
             raw[p] = minimize(rho, p, cfg)
 
-    # lattice repair: every finer partition's optimum is feasible for coarser ones
-    repaired: dict[PartitionSpec, OptResult] = {}
+    # lattice repair: every finer partition's optimum is feasible for coarser ones,
+    # so p takes the whole result of the lowest-entropy partition refining it (p on ties)
+    repaired = {}
     for p in partitions:
-        best = raw[p]
-        for q in partitions:
-            if q is not p and q.refines(p) and raw[q].entropy_bits < best.entropy_bits:
-                r = raw[q]
-                best = OptResult(r.entropy_bits, r.gap_bits, r.witness, best.trace, best.converged)
-        repaired[p] = best
+        finer = [raw[q] for q in partitions if q is not p and q.refines(p)]
+        repaired[p] = min([raw[p]] + finer, key=lambda r: r.entropy_bits)
 
     shapes: dict[str, list[float]] = {}
     for p in partitions:

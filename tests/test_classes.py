@@ -307,6 +307,53 @@ def test_flatten_locc_rejects_mismatched_or_repeated_blocks():
         flatten_locc(ConditionalMeasurement((0,), z, (middle, middle)), (2, 2))
 
 
+def _built_from_validated(rng):
+    """Each builder of a POVM from validated parts, as a thunk over random valid inputs.
+
+    The inputs are made and validated here; the thunks build only the outputs.
+    """
+    part, dims = PartitionSpec(((0, 2), (1,))), (2, 3, 2)
+    bases = [random_unitary(rng, 4), random_unitary(rng, 3)]
+    local = [random_povm(rng, 4, 3), random_povm(rng, 3, 2)]
+    # the second path leaves subsystem 1 unmeasured
+    follow = (
+        ConditionalMeasurement((1, 2), random_povm(rng, 6, 3)),
+        ConditionalMeasurement((2,), haar_basis_povm(rng, 2)),
+    )
+    protocol = ConditionalMeasurement((0,), random_povm(rng, 2, 2), follow)
+    product = lo_povm(local, part, dims)
+    stoch = rng.uniform(size=(3, product.n_outcomes))
+    stoch = StochasticMap(stoch / stoch.sum(axis=0))
+    return {
+        "lostar_povm": lambda: lostar_povm(bases, part, dims),
+        "lo_povm": lambda: lo_povm(local, part, dims),
+        "flatten_locc": lambda: flatten_locc(protocol, dims),
+        "cpp_apply": lambda: cpp_apply(stoch, product),
+        "from_basis": lambda: Povm.from_basis(bases[0], "SEP"),
+        "retag": lambda: product.retag("PPT"),
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("builder", ["lostar_povm", "lo_povm", "flatten_locc", "cpp_apply", "from_basis", "retag"])
+def test_builders_of_validated_parts_equal_the_validated_construction(monkeypatch, builder, seed):
+    # a POVM built from validated parts is not validated again, and is the very POVM the
+    # public constructor makes of its effects, labels and tag: bit-equal and read-only
+    build = _built_from_validated(np.random.default_rng(seed))[builder]
+
+    def fail(effects):
+        raise AssertionError(f"{builder} re-validated its output")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("oegap.core.validate_povm", fail)
+        povm = build()
+    checked = Povm(povm.effects, povm.labels, povm.class_tag)
+    assert povm.effects.dtype == checked.effects.dtype and povm.effects.flags.c_contiguous
+    assert np.array_equal(povm.effects, checked.effects)
+    assert povm.labels == checked.labels and povm.class_tag == checked.class_tag
+    assert not povm.effects.flags.writeable
+
+
 def test_rank1_refine_splits_rank2():
     plus, minus = symmetric_projectors(2)
     povm = Povm(np.array([plus, minus]))

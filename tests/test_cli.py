@@ -211,6 +211,18 @@ def test_cmd_gap_locc_cq_example():
     assert abs(payload["gap"]) < 1e-6
 
 
+@pytest.mark.parametrize("klass", ["lostar", "sep"])
+def test_cmd_gap_zero_counts_as_converged(klass):
+    # bell as one block at two restarts: restart 0 stalls on the stationary
+    # computational basis, restart 1 reaches gap 0, the least any gap can be
+    runner = CliRunner()
+    result = runner.invoke(main, ["gap", "--state", "bell", "--class", klass, "--partition", "AB", "--restarts", "2"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["converged"] is True
+    assert payload["gap"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_cmd_gap_sep_exits_3_when_its_winner_did_not_converge():
     # W3 at two restarts: SEP's winner is the LOCC1 witness, whose search did not converge
     runner = CliRunner()

@@ -36,6 +36,10 @@ from oegap.optimize import (
     EXACT_W3_COEFFS,
     EXACT_W3_DUAL,
     LINE_EVALS,
+    LS_FTOL,
+    LS_GTOL,
+    LS_XTOL,
+    STEP_MAX,
     STEP_TOL,
     OptConfig,
     RestartRecord,
@@ -57,6 +61,7 @@ from oegap.optimize import (
     _lbfgs_direction,
     _pad_rows,
     _random_frame,
+    _result,
     _tree_objective,
     _tree_protocol,
     cq_gap,
@@ -414,6 +419,74 @@ def test_lbfgs_stationary_start_takes_no_step():
     calls.clear()
     x, values, records = _lbfgs(counting, best, 300, first=fun(best, np.arange(2)))
     assert calls == [] and records == (RestartRecord(1, 0, "gradient"),) * 2
+
+
+def _dcsrch_reference(phi, step):
+    """Trial steps of scipy's port of MINPACK-2's dcsrch on phi, and whether it accepts the last.
+
+    Same tolerances and step bounds [0, STEP_MAX] as ``_LineSearch``, and at most
+    LINE_EVALS trials; a warning ends the search with its step accepted, as in L-BFGS-B.
+    """
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch").DCSRCH(
+        None, None, LS_FTOL, LS_GTOL, LS_XTOL, 0.0, STEP_MAX
+    )
+    step, _, _, task = dcsrch._iterate(step, *phi(0.0), b"START")
+    steps = []
+    while task[:2] == b"FG" and len(steps) < LINE_EVALS:
+        steps.append(float(step))
+        step, _, _, task = dcsrch._iterate(step, *phi(step), task)
+    return steps, task[:4] in (b"CONV", b"WARN")
+
+
+def _line_search_functions(gen):
+    """Random 1-D functions phi(t) -> (phi, phi') with phi'(0) < 0: quartic, sinusoidal, near-linear."""
+    a, b, c, slope = gen.uniform(0.01, 2.0), gen.normal(), gen.normal(), -gen.uniform(0.01, 10.0)
+    w, shift = gen.uniform(0.1, 20.0), gen.uniform(0.05, np.pi - 0.05)
+    eps = 10.0 ** gen.uniform(-14, -2)
+    return {
+        "quartic": lambda t: (
+            (((a * t + b) * t + c) * t + slope) * t, ((4 * a * t + 3 * b) * t + 2 * c) * t + slope
+        ),
+        "sinusoidal": lambda t: (
+            math.cos(w * t + shift) + 0.1 * t * t, -w * math.sin(w * t + shift) + 0.2 * t
+        ),
+        "near-linear": lambda t: (slope * t + eps * t * t, slope + 2 * eps * t),
+    }
+
+
+def test_line_search_matches_minpack_dcsrch():
+    # _LineSearch is dcsrch driven one trial at a time: on each function and first step
+    # it tries the same steps, within rounding, as scipy's port, and accepts where it does
+    gen = np.random.default_rng(79)
+    searches = 0
+    for _ in range(150):
+        for name, phi in _line_search_functions(gen).items():
+            first = 10.0 ** gen.uniform(-3, 3)
+            want, accepted = _dcsrch_reference(phi, first)
+            search, steps, advanced = _LineSearch(*phi(0.0), first), [], False
+            while not advanced and len(steps) < LINE_EVALS:
+                steps.append(search.step)
+                advanced = search.advance(*phi(search.step))
+            assert len(steps) == len(want) and advanced == accepted, (name, steps, want)
+            assert np.allclose(steps, want, rtol=1e-14, atol=0), (name, steps, want)
+            searches += 1
+    assert searches == 450
+
+
+def test_result_counts_a_zero_gap_as_converged():
+    # no gap is below 0, so one within ENTROPY_TOL of 0 is the minimum whatever the restarts gave
+    rho = werner(2, 0.3)
+    s = von_neumann(rho)
+    for gap, converged in ((0.0, True), (0.5 * ENTROPY_TOL, True), (2 * ENTROPY_TOL, False)):
+        res = _result(rho, s + gap, None, [s + gap, s + 1.0], False, ())
+        assert res.converged is converged, gap
+    assert _result(rho, s + 1.0, None, [s + 1.0] * 2, True, ()).converged
+
+
+def test_frame_povm_rejects_a_frame_that_is_not_an_isometry():
+    # a frame's nonzero rows are its outcomes; no deficit outcome repairs a frame that is no isometry
+    with pytest.raises(ValidationError, match="completeness"):
+        _frame_povm(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex))
 
 
 def _two_loop_reference(g, s, y, scale):
@@ -925,8 +998,8 @@ def eigenbasis_protocol_reference(mat, dims, blocks, live, levels=(), path=0) ->
     positions within the current state, ``live`` maps them to the original
     subsystem labels, and ``levels[0][path]`` is the first block's frame on
     this path, whose row i leads to path ``path * rows + i`` of ``levels[1]``.
-    A block with no level left, and the outcome that reabsorbs a frame's
-    dropped rows, is measured in the eigenbasis of its conditional marginal.
+    A block with no level left is measured in the eigenbasis of its
+    conditional marginal.
     """
     pos = tuple(blocks[0])
     if levels:
@@ -953,7 +1026,7 @@ def eigenbasis_protocol_reference(mat, dims, blocks, live, levels=(), path=0) ->
     children = []
     for i, eff in enumerate(povm.effects):
         cond = conditional_reference(mat, dims, pos, eff)[1]
-        below = (levels[1:], path * len(frame) + rows[i]) if i < len(rows) else ()
+        below = (levels[1:], path * len(frame) + rows[i]) if levels else ()
         children.append(eigenbasis_protocol_reference(cond, *rest, *below))
     return ConditionalMeasurement(label_block, povm, tuple(children))
 

@@ -65,13 +65,16 @@ def test_scan_refinement_monotonicity_recorded(monkeypatch, state, klass, handic
     # finer one's.  A handicap of 3 bits, the largest gap on three qubits, on each
     # searched bipartition leaves that order to the repair alone; pure states'
     # bipartitions take the Schmidt value and are never searched.
+    # A repaired row is the refining partition's whole result, trace and flag included.
     minimize = {"lostar": minimize_lostar, "lo": minimize_lo}[klass]
+    raw = {}
 
     def handicapped(rho, partition, cfg):
         res = minimize(rho, partition, cfg)
-        if partition.n_blocks == 3:
-            return res
-        return OptResult(res.entropy_bits + handicap, res.gap_bits + handicap, res.witness, res.trace, res.converged)
+        if partition.n_blocks < 3:
+            res = OptResult(res.entropy_bits + handicap, res.gap_bits + handicap, res.witness, res.trace, res.converged)
+        raw[partition] = res
+        return res
 
     monkeypatch.setattr(f"oegap.partitions.{minimize.__name__}", handicapped)
     scan = scan_partitions(MONOTONICITY_STATES[state], klass, OptConfig(seed=5, restarts=1, max_iters=20))
@@ -79,6 +82,9 @@ def test_scan_refinement_monotonicity_recorded(monkeypatch, state, klass, handic
     assert len(pairs) == 3  # A|B|C refines each of the three bipartitions
     for p, q in pairs:
         assert scan.gap(q) <= scan.gap(p) + 1e-12, (p, q)
+    if handicap:
+        full = PartitionSpec.full(3)
+        assert all(res is raw[full] for _, res in scan.results)
 
 
 def test_scan_pure_bipartition_fast_path_matches_optimizer():
