@@ -4,8 +4,11 @@ Operators are plain ``numpy.ndarray`` objects (complex128, row-major); the
 dataclasses in this module attach subsystem dimensions and enforce the
 physical invariants (Hermiticity, positivity, unit trace, completeness) at
 construction time.  A POVM is validated as one (k, d, d) stack of effects,
-with one batched ``eigvalsh`` rather than a loop over its effects.  Every
-spectral norm comes from a Hermitian eigensolve, not an SVD (``opnorm``).
+with one batched ``eigvalsh`` rather than a loop over its effects.  A state
+is validated and eigendecomposed once: ``DensityMatrix`` keeps the ``eigh``
+its validation computes, and the entropies, ``spectral`` and
+``pure_vector`` read it.  Every spectral norm comes from a Hermitian
+eigensolve, not an SVD (``opnorm``).
 All entropies elsewhere in the package are in bits.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -337,23 +340,78 @@ def _effect_problems(stack: np.ndarray) -> list[str]:
 # data types
 
 
+def _hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of (A + A^dag) / 2, read-only: ascending eigenvalues, eigenvectors as columns."""
+    vals, vecs = np.linalg.eigh(0.5 * (a + dagger(a)))
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
+
+
+def _validated_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_hermitian_eigh`` of a state matrix; raises ``ValidationError`` on ``validate_state``'s problems.
+
+    The matrix passes at once when ||A - A^dag|| <= d max |A - A^dag| and the
+    least eigenvalue of (A + A^dag) / 2 both lie within half their
+    tolerances, and the trace within TOL_TRACE, as ``validate_state``
+    computes it.  With half a tolerance to spare, no rounding difference
+    between this ``eigh`` and ``validate_state``'s ``eigvalsh`` can flip a
+    verdict, so ``validate_state`` itself runs only for the other matrices,
+    and its problems are the message, word for word.
+    """
+    d = a.shape[0]
+    if d <= MAX_DIM:  # above it, validate_state reports the cap
+        vals, vecs = _hermitian_eigh(a)
+        if (
+            d * np.abs(a - dagger(a)).max() <= 0.5 * TOL_HERM
+            and vals[0] >= -0.5 * TOL_PSD
+            and abs(np.trace(a) - 1.0) <= TOL_TRACE
+        ):
+            return vals, vecs
+    problems = validate_state(a)
+    if problems:
+        raise ValidationError("invalid state: " + "; ".join(problems))
+    return vals, vecs
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD unit-trace operator with a subsystem-dimension vector."""
+    """Hermitian PSD unit-trace operator with a subsystem-dimension vector.
+
+    A state is validated and eigendecomposed once, when it is built.
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (columns) are the
+    ``eigh`` of (mat + mat^dag) / 2 that validation computes; ``von_neumann``,
+    ``quantum_relative_entropy``, ``spectral`` and ``pure_vector`` read them
+    instead of decomposing ``mat`` again.  ``coarse_grain`` and ``reduced``
+    build states from validated ones through ``_built``, which decomposes
+    without checking.
+    """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_operator(self.mat)
         dims = _check_dims(a, self.dims)
-        problems = validate_state(a)
-        if problems:
-            raise ValidationError("invalid state: " + "; ".join(problems))
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "mat", a)
-        object.__setattr__(self, "dims", dims)
+        self._store(a.copy(), dims, *_validated_eigh(a))
+
+    @classmethod
+    def _built(cls, mat: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        """A state the package built from a validated one: decomposed, not checked.
+
+        ``mat`` is a (d, d) complex array that nothing else writes to; it is
+        stored read-only without a copy.
+        """
+        out = object.__new__(cls)
+        out._store(mat, dims, *_hermitian_eigh(mat))
+        return out
+
+    def _store(self, mat: np.ndarray, dims: tuple[int, ...], vals: np.ndarray, vecs: np.ndarray):
+        mat.flags.writeable = False
+        for name, value in zip(("mat", "dims", "eigenvalues", "eigenvectors"), (mat, dims, vals, vecs)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -366,7 +424,7 @@ class DensityMatrix:
     def reduced(self, keep: Iterable[int]) -> "DensityMatrix":
         keep = tuple(sorted(_check_indices(keep, len(self.dims))))
         sub = partial_trace(self.mat, self.dims, keep)
-        return DensityMatrix(sub, tuple(self.dims[i] for i in keep))
+        return DensityMatrix._built(sub, tuple(self.dims[i] for i in keep))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -378,8 +436,7 @@ class DensityMatrix:
         """State vector of a pure state (global phase fixed); raises if mixed."""
         if self.purity() < 1.0 - TOL_PURE_VECTOR:
             raise ValidationError("state is not pure")
-        vals, vecs = np.linalg.eigh(self.mat)
-        v = vecs[:, -1]
+        v = self.eigenvectors[:, -1]
         k = int(np.argmax(np.abs(v)))
         return v * np.exp(-1j * np.angle(v[k]))
 
@@ -579,17 +636,22 @@ class Spectrum:
         return out
 
 
-def spectral(op: np.ndarray) -> Spectrum:
+def spectral(op) -> Spectrum:
     """Spectral decomposition with eigenvalues clustered into distinct groups.
 
     Eigenvalues closer than ``CLUSTER_TOL`` are merged greedily in sorted
     order; each cluster's projector is the sum of its eigenvector dyads and
-    its reported eigenvalue is the multiplicity-weighted mean.
+    its reported eigenvalue is the multiplicity-weighted mean.  A
+    ``DensityMatrix`` gives the decomposition it carries; a matrix is checked
+    Hermitian and decomposed here.
     """
-    a = as_operator(op)
-    if not is_hermitian(a):
-        raise ValidationError("spectral() requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (a + dagger(a)))
+    if isinstance(op, DensityMatrix):
+        vals, vecs = op.eigenvalues, op.eigenvectors
+    else:
+        a = as_operator(op)
+        if not is_hermitian(a):
+            raise ValidationError("spectral() requires a Hermitian matrix")
+        vals, vecs = np.linalg.eigh(0.5 * (a + dagger(a)))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -5,8 +5,13 @@ probabilities at or below ``P_EPS`` drop out of every sum.  Infinite relative
 entropies are encoded as ``math.inf`` so optimizers can still rank candidates.
 A one-way protocol has one entropy, that of its flattened product effects:
 ``chain_entropy`` is the observational entropy of ``flatten_locc``'s POVM.
-A ``Povm`` was validated when it was built, so nothing here checks it again;
-``coarse_grain`` validates the state it returns, as its input may be a raw array.
+A ``Povm`` was validated when it was built, so nothing here checks it again.
+A ``DensityMatrix`` was validated and eigendecomposed once, when it was built:
+``von_neumann``, ``quantum_relative_entropy`` and ``certify_optimal`` read
+its decomposition, and a raw array takes the same steps on its own matrix.
+``coarse_grain`` and ``recovery_bounds`` validate a raw-array state on entry,
+and ``coarse_grain`` builds its output unchecked, with
+``DensityMatrix._built``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ConditionalMeasurement, flatten_locc, lo_povm
-from .core import DensityMatrix, PartitionSpec, Povm, ValidationError, dagger, opnorm, spectral
+from .core import (
+    DensityMatrix,
+    PartitionSpec,
+    Povm,
+    ValidationError,
+    as_operator,
+    dagger,
+    opnorm,
+    spectral,
+)
 
 P_EPS = 1e-14
 CERT_OP_TOL = 1e-8  # certify_optimal: relative residual of an effect off its eigenspace
@@ -26,6 +40,21 @@ CERT_ENTROPY_TOL = 1e-7  # certify_optimal: allowed |S_M - S| once the support c
 
 def _as_mat(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+
+
+def _as_state(rho) -> DensityMatrix:
+    """rho itself, or a raw array validated as the state of one system."""
+    if isinstance(rho, DensityMatrix):
+        return rho
+    a = as_operator(rho)
+    return DensityMatrix(a, (a.shape[0],))
+
+
+def _eigh(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors: a state's own, or ``eigh`` of a raw array."""
+    if isinstance(rho, DensityMatrix):
+        return rho.eigenvalues, rho.eigenvectors
+    return np.linalg.eigh(_as_mat(rho))
 
 
 def shannon(probs) -> float:
@@ -55,16 +84,15 @@ def relative_entropy(p, q) -> float:
 
 def von_neumann(rho) -> float:
     """von Neumann entropy -Tr rho log2 rho in bits."""
-    vals = np.linalg.eigvalsh(_as_mat(rho))
+    vals = rho.eigenvalues if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(_as_mat(rho))
     return shannon(np.clip(vals, 0.0, None))
 
 
 def quantum_relative_entropy(rho, sigma) -> float:
     """Umegaki relative entropy D(rho||sigma) in bits; inf on support violation."""
     r = _as_mat(rho)
-    s = _as_mat(sigma)
-    rvals, rvecs = np.linalg.eigh(r)
-    svals, svecs = np.linalg.eigh(s)
+    rvals = _eigh(rho)[0]
+    svals, svecs = _eigh(sigma)
     rvals = np.clip(rvals, 0.0, None)
     tr_rho_log_rho = float(np.sum(rvals[rvals > P_EPS] * np.log2(rvals[rvals > P_EPS])))
     # overlap of rho with the eigenvectors of sigma
@@ -134,7 +162,12 @@ def measured_relative_entropy(rho, sigma, povm: Povm) -> float:
 
 
 def coarse_grain(rho, povm: Povm) -> DensityMatrix:
-    """Bayesian-retrodiction state P_M(rho) = sum_i p_i M_i / V_i."""
+    """Bayesian-retrodiction state P_M(rho) = sum_i p_i M_i / V_i.
+
+    A raw-array rho is validated on entry; the output is built from the
+    validated state and POVM, so it is not checked again.
+    """
+    rho = _as_state(rho)
     p = probabilities(rho, povm)
     v = povm.volumes()
     d = povm.d
@@ -143,9 +176,7 @@ def coarse_grain(rho, povm: Povm) -> DensityMatrix:
         if pi <= P_EPS or vi <= P_EPS:
             continue
         out += (pi / vi) * eff
-    out = 0.5 * (out + dagger(out))
-    dims = rho.dims if isinstance(rho, DensityMatrix) else (d,)
-    return DensityMatrix(out, dims)
+    return DensityMatrix._built(0.5 * (out + dagger(out)), rho.dims)
 
 
 @dataclass(frozen=True)
@@ -157,6 +188,7 @@ class RecoveryBounds:
 
 
 def recovery_bounds(rho, povm: Povm) -> RecoveryBounds:
+    rho = _as_state(rho)
     cg = coarse_grain(rho, povm)
     upper = von_neumann(cg)
     lower = quantum_relative_entropy(rho, cg) + von_neumann(rho)
@@ -184,25 +216,37 @@ def certify_optimal(rho, povm: Povm) -> OptimalityCertificate:
 
     An effect E that meets the condition within ``CERT_OP_TOL`` keeps nearly
     all of its trace in that eigenspace, so only the cluster k with the
-    largest Tr(P_k E) can be the one: the residuals ||E_i - P_k E_i P_k|| at
-    that cluster decide every effect.  They and the norms ||E_i|| come from
-    one batched ``opnorm`` over a 2k stack; a stored effect may be
-    non-Hermitian within validation's tolerance, so none of these operands
-    is taken as Hermitian.  An effect that fails there gets its residual
-    against every cluster, and is reported when the best of them fails too.
+    largest Tr(P_k E) can be the one: the residuals R_i = E_i - P_k E_i P_k
+    at that cluster decide every effect.  Their Frobenius norms bound them,
+    ||R||_F / sqrt(d) <= ||R|| <= ||R||_F, and the same for ||E||, so the
+    bounds decide most effects and one batched ``opnorm`` decides the rest.
+    A stored effect may be non-Hermitian within validation's tolerance, so
+    none of these operands is taken as Hermitian.  An effect that fails
+    there gets its residual against every cluster, and is reported when the
+    best of them fails too.  A ``DensityMatrix`` rho gives its own
+    decomposition; a raw array is decomposed here.
     """
-    r = _as_mat(rho)
-    spec = spectral(r)
+    spec = spectral(rho)
     s_m = observational_entropy(rho, povm)
     s_rho = von_neumann(rho)
     eff = povm.effects
+    k, d = eff.shape[:2]
     proj = np.array(spec.projectors)
     home = proj[np.argmax(np.real(np.einsum("kab,iba->ik", proj, eff)), axis=1)]
-    norms = opnorm(np.concatenate([eff, eff - home @ eff @ home]))
-    scale, residual = norms[: len(eff)], norms[len(eff) :]
-    for idx in np.flatnonzero((scale > 1e-12) & (residual > CERT_OP_TOL * scale)):
-        best = opnorm(eff[idx] - proj @ eff[idx] @ proj).min()
-        if best > CERT_OP_TOL * scale[idx]:
+    stack = np.concatenate([eff, eff - home @ eff @ home])
+    high = np.linalg.norm(stack, axis=(1, 2))  # Frobenius norms, at least the spectral ones
+    low = high / math.sqrt(d)  # at most the spectral ones
+    scale, residual = high[:k], high[k:]
+    fails = (low[:k] > 1e-12) & (low[k:] > CERT_OP_TOL * scale)
+    unknown = ~fails & (scale > 1e-12) & (residual > CERT_OP_TOL * low[:k])
+    if unknown.any():
+        norms = opnorm(stack[np.concatenate([unknown, unknown])])
+        scale[unknown], residual[unknown] = np.split(norms, 2)
+        fails[unknown] = (scale[unknown] > 1e-12) & (residual[unknown] > CERT_OP_TOL * scale[unknown])
+    for idx in np.flatnonzero(fails):
+        norms = opnorm(np.concatenate([eff[idx][None], eff[idx] - proj @ eff[idx] @ proj]))
+        best = norms[1:].min()
+        if best > CERT_OP_TOL * norms[0]:
             return OptimalityCertificate(
                 False,
                 f"effect {idx} is not supported on a single eigenspace "

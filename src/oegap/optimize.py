@@ -1217,7 +1217,7 @@ def eigenseparability(rho: DensityMatrix, partition: PartitionSpec) -> Eigensepa
     Exactly the states with zero SEP gap are eigenseparable; the verdict is
     three-valued because general separability is undecidable at this scale.
     """
-    spec = spectral(rho.mat)
+    spec = spectral(rho)
     dims = rho.dims
     verdicts = []
     nonzero = np.zeros((rho.d, rho.d), dtype=complex)
@@ -1252,9 +1252,9 @@ def _product_eigenbasis(rho: DensityMatrix, partition: PartitionSpec) -> np.ndar
     The basis then measures rho with S_M = S(rho): a SEP measurement with gap 0.
     Returns None otherwise.
     """
-    if any(mult != 1 for mult in spectral(rho.mat).multiplicities):
+    if any(mult != 1 for mult in spectral(rho).multiplicities):
         return None
-    vecs = np.linalg.eigh(rho.mat)[1]
+    vecs = rho.eigenvectors
     if any(product_vector_factors(v, partition, rho.dims) is None for v in vecs.T):
         return None
     return vecs

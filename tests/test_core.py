@@ -515,6 +515,71 @@ def test_density_matrix_invariants_enforced():
         rho.mat[0, 0] = 5.0  # stored matrix is read-only
 
 
+def test_density_matrix_rejects_what_validate_state_reports_with_its_messages(monkeypatch):
+    # the scaled cases of the validate_state reference test and their unit-trace
+    # rescalings, plus matrices whose asymmetry or least eigenvalue lies between
+    # half the tolerance and the tolerance, which validate_state itself decides
+    rng = np.random.default_rng(89)
+    checked = []
+
+    def spy(mat, dims=None):
+        checked.append(mat.shape[0])
+        return validate_state(mat, dims)
+
+    monkeypatch.setattr("oegap.core.validate_state", spy)
+    mats = []
+    for d in (2, 3, 4, 8, 16):
+        for factor in (0.5, 1.0, 2.0):
+            for asymmetric in (False, True):
+                for indefinite in (False, True):
+                    a = _scaled_case(rng, d, factor, asymmetric, indefinite)
+                    mats += [a, a / np.trace(a).real]
+        rho = random_density(rng, (d,)).mat
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        skew = x - x.conj().T
+        np.fill_diagonal(skew, 0.0)
+        skew *= 0.375e-9 / d / np.abs(skew).max()
+        vals, vecs = np.linalg.eigh(rho)
+        vals = np.concatenate([[-0.75e-9], vals[1:] * (1 + 0.75e-9) / vals[1:].sum()])
+        banded = [rho + skew, (vecs * vals) @ vecs.conj().T]  # d max |A - A^dag|, least eigenvalue
+        assert all(validate_state(m) == [] for m in banded)
+        checked.clear()
+        DensityMatrix(rho, (d,))
+        assert checked == []  # a clean state passes on the bounds alone
+        for m in banded:
+            DensityMatrix(m, (d,))
+        assert checked == [d, d]
+        mats += banded
+    accepted = 0
+    for mat in mats:
+        problems = validate_state(mat)
+        d = mat.shape[0]
+        if problems:
+            with pytest.raises(ValidationError) as err:
+                DensityMatrix(mat, (d,))
+            assert str(err.value) == "invalid state: " + "; ".join(problems)
+        else:
+            rho = DensityMatrix(mat, (d,))
+            accepted += 1
+            assert np.array_equal(rho.mat, mat)
+            want = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+            assert np.max(np.abs(rho.eigenvalues - want)) <= 1e-12
+            h = 0.5 * (mat + mat.conj().T)
+            vecs = rho.eigenvectors
+            assert np.allclose(h @ vecs, vecs * rho.eigenvalues, atol=1e-12)
+    assert accepted >= 30
+    with pytest.raises(ValidationError, match="invalid state: dimension 512 exceeds"):
+        DensityMatrix(np.eye(512) / 512, (512,))
+
+
+def test_density_matrix_decomposition_is_read_only():
+    rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex), (2,))
+    assert np.array_equal(rho.eigenvalues, [0.25, 0.75])
+    for arr in (rho.eigenvalues, rho.eigenvectors):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+
 @pytest.mark.parametrize(
     "effects, message",
     [

@@ -1,5 +1,6 @@
 """Entropy functionals against paper values and derived oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from helpers import (
     shannon_oracle,
 )
 from oegap.classes import ConditionalMeasurement, flatten_locc, lo_povm, lostar_povm
-from oegap.core import DensityMatrix, PartitionSpec, Povm, partial_trace, spectral
+from oegap.core import DensityMatrix, PartitionSpec, Povm, ValidationError, partial_trace, spectral
 from oegap.entropy import (
     OutcomeStats,
     binary_entropy,
@@ -31,7 +32,18 @@ from oegap.entropy import (
     tensor_oe_decompose,
     von_neumann,
 )
-from oegap.states import bell, cq_example, domino_state, trine_cq, trine_vectors, w, werner
+from oegap.states import (
+    bell,
+    cq_example,
+    domino_state,
+    ghz,
+    tiles_upb_state,
+    trine_cq,
+    trine_vectors,
+    two_bell,
+    w,
+    werner,
+)
 
 FULL2 = PartitionSpec.full(2)
 
@@ -143,6 +155,91 @@ def test_coarse_grain_unital():
     povm = random_povm(rng, 4, 5)
     tau = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert np.allclose(coarse_grain(tau, povm).mat, np.eye(4) / 4, atol=1e-10)
+
+
+def _catalogue_and_random_states():
+    rng = np.random.default_rng(97)
+    states = [bell(), w(3), ghz(3), two_bell(), werner(3, 0.7), cq_example().state,
+              trine_cq().state, domino_state(), tiles_upb_state()]
+    states += [random_density(rng, dims, rank) for dims in ((2, 2), (2, 3), (2, 2, 2)) for rank in (1, 3)]
+    return rng, states
+
+
+def test_built_states_equal_the_validated_construction(monkeypatch):
+    # coarse_grain and reduced build their states unchecked; each equals the
+    # validated DensityMatrix of its own matrix, eigenvalues within 1e-12
+    rng, states = _catalogue_and_random_states()
+    built = []
+
+    def fail(self):
+        raise AssertionError("a built state was validated again")
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", fail)
+    for rho in states:
+        n = len(rho.dims)
+        for povm in (random_povm(rng, rho.d, 3), local_computational(rho.dims), Povm.trivial(rho.d)):
+            built.append(coarse_grain(rho, povm))
+        for r in range(1, n):
+            built += [rho.reduced(keep) for keep in itertools.combinations(range(n), r)]
+    monkeypatch.undo()
+    for state in built:
+        checked = DensityMatrix(state.mat, state.dims)
+        assert np.array_equal(state.mat, checked.mat) and state.dims == checked.dims
+        assert np.max(np.abs(state.eigenvalues - checked.eigenvalues)) <= 1e-12
+        assert not (state.mat.flags.writeable or state.eigenvalues.flags.writeable)
+        assert not state.eigenvectors.flags.writeable
+
+
+def test_coarse_grain_validates_a_raw_state_on_entry():
+    # invalid raw states whose coarse-grained states the computational basis would
+    # make valid or not: both are rejected on entry, by recovery_bounds too
+    povm = Povm.from_basis(np.eye(2, dtype=complex))
+    for mat, problem in ((np.diag([2.0, 0.0]), "trace differs from 1"),
+                         (np.diag([1.5, -0.5]), "not positive semidefinite")):
+        for call in (coarse_grain, recovery_bounds):
+            with pytest.raises(ValidationError, match=problem):
+                call(mat, povm)
+    raw = np.diag([0.6, 0.4]).astype(complex)
+    assert np.array_equal(coarse_grain(raw, povm).mat, raw)
+    assert recovery_bounds(raw, povm) == recovery_bounds(DensityMatrix(raw, (2,)), povm)
+
+
+
+def test_coarse_grain_accepts_a_povm_within_the_completeness_tolerance():
+    # a valid POVM whose effects sum to 1 + 5e-10 on one outcome: P_M(rho) has
+    # trace 1 + 2.5e-10, which a re-validation of the output would reject
+    povm = Povm(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 5e-10])]))
+    rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), (2,))
+    cg = coarse_grain(rho, povm)
+    assert np.trace(cg.mat).real == pytest.approx(1.0 + 2.5e-10, abs=1e-15)
+    sand = recovery_bounds(rho, povm)
+    assert sand.lower == pytest.approx(1.0, abs=1e-8) and sand.upper == pytest.approx(1.0, abs=1e-8)
+
+def test_state_readers_do_not_decompose_again(monkeypatch):
+    # a DensityMatrix carries its eigh: the entropies, spectral, pure_vector and a
+    # certificate that the Frobenius bounds decide run no eigensolver
+    rng, states = _catalogue_and_random_states()
+    cases = []
+    for rho in states:
+        povm = Povm(np.array(spectral(rho).projectors))
+        cases.append((rho, povm, coarse_grain(rho, random_povm(rng, rho.d, 3))))
+    want = [(von_neumann(rho.mat), von_neumann(cg.mat), quantum_relative_entropy(rho.mat, cg.mat))
+            for rho, _, cg in cases]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a state was decomposed again")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    for (rho, povm, cg), (s, s_cg, rel) in zip(cases, want):
+        assert von_neumann(rho) == pytest.approx(s, abs=1e-12)
+        assert von_neumann(cg) == pytest.approx(s_cg, abs=1e-12)
+        assert quantum_relative_entropy(rho, cg) == pytest.approx(rel, abs=1e-12)
+        assert len(spectral(rho).eigenvalues) == len(povm.effects)
+        assert certify_optimal(rho, povm).optimal
+        if rho.is_pure():
+            vec = rho.pure_vector()
+            assert np.allclose(np.outer(vec, vec.conj()), rho.mat, atol=1e-9)
 
 
 def test_recovery_equalities_projective():
@@ -319,6 +416,28 @@ def test_certify_matches_stacked_svd_reference(factor):
                 assert cert.failing_outcome == 0
                 assert cert.reason.endswith("(best residual 2.000e-08)")
 
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_certify_decides_the_undecided_frobenius_band_exactly(factor):
+    # residuals within 10% of CERT_OP_TOL times the norm: the Frobenius bounds
+    # ||R||_F / sqrt(d) <= ||R|| <= ||R||_F leave effects 0 and 2 undecided,
+    # and the certificate agrees with the same check computed with SVDs
+    rng = np.random.default_rng(101)
+    for d in (3, 4, 6, 8):
+        for _ in range(4):
+            rho, povm = _off_eigenspace_povm(rng, d, factor * 1e-8)
+            proj = np.array(spectral(rho).projectors)
+            for i in (0, 2):
+                eff = povm.effects[i]
+                home = proj[np.argmax(np.real(np.einsum("kab,ba->k", proj, eff)))]
+                res_f = np.linalg.norm(eff - home @ eff @ home)
+                eff_f = np.linalg.norm(eff)
+                assert res_f > 1e-8 * eff_f / np.sqrt(d) and res_f / np.sqrt(d) <= 1e-8 * eff_f
+            cert = certify_optimal(rho, povm)
+            reason = cert.reason if cert.failing_outcome is not None else None
+            assert (cert.failing_outcome, reason) == certify_svd_reference(rho, povm)
+            assert cert.optimal == (factor < 1.0)
 
 def test_tensor_decompose_product_state():
     rng = np.random.default_rng(9)
