@@ -655,21 +655,13 @@ def spectral(op) -> Spectrum:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[groups[-1][-1]] - vals[i] <= CLUSTER_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = []
-    projectors = []
-    multiplicities = []
-    for g in groups:
-        eigenvalues.append(float(np.mean(vals[g])))
-        v = vecs[:, g]
-        projectors.append(v @ dagger(v))
-        multiplicities.append(len(g))
-    return Spectrum(tuple(eigenvalues), tuple(projectors), tuple(multiplicities))
+    # a cluster starts wherever the next eigenvalue is more than CLUSTER_TOL below
+    starts = np.flatnonzero(np.concatenate([[True], vals[:-1] - vals[1:] > CLUSTER_TOL]))
+    sizes = np.diff(np.append(starts, len(vals)))
+    dyads = np.einsum("ai,bi->iab", vecs, vecs.conj())
+    projectors = np.add.reduceat(dyads, starts, axis=0)
+    eigenvalues = np.add.reduceat(vals, starts) / sizes
+    return Spectrum(tuple(eigenvalues.tolist()), tuple(projectors), tuple(sizes.tolist()))
 
 
 def schmidt(

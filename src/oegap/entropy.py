@@ -9,8 +9,9 @@ A ``Povm`` was validated when it was built, so nothing here checks it again.
 A ``DensityMatrix`` was validated and eigendecomposed once, when it was built:
 ``von_neumann``, ``quantum_relative_entropy`` and ``certify_optimal`` read
 its decomposition, and a raw array takes the same steps on its own matrix.
-``coarse_grain`` and ``recovery_bounds`` validate a raw-array state on entry,
-and ``coarse_grain`` builds its output unchecked, with
+``observational_entropy``, ``coarse_grain`` and ``recovery_bounds`` validate
+a raw-array state on entry and check nothing they compute from a validated
+state and POVM: ``coarse_grain`` builds its output unchecked, with
 ``DensityMatrix._built``.
 """
 
@@ -143,9 +144,13 @@ def outcome_stats(rho, povm: Povm) -> OutcomeStats:
 
 
 def observational_entropy(rho, povm: Povm) -> float:
-    """Observational entropy S_M(rho) = -sum_i p_i log2(p_i / V_i) in bits."""
-    stats = outcome_stats(rho, povm)
-    return entropy_from_stats(stats.probabilities, stats.volumes)
+    """Observational entropy S_M(rho) = -sum_i p_i log2(p_i / V_i) in bits.
+
+    A raw-array rho is validated on entry; the probabilities of a validated
+    state and POVM are not checked again.
+    """
+    rho = _as_state(rho)
+    return entropy_from_stats(probabilities(rho, povm), povm.volumes())
 
 
 def entropy_from_stats(p, v) -> float:

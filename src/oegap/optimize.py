@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize  # noqa: F401  perfbench/tracing.py proxies oegap.optimize.scipy
 
 from .classes import (
     ConditionalMeasurement,
@@ -259,47 +259,8 @@ def _frame_povm(q: np.ndarray) -> Povm:
     return Povm(np.array([np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > ZERO_ROW]))
 
 
-def _extremal_qubit_povm(m: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Stiefel rows for an extremal qubit POVM with m rank-1 effects, or None.
-
-    Effects are w_j/2 (1 + n_j . sigma) with unit Bloch vectors n_j; the
-    completeness conditions sum w = 2, sum w n = 0 are solved for the weights
-    and infeasible direction samples are rejected.
-    """
-    if m == 2:
-        return dagger(_haar_frame(2, 2, rng))  # rows are the two basis bras
-    if m == 3:
-        # three coplanar unit vectors: zero only lies in the span of <= 3
-        # positive-weighted directions when they share a plane through 0
-        basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
-        angles = np.sort(rng.uniform(0, 2 * np.pi, size=3))
-        dirs = np.stack([np.cos(a) * basis[:, 0] + np.sin(a) * basis[:, 1] for a in angles])
-    else:
-        dirs = rng.normal(size=(m, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    a = np.vstack([np.ones(m), dirs.T])  # (4, m)
-    target = np.array([2.0, 0.0, 0.0, 0.0])
-    w, res = scipy.optimize.nnls(a, target)
-    if res > 1e-10 or np.any(w < 1e-12):
-        return None
-    rows = [np.sqrt(wj) * _bloch_ket(nj).conj() for wj, nj in zip(w, dirs)]
-    return np.stack(rows)
-
-
-def _bloch_ket(n: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-
-
 def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
-    """Random m x d start frame: an extremal POVM on a qubit, else a Haar basis or Stiefel frame."""
-    if d == 2:
-        want = int(gen.integers(2, m + 1))
-        q = _extremal_qubit_povm(want, gen)
-        while q is None:
-            q = _extremal_qubit_povm(want, gen)
-        return _pad_rows(q, m)
+    """Random m x d start frame: a Haar basis padded with zero rows or a Haar Stiefel frame, even odds."""
     if gen.uniform() < 0.5:
         return _pad_rows(dagger(_haar_frame(d, d, gen)), m)
     return _haar_frame(m, d, gen)
@@ -884,9 +845,9 @@ def minimize_lo(
 
     Each block carries up to m rank-1 effects (m = 4 on qubits, d + 1
     otherwise), encoded as the rows of an m x d isometry-style matrix Q
-    (Q^dag Q = 1); qubit blocks draw restarts from the extremal families
-    (2 to 4 rank-1 effects), other blocks from Haar bases and Haar Stiefel
-    frames.  The LO* search runs first and seeds one restart.
+    (Q^dag Q = 1); random restarts draw each block's Q as a Haar basis
+    padded with zero rows or a Haar Stiefel frame.  The LO* search runs
+    first and seeds one restart.
     """
     return _product_search(rho, partition, cfg, lo=True)
 

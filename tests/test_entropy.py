@@ -215,6 +215,17 @@ def test_coarse_grain_accepts_a_povm_within_the_completeness_tolerance():
     sand = recovery_bounds(rho, povm)
     assert sand.lower == pytest.approx(1.0, abs=1e-8) and sand.upper == pytest.approx(1.0, abs=1e-8)
 
+
+def test_observational_entropy_accepts_a_state_and_povm_each_within_tolerance():
+    # the trace and completeness tolerances each allow about 1e-9, so the outcome
+    # probabilities of a valid state under a valid POVM may sum to 1 + 1.09e-9
+    rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex) * (1 + 0.99e-10), (2,))
+    povm = Povm(np.array([np.diag([1 + 0.99e-9, 0.0]), np.diag([0.0, 1 + 0.99e-9])]))
+    assert observational_entropy(rho, povm) == pytest.approx(1.0, abs=1e-8)
+    assert observational_entropy(rho.mat, povm) == observational_entropy(rho, povm)
+    assert certify_optimal(rho, povm).optimal
+
+
 def test_state_readers_do_not_decompose_again(monkeypatch):
     # a DensityMatrix carries its eigh: the entropies, spectral, pure_vector and a
     # certificate that the Frobenius bounds decide run no eigensolver
