@@ -33,11 +33,14 @@ optimum, and CQ holds its classical block in the declared basis.  The
 one-way LOCC search runs over a tree whose first level is the first block's
 POVM frame, as a stack of one, and whose later levels but the last hold one
 basis per outcome path, the last block measured in its conditional
-eigenbasis; ``_tree_protocol`` reads the witness protocol off the winning
-tree after one forward pass of the same factor.  ``sep_gap_heuristic``
-runs the LO* and one-way LOCC searches again at the caller's config and
-returns the best of their witnesses and, when it is a product basis, rho's
-eigenbasis.  ``werner_analytic`` is exact in closed form, and
+eigenbasis; on a pure state the tree also stops before the second-to-last
+block, whose optimal basis is its conditional eigenbasis in closed form.
+``_tree_protocol`` reads the witness protocol off the winning tree, filled
+with those eigenbases, after one forward pass of the same factor.
+``sep_gap_heuristic`` runs the LO* and one-way LOCC searches again at the
+caller's config and returns the best of their witnesses and, when it is a
+product basis, rho's eigenbasis.  ``werner_analytic`` is exact in closed
+form, and
 ``ppt_gap_w3`` is proven optimal by a primal point and a dual certificate
 checked in rational arithmetic.
 """
@@ -714,8 +717,13 @@ def _tree_objective(factor: np.ndarray, bdims: tuple[int, ...]):
         S = sum_leaves (p log2 V - Tr A log2 A),   p = Tr A,
 
     eigenvalues of A at or below P_EPS masked, as in ``chain_entropy``.
-    When every block has a level, A is 1 x 1 and equals p; when rho is pure,
-    T is a column and A has one nonzero eigenvalue, p: then no eigh runs.
+    When every block has a level, A is 1 x 1 and equals p; when rho is pure
+    and only the last block has none, T is a column and A has one nonzero
+    eigenvalue, p: then no eigh runs.  When rho is pure and the last two
+    blocks (B, C) have none, T is d_B x d_C and A = p rho_B, with rho_B the
+    leaf's conditional marginal on B: -Tr A log2 A is then the entropy of B
+    measured in rho_B's eigenbasis and C in its pure conditional state, the
+    least over every basis of B (``_eigenbasis_tree``).
     A square level is a basis, of volume 1: it takes no volume term.
     Returns one value per restart and one gradient per level, of its shape.
 
@@ -868,12 +876,17 @@ def minimize_locc_oneway(
     block's POVM (rank-1 effects, Stiefel-row encoding) and, at each later
     level but the last, one basis per outcome path; the last block is
     measured in the eigenbasis of its conditional state, which is exactly
-    optimal there.  Each start is a first-block frame and the conditional
-    eigenbases of its paths: the computational basis, the marginal
-    eigenbasis, then random frames.  All of a restart's frames are polished
-    together, every restart in lockstep.  The winning tree is read off as a protocol
-    (``_tree_protocol``), whose ``chain_entropy`` on rho is the reported
-    entropy.
+    optimal there.  On a pure state (rho of rank 1 after the P_EPS cut) the
+    tree also leaves out the second-to-last block, measured in its
+    conditional eigenbasis, which is exactly optimal there too
+    (``_eigenbasis_tree``); the first block keeps its level.  So on W3 the
+    search polishes the first qubit's 4 x 2 frame alone.  Each start is a
+    first-block frame and the conditional eigenbases of its paths: the
+    computational basis, the marginal eigenbasis, then random frames.  All
+    of a restart's frames are polished together, every restart in lockstep.
+    The winning tree, with every block it leaves out in its conditional
+    eigenbases, is read off as a protocol (``_tree_protocol``), whose
+    ``chain_entropy`` on rho is the reported entropy.
     """
     if ordering is None:
         ordering = tuple(range(partition.n_blocks))
@@ -921,9 +934,16 @@ def _eigenbasis_tree(factor: np.ndarray, bdims, q: np.ndarray) -> list[np.ndarra
 
     On it ``_tree_objective`` equals the chain entropy of the greedy
     eigenbasis protocol after q.  Its levels are those of every block but the
-    last, or of the first block alone when it is the only one.
+    last, or, when rho is pure (``factor`` one column), of every block but
+    the last two; always at least the first block's.  On a pure state every
+    rank-1 effect leaves the last two blocks (B, C) in a pure conditional
+    state, so measuring B in any basis and then C in its conditional
+    eigenbasis reads H(diag rho_B), at least S(rho_B) by Schur-Horn with
+    equality in rho_B's eigenbasis: the objective's leaf entropy
+    -Tr A log2 A, A = p rho_B, is that optimum in closed form.
     """
-    return _eigenbasis_levels(factor, bdims, [q[None]])[: max(1, len(bdims) - 1)]
+    depth = len(bdims) - (2 if factor.shape[1] == 1 else 1)
+    return _eigenbasis_levels(factor, bdims, [q[None]])[: max(1, depth)]
 
 
 def _tree_protocol(blocks, levels: list[np.ndarray]) -> ConditionalMeasurement:

@@ -224,16 +224,17 @@ def test_cmd_gap_zero_counts_as_converged(klass):
 
 
 def test_cmd_gap_sep_exits_3_when_its_winner_did_not_converge():
-    # W3 at two restarts: SEP's winner is the LOCC1 witness, whose search did not converge
+    # W3 at two restarts of three iterations: SEP's winner is the LOCC1 witness, whose
+    # search the budget stopped before it converged
     runner = CliRunner()
     result = runner.invoke(
         main,
-        ["gap", "--state", "w(3)", "--class", "sep", "--seed", "1", "--restarts", "2", "--max-iters", "300"],
+        ["gap", "--state", "w(3)", "--class", "sep", "--seed", "1", "--restarts", "2", "--max-iters", "3"],
     )
     assert result.exit_code == 3, result.output
     payload = json.loads(result.output)
     assert payload["converged"] is False
-    assert payload["gap"] == pytest.approx(1.544496, abs=1e-6)
+    assert payload["gap"] == pytest.approx(1.545185, abs=1e-6)
 
 
 def test_cmd_gap_requires_exactly_one_source(tmp_path):
