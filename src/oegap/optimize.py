@@ -17,8 +17,14 @@ returns one value per restart, and every frame is charted in one stack of
 charts of the largest size, a smaller chart as a top-left block, so each
 step makes one objective call, one eigh and one pullback for all restarts.
 ``_lbfgs``, a batched L-BFGS with L-BFGS-B's Moré–Thuente line search and
-stopping tests, drives them, each restart with its own memory and line
-search, so a restart's iterates do not depend on the others.  A start of
+stopping tests, drives them, each restart with its own memory, line search
+and stopping tests, so no restart's step reads another restart's values.
+They agree with a restart's run at another restart count only to rounding,
+though: the stacked arithmetic can round a restart's numbers differently
+with the number of live restarts, and a last-bit difference can send its
+line search down another path.  W3 with 10% white noise shows it: one-way
+LOCC restart 0 takes 85 evaluations at 2 restarts and 92 at 3, and its
+final values differ by 4e-14.  A start of
 bases begins at theta = 0, where its evaluation is the optimizer's first,
 and a start whose gradient there already passes the stopping test takes no
 step: a stationary warm start costs one evaluation.  A start with a POVM
@@ -55,7 +61,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize  # noqa: F401  perfbench/tracing.py proxies oegap.optimize.scipy
+# No oegap code calls scipy.  The name stays because perfbench/tracing.py proxies
+# oegap.optimize.scipy.optimize; scipy loads a submodule on its first attribute
+# access, so the package alone imports scipy's top level only (about 10 ms).
+import scipy  # noqa: F401
 
 from .classes import (
     ConditionalMeasurement,
@@ -414,7 +423,13 @@ def _lbfgs(fun, x0: np.ndarray, max_iters: int, first=None):
     functions ``rows`` at the rows of x (k, n); ``first`` is its result at
     x0 for every row, when the caller has it.  Each step makes one call, at
     one point per live row, and each row keeps its own MEMORY pairs and its
-    own ``_LineSearch``, so a row's iterates do not depend on the others.
+    own ``_LineSearch``, so no row's step reads another row's values.  A
+    row's rounding can still follow the others: the slope g.d is a dot
+    product over the row's gradient, which ``fun`` may return as a row
+    strided by the number of live rows, and BLAS rounds a strided dot
+    product differently from a contiguous one.  So a row's iterates match
+    its own run alone only to rounding, and the number of steps it takes
+    can differ.
 
     This is L-BFGS-B with no bounds: the first step along -g is 1 / |g|, each
     later one starts at 1; a pair with s.y <= eps (-g.d) is not stored; a
@@ -572,7 +587,9 @@ def _descent(objective, starts: list[list[np.ndarray]], cfg: OptConfig, gens: li
     columns) it starts at the seeded theta0 = 1e-2 N(0, 1) drawn from the
     restart's generator, since the zero rows of a padded basis have zero
     gradient at theta = 0, a saddle.  A restart keeps its start unless the
-    polish beats it by 1e-13.
+    polish beats it by 1e-13.  Restarts share stacks but no optimizer state,
+    so a restart's result depends on the others only through rounding (see
+    ``_lbfgs``).
     """
     count = len(starts)
     levels = [np.concatenate([f.reshape((-1,) + f.shape[-2:]) for f in column]) for column in zip(*starts)]
@@ -1095,15 +1112,20 @@ def _w3_invariant_projectors() -> list[list[list[Fraction]]]:
     return [q1, q2, minus(diagonal(one), q1), minus(diagonal(two), q2), diagonal((0,)), diagonal((7,))]
 
 
-def _pt_first_qubit(x: list[list[Fraction]]) -> list[list[Fraction]]:
+def _pt_first_qubit(x) -> list[list]:
     """Partial transpose of a three-qubit operator on its first qubit."""
     return [[x[(j & 4) | (i & 3)][(i & 4) | (j & 3)] for j in range(8)] for i in range(8)]
 
 
-def _is_psd_exact(a: list[list[Fraction]]) -> bool:
-    """Whether a real symmetric rational matrix is positive semidefinite, by exact elimination."""
+def _is_psd_exact(a: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, by fraction-free elimination.
+
+    Bareiss's step scales each Schur complement by the last positive pivot
+    and divides exactly by the one before, so every entry stays an int.
+    """
     a = [row[:] for row in a]
     n = len(a)
+    last = 1
     for k in range(n):
         pivot = a[k][k]
         if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
@@ -1111,10 +1133,18 @@ def _is_psd_exact(a: list[list[Fraction]]) -> bool:
         if pivot == 0:
             continue
         for i in range(k + 1, n):
-            f = a[i][k] / pivot
             for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // last
+        last = pivot
     return True
+
+
+@functools.cache
+def _w3_scaled_projectors() -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(c, c Q_a): the six projectors as int matrices, c the least common denominator of their entries."""
+    qs = _w3_invariant_projectors()
+    c = math.lcm(*(x.denominator for q in qs for row in q for x in row))
+    return c, tuple(tuple(tuple(int(x * c) for x in row) for row in q) for q in qs)
 
 
 EXACT_W3_COEFFS = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2, 3), Fraction(1, 12))
@@ -1132,24 +1162,32 @@ def _certify_ppt_w3(coeffs, dual) -> Fraction:
     above.  Dual: ``dual`` lists weights w_j >= 0 and vectors y_j of
     Y = sum_j w_j y_j y_j^T >= 0; when Tr(Y PT(Q_a)) <= Tr Q_a for a = 2..6,
     every feasible M' has Tr M' >= Tr Q1 - Tr(Y PT(Q1)) + Tr(Y PT(M')) >=
-    Tr Q1 - Tr(Y PT(Q1)).  All of it runs in exact rational arithmetic;
-    RuntimeError unless both parts hold and the two bounds meet.
+    Tr Q1 - Tr(Y PT(Q1)).  All of it is exact: the Q_a, t and the weights
+    are scaled to ints by their least common denominators, so PT(M'), the
+    traces and Tr(Y .) are Python ints, which cannot overflow; RuntimeError
+    unless both parts hold and the two bounds meet.
     """
-    qs = _w3_invariant_projectors()
-    traces = [sum(q[i][i] for i in range(8)) for q in qs]
-    pts = [_pt_first_qubit(q) for q in qs]
-    t = [Fraction(1)] + [Fraction(c) for c in coeffs]
-    pt_m = [[sum(ta * pt[i][j] for ta, pt in zip(t, pts)) for j in range(8)] for i in range(8)]
-    if min(t) < 0 or not _is_psd_exact(pt_m):
+    c, scaled = _w3_scaled_projectors()
+    pts = [_pt_first_qubit(q) for q in scaled]
+    traces = [sum(q[i][i] for i in range(8)) for q in scaled]
+    t = [Fraction(1)] + [Fraction(x) for x in coeffs]
+    weights = [Fraction(w) for w, _ in dual]
+    # scaled by their least common denominators, t and the weights become the ints ti and wi
+    dt, dw = (math.lcm(*(x.denominator for x in xs)) for xs in (t, weights))
+    ti = [x.numerator * (dt // x.denominator) for x in t]
+    wi = [w.numerator * (dw // w.denominator) for w in weights]
+    pt_m = [[sum(a * pt[i][j] for a, pt in zip(ti, pts)) for j in range(8)] for i in range(8)]  # c dt PT(M')
+    if min(ti) < 0 or not _is_psd_exact(pt_m):
         raise RuntimeError("W3 PPT primal point is infeasible")
-    upper = sum(ta * tr for ta, tr in zip(t, traces))
+    upper = Fraction(sum(a * tr for a, tr in zip(ti, traces)), c * dt)
 
-    def against_y(x):  # Tr(Y x)
-        return sum(w * sum(y[i] * x[i][j] * y[j] for i in range(8) for j in range(8)) for w, y in dual)
+    def against_y(x):  # dw Tr(Y x)
+        return sum(w * sum(y[i] * sum(x[i][j] * y[j] for j in range(8)) for i in range(8))
+                   for w, (_, y) in zip(wi, dual))
 
-    if any(w < 0 for w, _ in dual) or any(against_y(pt) > tr for pt, tr in zip(pts[1:], traces[1:])):
+    if min(wi) < 0 or any(against_y(pt) > dw * tr for pt, tr in zip(pts[1:], traces[1:])):
         raise RuntimeError("W3 PPT dual certificate is infeasible")
-    lower = traces[0] - against_y(pts[0])
+    lower = Fraction(dw * traces[0] - against_y(pts[0]), c * dw)
     if lower != upper:
         raise RuntimeError(f"W3 PPT bounds do not meet: dual {lower} < primal {upper}")
     return upper
@@ -1165,7 +1203,8 @@ def ppt_gap_w3() -> PptW3Result:
     trace = _certify_ppt_w3(EXACT_W3_COEFFS, EXACT_W3_DUAL)
     if max(EXACT_W3_COEFFS) > 1:
         raise RuntimeError("exact coefficients exceed 1; witness would not be a POVM")
-    qs = [np.array(q, dtype=float).astype(complex) for q in _w3_invariant_projectors()]
+    c, scaled = _w3_scaled_projectors()
+    qs = [np.array(q, dtype=complex) / c for q in scaled]
     m_opt = qs[0] + sum(float(ta) * qa for ta, qa in zip(EXACT_W3_COEFFS, qs[1:]))
     complement = np.eye(8) - m_opt
     dims = (2, 2, 2)

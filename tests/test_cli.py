@@ -3,11 +3,16 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oegap
 from helpers import random_density
 from oegap.cli import (
     main,
@@ -472,3 +477,37 @@ def test_command_parameters_are_pinned(command):
         for p in main.commands[command].params
     ]
     assert params == COMMAND_PARAMS[command]
+
+
+COLD_START = """
+import sys
+
+import numpy as np
+from click.testing import CliRunner
+
+import oegap, oegap.cli
+from oegap.core import PartitionSpec, Povm
+from oegap.entropy import observational_entropy
+from oegap.optimize import OptConfig, minimize_lo, sep_gap_heuristic
+from oegap.states import bell
+
+result = CliRunner().invoke(oegap.cli.main, ["gap", "--state", "bell", "--class", "lostar"])
+assert result.exit_code == 0, result.output
+cfg = OptConfig(seed=1, restarts=2, max_iters=50)
+minimize_lo(bell(), PartitionSpec.full(2), cfg)
+sep_gap_heuristic(bell(), PartitionSpec.full(2), cfg)
+observational_entropy(bell(), Povm.from_basis(np.eye(4)))
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+assert oegap.optimize.scipy.optimize.__name__ == "scipy.optimize"
+"""
+
+
+def test_cold_start_does_not_import_scipy_optimize():
+    # scipy.optimize is most of a fresh process's start-up time and memory, and no oegap
+    # code calls it; pytest's own process has loaded it already, so the check runs in a
+    # fresh interpreter: the package, the CLI and a search leave it unloaded, and the
+    # module's scipy still reaches it on first use, as perfbench/tracing.py does
+    src = str(Path(oegap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -57,6 +57,7 @@ from oegap.optimize import (
     _haar_frame,
     _hermitian_from_params,
     _hermitian_gradient_params,
+    _is_psd_exact,
     _lbfgs,
     _lbfgs_direction,
     _pad_rows,
@@ -753,6 +754,16 @@ def test_restarts_do_not_depend_on_each_other(search):
     assert three.records == five.records[:3]
 
 
+def test_mixed_state_restart_agrees_across_restart_counts():
+    # no restart reads another's values, but the stacked arithmetic can round a restart's
+    # line-search slope differently with the number of live restarts: on W3 with 10% white
+    # noise restart 0 of the one-way LOCC search takes 85 evaluations at 2 restarts and 92
+    # at 3, so only its final value, not its path, is pinned across restart counts
+    rho = DensityMatrix(0.9 * w(3).mat + 0.1 * np.eye(8) / 8, (2, 2, 2))
+    ends = [minimize_locc_oneway(rho, FULL3, cfg=OptConfig(107, k, 300)).trace[0] for k in (2, 3, 4)]
+    assert max(ends) - min(ends) <= 1e-12
+
+
 def _hermitian_params(h: np.ndarray) -> np.ndarray:
     """theta with _hermitian_from_params(theta, d) == h."""
     d = h.shape[0]
@@ -1334,6 +1345,74 @@ def _perturbed_dual(index: int, weight_delta: Fraction, vector_delta=None):
 def test_ppt_w3_certificate_rejects_perturbations(coeffs, dual, why):
     with pytest.raises(RuntimeError, match=f"W3 PPT {why}"):
         _certify_ppt_w3(coeffs, dual)
+
+
+TINY = Fraction(1, 10**30)  # its products overflow int64: the check must stay exact
+
+
+@pytest.mark.parametrize(
+    "coeffs,dual,message",
+    [
+        (_perturbed_coeffs(0, TINY), EXACT_W3_DUAL, "W3 PPT primal point is infeasible"),
+        (_perturbed_coeffs(4, -TINY), EXACT_W3_DUAL, "W3 PPT primal point is infeasible"),
+        (
+            _perturbed_coeffs(1, TINY),
+            EXACT_W3_DUAL,
+            f"W3 PPT bounds do not meet: dual 9/4 < primal {Fraction(9, 4) + 2 * TINY}",
+        ),
+        (EXACT_W3_COEFFS, _perturbed_dual(0, TINY), "W3 PPT dual certificate is infeasible"),
+        (
+            EXACT_W3_COEFFS,
+            _perturbed_dual(0, -TINY),
+            f"W3 PPT bounds do not meet: dual {Fraction(9, 4) - Fraction(4, 3) * TINY} < primal 9/4",
+        ),
+    ],
+    ids=["t2-high", "t6-low", "t3-high", "y1-heavy", "y1-light"],
+)
+def test_ppt_w3_certificate_is_exact_at_any_denominator(coeffs, dual, message):
+    # a perturbation of 1e-30 is far below float resolution and its denominators overflow
+    # int64, yet the certificate sees it, with the rational bounds in the message
+    with pytest.raises(RuntimeError) as err:
+        _certify_ppt_w3(coeffs, dual)
+    assert str(err.value) == message
+
+
+def _is_psd_rational(a) -> bool:
+    """Whether a symmetric matrix is PSD, by Gaussian elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in a]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def test_is_psd_exact_matches_rational_elimination():
+    # integer Gram matrices, some with zero rows and so zero pivots, some with one
+    # symmetric entry pair nudged: the fraction-free elimination agrees with Fractions
+    gen = np.random.default_rng(17)
+    verdicts = set()
+    for _ in range(600):
+        n = int(gen.integers(1, 9))
+        v = gen.integers(-3, 4, size=(n, int(gen.integers(0, n + 1))))
+        v[gen.random(n) < 0.2] = 0
+        a = v @ v.T
+        if gen.random() < 0.5:
+            i, j = gen.integers(0, n, size=2)
+            a[i, j] += 1
+            if i != j:
+                a[j, i] += 1
+        matrix = [[int(x) for x in row] for row in a]
+        verdicts.add(_is_psd_exact(matrix))
+        assert _is_psd_exact(matrix) == _is_psd_rational(matrix)
+    assert verdicts == {True, False}
 
 
 def test_eigenseparability_domino():
