@@ -16,20 +16,15 @@ objective takes every live restart's frames stacked restart first and
 returns one value per restart, and every frame is charted in one stack of
 charts of the largest size, a smaller chart as a top-left block, so each
 step makes one objective call, one eigh and one pullback for all restarts.
-``_lbfgs``, a batched L-BFGS with L-BFGS-B's Moré–Thuente line search and
-stopping tests, drives them, each restart with its own memory, line search
-and stopping tests, so no restart's step reads another restart's values.
-They agree with a restart's run at another restart count only to rounding,
-though: the stacked arithmetic can round a restart's numbers differently
-with the number of live restarts, and a last-bit difference can send its
-line search down another path.  W3 with 10% white noise shows it: one-way
-LOCC restart 0 takes 85 evaluations at 2 restarts and 92 at 3, and its
-final values differ by 4e-14.  A start of
-bases begins at theta = 0, where its evaluation is the optimizer's first,
-and a start whose gradient there already passes the stopping test takes no
-step: a stationary warm start costs one evaluation.  A start with a POVM
-frame begins at a seeded nudge, off the saddle where a padded basis's zero
-rows have zero gradient.  Every search minimizes one objective,
+``_lbfgs``, a batched L-BFGS with an Armijo backtracking line search and
+L-BFGS-B's stopping tests, drives them, each restart with its own memory,
+line search and stopping tests, so no restart's step reads another
+restart's values, and more restarts leave the first ones where they were.
+A start of bases begins at theta = 0, where its evaluation is the
+optimizer's first, and a start whose gradient there already passes the
+stopping test takes no step: a stationary warm start costs one evaluation.
+A start with a POVM frame begins at a seeded nudge, off the saddle where a
+padded basis's zero rows have zero gradient.  Every search minimizes one objective,
 ``_tree_objective``: the entropy of a one-way tree of frames, its list of
 levels, applied level by level to a factor rho = L L^dag taken once per
 search.  A product measurement is the tree whose levels are frames shared
@@ -99,8 +94,7 @@ LOG2_E = 1 / math.log(2)
 STEP_TOL = 1e-7  # a restart stops once max |gradient| is at most this
 MEMORY = 10  # L-BFGS pairs each restart keeps
 LINE_EVALS = 20  # evaluations a line search may take before it counts as failed
-LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1  # Moré–Thuente decrease, curvature and interval tolerances
-STEP_MAX = 1e10  # largest line-search step
+LS_FTOL = 1e-3  # a line search accepts a step that lowers f by this share of the step times the slope
 EPS = np.finfo(float).eps  # a pair with s.y at most EPS (-g.d) is not stored
 ENTROPY_TOL = 1e-6  # restarts this close to the best count as agreeing
 CQ_TOL = 1e-9  # largest off-diagonal block norm of a CQ state in its classical basis
@@ -283,113 +277,29 @@ def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
 
 
 class _LineSearch:
-    """Moré–Thuente line search on phi(t) = f(x + t d), driven by its caller one trial at a time.
+    """Armijo backtracking on phi(t) = f(x + t d), driven by its caller one trial at a time.
 
-    This is MINPACK-2's dcsrch with L-BFGS-B's tolerances (LS_FTOL, LS_GTOL,
-    LS_XTOL) and step bounds [0, STEP_MAX].  It starts from phi(0), phi'(0) < 0
-    and a first trial ``step``; ``advance(f, g)`` takes phi and phi' at
-    ``step`` and returns True when that step is accepted, else it sets the
-    next trial.  A step is accepted when it meets the sufficient decrease and
-    curvature conditions, or when the bracket can shrink no further (dcsrch's
-    warnings, which L-BFGS-B accepts too).  The interval ends ``lo_end`` (the
-    best step so far) and ``hi_end`` are (step, phi, phi') triples.
+    It starts from phi(0), phi'(0) < 0 and a first trial ``step``; ``advance(f)``
+    takes phi at ``step`` and returns True when that step meets sufficient
+    decrease, phi(t) <= phi(0) + LS_FTOL t phi'(0).  Otherwise it sets the next
+    trial to the least point of the quadratic through phi(0), phi'(0) and
+    phi(t), kept within [0.1 t, 0.5 t], or to t / 2 when phi(t) is not finite
+    (Nocedal & Wright, *Numerical Optimization*, Alg. 3.1 and section 3.5).
     """
 
     def __init__(self, f0: float, g0: float, step: float):
-        self.step, self.evaluations, self.stage, self.bracketed = step, 0, 1, False
-        self.f0, self.g0, self.slope = f0, g0, LS_FTOL * g0
-        self.lo_end = self.hi_end = (0.0, f0, g0)
-        self.width, self.width1 = STEP_MAX, 2 * STEP_MAX
-        self.lo, self.hi = 0.0, 5.0 * step
+        self.f0, self.g0, self.step, self.evaluations = f0, g0, step, 0
 
-    def advance(self, f: float, g: float) -> bool:
+    def advance(self, f: float) -> bool:
         self.evaluations += 1
-        stp, ftest = self.step, self.f0 + self.step * self.slope
-        if self.stage == 1 and f <= ftest and g >= 0:
-            self.stage = 2
-        if (f <= ftest and abs(g) <= -LS_GTOL * self.g0) or (self.bracketed and self._stuck(stp)) or (
-            stp == STEP_MAX and f <= ftest and g <= self.slope
-        ):
+        t = self.step
+        if f <= self.f0 + LS_FTOL * t * self.g0:
             return True
-        if self.stage == 1 and ftest < f <= self.lo_end[1]:
-            # a step with a lower value that fails sufficient decrease: step on phi(t) - slope * t
-            shift = lambda e, sign: (e[0], e[1] + sign * e[0] * self.slope, e[2] + sign * self.slope)
-            lo_end, hi_end, nxt, self.bracketed = _dcstep(
-                shift(self.lo_end, -1), shift(self.hi_end, -1), shift((stp, f, g), -1),
-                self.bracketed, self.lo, self.hi,
-            )
-            self.lo_end, self.hi_end = shift(lo_end, 1), shift(hi_end, 1)
+        if math.isfinite(f):  # f lies above the tangent line, so the quadratic is convex
+            self.step = min(max(t * (-self.g0 * t / (2 * (f - self.f0 - self.g0 * t))), 0.1 * t), 0.5 * t)
         else:
-            self.lo_end, self.hi_end, nxt, self.bracketed = _dcstep(
-                self.lo_end, self.hi_end, (stp, f, g), self.bracketed, self.lo, self.hi
-            )
-        a, b = self.lo_end[0], self.hi_end[0]
-        if self.bracketed:
-            if abs(b - a) >= 0.66 * self.width1:
-                nxt = a + 0.5 * (b - a)
-            self.width1, self.width = self.width, abs(b - a)
-            self.lo, self.hi = min(a, b), max(a, b)
-        else:
-            self.lo, self.hi = nxt + 1.1 * (nxt - a), nxt + 4.0 * (nxt - a)
-        nxt = min(max(nxt, 0.0), STEP_MAX)
-        self.step = a if self.bracketed and self._stuck(nxt) else nxt
+            self.step = 0.5 * t
         return False
-
-    def _stuck(self, step: float) -> bool:
-        """Whether ``step`` is not inside the bracket (lo, hi), or the bracket is LS_XTOL narrow."""
-        return step <= self.lo or step >= self.hi or self.hi - self.lo <= LS_XTOL * self.hi
-
-
-def _cubic(u: float, fu: float, du: float, v: float, fv: float, dv: float) -> tuple[float, float]:
-    """(r, gamma): the cubic with values fu, fv and slopes du, dv at u, v is least at u + r (v - u)."""
-    theta = 3 * (fu - fv) / (v - u) + du + dv
-    s = max(abs(theta), abs(du), abs(dv))
-    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (du / s) * (dv / s))) if s else 0.0
-    if v < u:
-        gamma = -gamma
-    p, q = (gamma - du) + theta, ((gamma - du) + gamma) + dv
-    return (p / q if q else 0.0), gamma
-
-
-def _dcstep(lo_end, hi_end, trial, bracketed: bool, lo: float, hi: float):
-    """One Moré–Thuente interval update (MINPACK-2's dcstep): new ends, next step and bracket flag.
-
-    ``lo_end`` is the end with the lowest value so far, ``trial`` the step just
-    evaluated, each a (step, phi, phi') triple; the next step lies in [lo, hi].
-    """
-    (sx, fx, dx), (sy, fy, dy), (sp, fp, dp) = lo_end, hi_end, trial
-    sgnd = dp if dx > 0 else -dp if dx < 0 else 0.0
-    if fp > fx:  # a higher value: the minimum is bracketed
-        stpc = sx + _cubic(sx, fx, dx, sp, fp, dp)[0] * (sp - sx)
-        stpq = sx + dx / ((fx - fp) / (sp - sx) + dx) / 2 * (sp - sx)
-        nxt = stpc if abs(stpc - sx) < abs(stpq - sx) else stpc + (stpq - stpc) / 2
-        bracketed = True
-    elif sgnd < 0:  # slopes of opposite signs: the minimum is bracketed
-        stpc = sp + _cubic(sp, fp, dp, sx, fx, dx)[0] * (sx - sp)
-        stpq = sp + dp / (dp - dx) * (sx - sp)
-        nxt = stpc if abs(stpc - sp) > abs(stpq - sp) else stpq
-        bracketed = True
-    elif abs(dp) < abs(dx):  # the slope falls in magnitude
-        r, gamma = _cubic(sp, fp, dp, sx, fx, dx)
-        stpc = sp + r * (sx - sp) if r < 0 and gamma != 0 else hi if sp > sx else lo
-        stpq = sp + dp / (dp - dx) * (sx - sp)
-        if bracketed:
-            nxt = stpc if abs(stpc - sp) < abs(stpq - sp) else stpq
-            bound = sp + 0.66 * (sy - sp)
-            nxt = min(bound, nxt) if sp > sx else max(bound, nxt)
-        else:
-            nxt = min(max(stpc if abs(stpc - sp) > abs(stpq - sp) else stpq, lo), hi)
-    elif bracketed:  # the slope does not fall: the cubic through the trial and the other end
-        nxt = sp + _cubic(sp, fp, dp, sy, fy, dy)[0] * (sy - sp)
-    else:
-        nxt = hi if sp > sx else lo
-    if fp > fx:
-        hi_end = trial
-    else:
-        if sgnd < 0:
-            hi_end = lo_end
-        lo_end = trial
-    return lo_end, hi_end, nxt, bracketed
 
 
 _OLDER = np.tril(np.ones((MEMORY, MEMORY)), -1)  # pair i older than pair j, at [j, i]
@@ -423,24 +333,17 @@ def _lbfgs(fun, x0: np.ndarray, max_iters: int, first=None):
     functions ``rows`` at the rows of x (k, n); ``first`` is its result at
     x0 for every row, when the caller has it.  Each step makes one call, at
     one point per live row, and each row keeps its own MEMORY pairs and its
-    own ``_LineSearch``, so no row's step reads another row's values.  A
-    row's rounding can still follow the others: the slope g.d is a dot
-    product over the row's gradient, which ``fun`` may return as a row
-    strided by the number of live rows, and BLAS rounds a strided dot
-    product differently from a contiguous one.  So a row's iterates match
-    its own run alone only to rounding, and the number of steps it takes
-    can differ.
+    own ``_LineSearch``, so no row's step reads another row's values.
 
-    This is L-BFGS-B with no bounds: the first step along -g is 1 / |g|, each
-    later one starts at 1; a pair with s.y <= eps (-g.d) is not stored; a
-    line search that has not ended after LINE_EVALS evaluations, or a
-    direction that is not a descent, clears the row's memory and restarts
-    from -g, or stops the row when its memory is already empty.  A row stops
-    when max |g| <= STEP_TOL, at its start too, when a step lowers the value
-    by at most 1e-13 relative, or after ``max_iters`` steps; and, as on the
+    The line search backtracks from a first step along -g of 1 / |g|, and
+    from 1 after that; a pair with s.y <= eps (-g.d) is not stored; a line
+    search that has not ended after LINE_EVALS evaluations, or a direction
+    that is not a descent, clears the row's memory and restarts from -g, or
+    stops the row when its memory is already empty.  A row stops when
+    max |g| <= STEP_TOL, at its start too, when a step lowers the value by
+    at most 1e-13 relative, or after ``max_iters`` steps; and, as on the
     decrease test, when its next trial step is too small to move x in
-    floating point, where L-BFGS-B would accept dcsrch's rounding warning.
-    Returns the final points and values and one RestartRecord per row.
+    floating point.  Returns the final points and values and one RestartRecord per row.
     """
     count, n = x0.shape
     rows = np.arange(count)  # the row of x0 at each live position
@@ -465,7 +368,7 @@ def _lbfgs(fun, x0: np.ndarray, max_iters: int, first=None):
         for k, r in enumerate(rows.tolist()):
             evaluations[r] += 1
             value, grad, search = float(ft[k]), gt[k], searches[k]
-            if search is not None and not search.advance(value, float(grad @ d[k])):
+            if search is not None and not search.advance(value):
                 if search.evaluations < LINE_EVALS:
                     continue
                 if clear(k):  # a failed line search: x, f and g still hold the last accepted point
@@ -509,7 +412,7 @@ def _lbfgs(fun, x0: np.ndarray, max_iters: int, first=None):
                         stops[r] = "line search"
                     continue
                 d[k], slope[k] = new[k], descent
-                step = min(1 / math.sqrt(new[k] @ new[k]), STEP_MAX) if iterations[r] == 0 else 1.0
+                step = 1 / math.sqrt(new[k] @ new[k]) if iterations[r] == 0 else 1.0
                 searches[k] = _LineSearch(f[k], descent, step)
             fresh = retry
         for k, (r, search) in enumerate(zip(rows.tolist(), searches)):
@@ -587,9 +490,7 @@ def _descent(objective, starts: list[list[np.ndarray]], cfg: OptConfig, gens: li
     columns) it starts at the seeded theta0 = 1e-2 N(0, 1) drawn from the
     restart's generator, since the zero rows of a padded basis have zero
     gradient at theta = 0, a saddle.  A restart keeps its start unless the
-    polish beats it by 1e-13.  Restarts share stacks but no optimizer state,
-    so a restart's result depends on the others only through rounding (see
-    ``_lbfgs``).
+    polish beats it by 1e-13.  Restarts share stacks but no optimizer state.
     """
     count = len(starts)
     levels = [np.concatenate([f.reshape((-1,) + f.shape[-2:]) for f in column]) for column in zip(*starts)]

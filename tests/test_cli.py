@@ -239,7 +239,7 @@ def test_cmd_gap_sep_exits_3_when_its_winner_did_not_converge():
     assert result.exit_code == 3, result.output
     payload = json.loads(result.output)
     assert payload["converged"] is False
-    assert payload["gap"] == pytest.approx(1.545185, abs=1e-6)
+    assert payload["gap"] == pytest.approx(1.5465599, abs=1e-6)
 
 
 def test_cmd_gap_requires_exactly_one_source(tmp_path):

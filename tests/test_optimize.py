@@ -37,9 +37,6 @@ from oegap.optimize import (
     EXACT_W3_DUAL,
     LINE_EVALS,
     LS_FTOL,
-    LS_GTOL,
-    LS_XTOL,
-    STEP_MAX,
     STEP_TOL,
     OptConfig,
     RestartRecord,
@@ -386,8 +383,8 @@ def test_lbfgs_line_searches_end_on_a_flat_function(monkeypatch):
     counts = {}
     advance = _LineSearch.advance
 
-    def counting(self, f, g):
-        accepted = advance(self, f, g)
+    def counting(self, f):
+        accepted = advance(self, f)
         counts[id(self)] = self.evaluations
         return accepted
 
@@ -425,23 +422,6 @@ def test_lbfgs_stationary_start_takes_no_step():
     assert calls == [] and records == (RestartRecord(1, 0, "gradient"),) * 2
 
 
-def _dcsrch_reference(phi, step):
-    """Trial steps of scipy's port of MINPACK-2's dcsrch on phi, and whether it accepts the last.
-
-    Same tolerances and step bounds [0, STEP_MAX] as ``_LineSearch``, and at most
-    LINE_EVALS trials; a warning ends the search with its step accepted, as in L-BFGS-B.
-    """
-    dcsrch = pytest.importorskip("scipy.optimize._dcsrch").DCSRCH(
-        None, None, LS_FTOL, LS_GTOL, LS_XTOL, 0.0, STEP_MAX
-    )
-    step, _, _, task = dcsrch._iterate(step, *phi(0.0), b"START")
-    steps = []
-    while task[:2] == b"FG" and len(steps) < LINE_EVALS:
-        steps.append(float(step))
-        step, _, _, task = dcsrch._iterate(step, *phi(step), task)
-    return steps, task[:4] in (b"CONV", b"WARN")
-
-
 def _line_search_functions(gen):
     """Random 1-D functions phi(t) -> (phi, phi') with phi'(0) < 0: quartic, sinusoidal, near-linear."""
     a, b, c, slope = gen.uniform(0.01, 2.0), gen.normal(), gen.normal(), -gen.uniform(0.01, 10.0)
@@ -458,23 +438,30 @@ def _line_search_functions(gen):
     }
 
 
-def test_line_search_matches_minpack_dcsrch():
-    # _LineSearch is dcsrch driven one trial at a time: on each function and first step
-    # it tries the same steps, within rounding, as scipy's port, and accepts where it does
+def test_line_search_backtracks_to_sufficient_decrease():
+    # on each function and first step: every accepted step meets sufficient decrease, each
+    # next trial lies in [0.1 t, 0.5 t] of the trial t it follows, and every search accepts
+    # a step within LINE_EVALS trials; a value that is not finite halves the step
     gen = np.random.default_rng(79)
-    searches = 0
+    trials = []
     for _ in range(150):
         for name, phi in _line_search_functions(gen).items():
-            first = 10.0 ** gen.uniform(-3, 3)
-            want, accepted = _dcsrch_reference(phi, first)
-            search, steps, advanced = _LineSearch(*phi(0.0), first), [], False
-            while not advanced and len(steps) < LINE_EVALS:
-                steps.append(search.step)
-                advanced = search.advance(*phi(search.step))
-            assert len(steps) == len(want) and advanced == accepted, (name, steps, want)
-            assert np.allclose(steps, want, rtol=1e-14, atol=0), (name, steps, want)
-            searches += 1
-    assert searches == 450
+            f0, g0 = phi(0.0)
+            search = _LineSearch(f0, g0, 10.0 ** gen.uniform(-3, 3))
+            for trial in range(1, LINE_EVALS + 1):
+                t = search.step
+                f = phi(t)[0]
+                if search.advance(f):
+                    assert f <= f0 + LS_FTOL * t * g0, (name, t, f)
+                    break
+                assert 0.1 * t <= search.step <= 0.5 * t, (name, t, search.step)
+            else:
+                pytest.fail(f"{name}: no step accepted in {LINE_EVALS} trials")
+            trials.append(trial)
+    assert len(trials) == 450 and max(trials) > 2  # some searches backtrack more than once
+    search = _LineSearch(0.0, -1.0, 4.0)
+    assert not search.advance(math.inf) and search.step == 2.0
+    assert not search.advance(math.nan) and search.step == 1.0
 
 
 def test_result_counts_a_zero_gap_as_converged():
@@ -755,13 +742,14 @@ def test_restarts_do_not_depend_on_each_other(search):
 
 
 def test_mixed_state_restart_agrees_across_restart_counts():
-    # no restart reads another's values, but the stacked arithmetic can round a restart's
-    # line-search slope differently with the number of live restarts: on W3 with 10% white
-    # noise restart 0 of the one-way LOCC search takes 85 evaluations at 2 restarts and 92
-    # at 3, so only its final value, not its path, is pinned across restart counts
+    # W3 with 10% white noise pads its one-way tree's charts, so the live restarts' gradients
+    # reach _lbfgs as strided rows: its first two restarts still end at the same values
+    # after the same steps at every restart count
     rho = DensityMatrix(0.9 * w(3).mat + 0.1 * np.eye(8) / 8, (2, 2, 2))
-    ends = [minimize_locc_oneway(rho, FULL3, cfg=OptConfig(107, k, 300)).trace[0] for k in (2, 3, 4)]
-    assert max(ends) - min(ends) <= 1e-12
+    runs = [minimize_locc_oneway(rho, FULL3, cfg=OptConfig(107, k, 300)) for k in (2, 3, 4, 5)]
+    for res in runs[1:]:
+        assert res.trace[:2] == runs[0].trace[:2]
+        assert res.records[:2] == runs[0].records[:2]
 
 
 def _hermitian_params(h: np.ndarray) -> np.ndarray:
@@ -1507,7 +1495,7 @@ def test_sep_heuristic_reports_its_winners_convergence():
     sep = sep_gap_heuristic(w(3), FULL3, cfg=cfg)
     locc = minimize_locc_oneway(w(3), FULL3, cfg=cfg)
     assert sep.entropy_bits == locc.entropy_bits
-    assert sep.gap_bits == pytest.approx(1.545185, abs=1e-6)
+    assert sep.gap_bits == pytest.approx(1.5465599, abs=1e-6)
     assert sep.converged is locc.converged is False
 
 
