@@ -4,17 +4,23 @@ Covers local projective (LO*), local POVM (LO), one-way LOCC protocols
 (LOCC1), separable (SEP), positive-partial-transpose (PPT) and
 reduction-criterion (RCT) measurements, plus classical postprocessing.
 
-Product witnesses (``lostar_povm``, ``lo_povm``, ``flatten_locc``) are built
-as stacks: ``_product_effects`` forms all their effects in one broadcast
-product, with the same bits as ``np.kron``, and one subsystem permutation.
-They and ``cpp_apply`` combine validated parts, so ``Povm._built`` wraps
-their outputs and checks only the class tag.
+A product witness (``lostar_povm``, ``lo_povm``) is a ``ProductPovm``: it
+keeps one validated local POVM per block, multiplies their volumes, and
+contracts a state block by block, so no search builds its Π_k m_k dense
+d x d effects.  ``_product_effects`` forms those effects in one broadcast
+product, with the same bits as ``np.kron``, and one subsystem permutation;
+it runs only where something reads a product witness's ``effects``, and for
+``flatten_locc``'s one-way protocols.  These witnesses and ``cpp_apply``
+combine validated parts, so nothing checks them again but the class tag and,
+for a product witness, its block dimensions.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +31,7 @@ from .core import (
     PartitionSpec,
     Povm,
     ValidationError,
+    _check_tag,
     _exceeds_scaled,
     as_operator,
     dagger,
@@ -33,6 +40,7 @@ from .core import (
     min_eig,
     partial_trace,
     partial_transpose,
+    permute_subsystems,
     tensor,
 )
 
@@ -93,6 +101,20 @@ class ConditionalMeasurement:
                     raise ValidationError("follow-up measures an already-measured block")
 
 
+def _check_product(sizes: Sequence[int], blocks, dims) -> None:
+    """Raise unless the blocks cover each subsystem once and block k has dimension sizes[k]."""
+    flat = [i for b in blocks for i in b]
+    if sorted(flat) != list(range(len(dims))):
+        raise ValidationError(
+            f"blocks {tuple(blocks)} do not cover each of {len(dims)} subsystems once"
+        )
+    for size, b in zip(sizes, blocks):
+        if size != math.prod(dims[i] for i in b):
+            raise ValidationError(
+                f"operator dimension {size} does not match subsystems {tuple(b)} of dims {dims}"
+            )
+
+
 def _product_effects(stacks: Sequence[np.ndarray], blocks, dims) -> np.ndarray:
     """Full-space product effects: row r is stacks[0][r] (x) stacks[1][r] (x) ...
 
@@ -103,16 +125,8 @@ def _product_effects(stacks: Sequence[np.ndarray], blocks, dims) -> np.ndarray:
     Kronecker product; one transpose of the whole stack then puts the
     subsystems in their natural order.
     """
+    _check_product([s.shape[1] for s in stacks], blocks, dims)
     flat = [i for b in blocks for i in b]
-    if sorted(flat) != list(range(len(dims))):
-        raise ValidationError(
-            f"blocks {tuple(blocks)} do not cover each of {len(dims)} subsystems once"
-        )
-    for s, b in zip(stacks, blocks):
-        if s.shape[1] != int(np.prod([dims[i] for i in b])):
-            raise ValidationError(
-                f"operator dimension {s.shape[1]} does not match subsystems {tuple(b)} of dims {dims}"
-            )
     out = stacks[0]
     for s in stacks[1:]:
         n, m, k = out.shape[0], out.shape[1], s.shape[1]
@@ -129,22 +143,106 @@ def _grid(counts: Sequence[int]) -> np.ndarray:
     return np.indices(counts).reshape(len(counts), -1)
 
 
+class ProductPovm(Povm):
+    """Tensor product M_1 (x) ... (x) M_n of one validated local POVM per block.
+
+    ``factors[k]`` acts on the subsystems ``blocks[k]`` of ``dims``, in that
+    order; the outcomes are the combinations of local outcomes, the first
+    block's slowest, labelled by their local labels joined with ",".  A
+    product of POVMs is a POVM, so nothing is validated but the class tag
+    and the block dimensions.  ``volumes`` multiplies the local volumes, and
+    ``expectations`` contracts an operator block by block.  The dense
+    ``effects`` and ``labels`` are built on first read, by
+    ``_product_effects``, and kept; ``retag`` keeps the factors.
+    """
+
+    def __init__(self, factors: Sequence[Povm], blocks, dims, class_tag: str):
+        _check_tag(class_tag)
+        _check_product([m.d for m in factors], blocks, dims)
+        for name, value in (("factors", tuple(factors)), ("blocks", tuple(blocks)),
+                            ("dims", tuple(dims)), ("class_tag", class_tag)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return (f"ProductPovm(blocks={self.blocks}, dims={self.dims}, "
+                f"n_outcomes={self.n_outcomes}, class_tag={self.class_tag!r})")
+
+    @functools.cached_property
+    def effects(self) -> np.ndarray:
+        grid = _grid([m.n_outcomes for m in self.factors])
+        out = _product_effects([m.effects[i] for m, i in zip(self.factors, grid)], self.blocks, self.dims)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        grid = _grid([m.n_outcomes for m in self.factors])
+        return tuple(
+            ",".join(m.labels[i] for m, i in zip(self.factors, combo)) for combo in grid.T.tolist()
+        )
+
+    @property
+    def d(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def n_outcomes(self) -> int:
+        return math.prod(m.n_outcomes for m in self.factors)
+
+    def volumes(self) -> np.ndarray:
+        """Macrostate volumes V_i = Tr M_i: the products of the local volumes."""
+        return functools.reduce(lambda v, w: (v[:, None] * w).ravel(), [m.volumes() for m in self.factors])
+
+    def expectations(self, a: np.ndarray) -> np.ndarray:
+        """Re Tr(M_i A), one matrix product per block after one permutation into block order.
+
+        Block k's effects act on the slowest factor of the operator left by
+        the blocks before it, X (rows, columns, outcomes so far), whose rows
+        and columns then become Tr_k((E_i (x) 1) X).  The largest array is
+        the first block's, m_1 (d / d_1)^2 entries.
+        """
+        flat = [i for b in self.blocks for i in b]
+        if flat != sorted(flat):
+            a = permute_subsystems(a, self.dims, flat)
+        x = a.reshape(self.d, self.d, 1)
+        for m in self.factors:
+            dk = m.d
+            rest = x.shape[0] // dk
+            # sum over a, b of X[a r, b s] E_i[b, a]
+            x = x.reshape(dk, rest, dk, rest, -1).transpose(1, 3, 4, 2, 0).reshape(-1, dk * dk)
+            x = (x @ m.effects.reshape(len(m.effects), -1).T).reshape(rest, rest, -1)
+        return np.real(x.ravel())
+
+    def retag(self, class_tag: str) -> "ProductPovm":
+        """The same local POVMs under another class tag; no dense effects are built."""
+        return ProductPovm(self.factors, self.blocks, self.dims, class_tag)
+
+
+def _check_unitary(bases: Sequence[np.ndarray]) -> None:
+    """Raise unless ||U U^dag - 1|| <= 1e-9 for every basis U.
+
+    The bases of one dimension d are checked as one stack.  ||X|| <= d max |X_ij|,
+    so their one batched ``opnorm`` is needed only where that bound exceeds 1e-9.
+    """
+    for d in sorted({u.shape[0] for u in bases}):
+        stack = np.array([u for u in bases if u.shape[0] == d])
+        residual = stack @ dagger(stack) - np.eye(d)
+        if d * np.abs(residual).max() > 1e-9 and np.any(opnorm(residual) > 1e-9):
+            raise ValidationError("local basis matrix is not unitary")
+
+
 def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
     """Rank-1 product projector POVM from one local basis per block.
 
     Each basis is a unitary matrix whose columns are the basis vectors.
     """
     bases = [as_operator(u) for u in bases]
-    if any(opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9 for u in bases):
-        raise ValidationError("local basis matrix is not unitary")
+    _check_unitary(bases)
     dims = tuple(int(d) for d in dims)
     if len(bases) != partition.n_blocks:
         raise ValidationError(f"{len(bases)} bases for {partition.n_blocks} blocks")
-    grid = _grid([u.shape[0] for u in bases])
-    projectors = [u.T[:, :, None] * u.T.conj()[:, None, :] for u in bases]
-    effects = _product_effects([p[i] for p, i in zip(projectors, grid)], partition.blocks, dims)
-    labels = tuple(",".join(map(str, combo)) for combo in grid.T.tolist())
-    return Povm._built(effects, labels, "LOStar")
+    local = [Povm._built(u.T[:, :, None] * u.T.conj()[:, None, :], class_tag="General") for u in bases]
+    return ProductPovm(local, partition.blocks, dims, "LOStar")
 
 
 def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
@@ -152,12 +250,7 @@ def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     dims = tuple(int(d) for d in dims)
     if len(povms) != partition.n_blocks:
         raise ValidationError(f"{len(povms)} local POVMs for {partition.n_blocks} blocks")
-    grid = _grid([m.n_outcomes for m in povms])
-    effects = _product_effects([m.effects[i] for m, i in zip(povms, grid)], partition.blocks, dims)
-    labels = tuple(
-        ",".join(m.labels[i] for m, i in zip(povms, combo)) for combo in grid.T.tolist()
-    )
-    return Povm._built(effects, labels, "LO")
+    return ProductPovm(povms, partition.blocks, dims, "LO")
 
 
 def flatten_locc(protocol: ConditionalMeasurement, dims) -> Povm:

@@ -496,7 +496,7 @@ class Povm:
 
     def volumes(self) -> np.ndarray:
         """Macrostate volumes V_i = Tr M_i."""
-        return np.real(np.trace(self.effects, axis1=1, axis2=2))
+        return self.effects.trace(axis1=1, axis2=2).real
 
     def is_projective(self) -> bool:
         for i in range(self.n_outcomes):

@@ -6,6 +6,10 @@ entropies are encoded as ``math.inf`` so optimizers can still rank candidates.
 A one-way protocol has one entropy, that of its flattened product effects:
 ``chain_entropy`` is the observational entropy of ``flatten_locc``'s POVM.
 A ``Povm`` was validated when it was built, so nothing here checks it again.
+A product witness (``ProductPovm``) gives ``probabilities``, and so the
+entropies, by contracting rho block by block with its local effects;
+``coarse_grain`` and ``certify_optimal`` read its dense ``effects``, which
+are built on that first read.
 A ``DensityMatrix`` was validated and eigendecomposed once, when it was built:
 ``von_neumann``, ``quantum_relative_entropy`` and ``certify_optimal`` read
 its decomposition, and a raw array takes the same steps on its own matrix.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import ConditionalMeasurement, flatten_locc, lo_povm
+from .classes import ConditionalMeasurement, ProductPovm, flatten_locc, lo_povm
 from .core import (
     DensityMatrix,
     PartitionSpec,
@@ -131,10 +135,12 @@ class OutcomeStats:
 
 
 def probabilities(rho, povm: Povm) -> np.ndarray:
-    """Outcome probabilities Tr(M_i rho), clipped at zero."""
+    """Outcome probabilities Tr(M_i rho), clipped at zero; a product POVM contracts rho block by block."""
     r = _as_mat(rho)
     if r.shape[0] != povm.d:
         raise ValidationError(f"state dimension {r.shape[0]} does not match POVM dimension {povm.d}")
+    if isinstance(povm, ProductPovm):
+        return np.clip(povm.expectations(r), 0.0, None)
     return np.clip(np.real(np.einsum("iab,ba->i", povm.effects, r)), 0.0, None)
 
 

@@ -64,7 +64,7 @@ def test_lostar_single_block_eigenbasis_optimal():
 
 
 def test_lostar_dimension_mismatch():
-    # _product_effects is the one check of each basis's dimension against its block
+    # _check_product is the one check of each basis's dimension against its block
     with pytest.raises(ValidationError, match=r"operator dimension 2 does not match subsystems \(1,\)"):
         lostar_povm([np.eye(2, dtype=complex)] * 2, FULL2, (2, 3))
     with pytest.raises(ValidationError, match="2 bases for 3 blocks"):
@@ -72,7 +72,7 @@ def test_lostar_dimension_mismatch():
 
 
 def test_lo_dimension_mismatch():
-    # as for LO*: one dimension check in _product_effects, and a count check before it
+    # as for LO*: one dimension check in _check_product, and a count check before it
     with pytest.raises(ValidationError, match=r"operator dimension 2 does not match subsystems \(1,\)"):
         lo_povm([Povm.from_basis(np.eye(2))] * 2, FULL2, (2, 3))
     with pytest.raises(ValidationError, match="2 local POVMs for 3 blocks"):
