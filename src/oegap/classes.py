@@ -10,9 +10,10 @@ contracts a state block by block, so no search builds its Π_k m_k dense
 d x d effects.  ``_product_effects`` forms those effects in one broadcast
 product, with the same bits as ``np.kron``, and one subsystem permutation;
 it runs only where something reads a product witness's ``effects``, and for
-``flatten_locc``'s one-way protocols.  These witnesses and ``cpp_apply``
-combine validated parts, so nothing checks them again but the class tag and,
-for a product witness, its block dimensions.
+``flatten_locc``'s one-way protocols.  ``lostar_povm``'s local POVMs come
+from ``core._frame_povm``, the bases' one check.  These witnesses and
+``cpp_apply`` combine validated parts, so nothing checks them again but the
+class tag and, for a product witness, its block dimensions.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     ValidationError,
     _check_tag,
     _exceeds_scaled,
+    _frame_povm,
     as_operator,
     dagger,
     embed,
@@ -158,9 +160,10 @@ class ProductPovm(Povm):
 
     def __init__(self, factors: Sequence[Povm], blocks, dims, class_tag: str):
         _check_tag(class_tag)
+        dims = tuple(int(d) for d in dims)
         _check_product([m.d for m in factors], blocks, dims)
         for name, value in (("factors", tuple(factors)), ("blocks", tuple(blocks)),
-                            ("dims", tuple(dims)), ("class_tag", class_tag)):
+                            ("dims", dims), ("class_tag", class_tag)):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -218,36 +221,20 @@ class ProductPovm(Povm):
         return ProductPovm(self.factors, self.blocks, self.dims, class_tag)
 
 
-def _check_unitary(bases: Sequence[np.ndarray]) -> None:
-    """Raise unless ||U U^dag - 1|| <= 1e-9 for every basis U.
-
-    The bases of one dimension d are checked as one stack.  ||X|| <= d max |X_ij|,
-    so their one batched ``opnorm`` is needed only where that bound exceeds 1e-9.
-    """
-    for d in sorted({u.shape[0] for u in bases}):
-        stack = np.array([u for u in bases if u.shape[0] == d])
-        residual = stack @ dagger(stack) - np.eye(d)
-        if d * np.abs(residual).max() > 1e-9 and np.any(opnorm(residual) > 1e-9):
-            raise ValidationError("local basis matrix is not unitary")
-
-
 def lostar_povm(bases, partition: PartitionSpec, dims) -> Povm:
     """Rank-1 product projector POVM from one local basis per block.
 
-    Each basis is a unitary matrix whose columns are the basis vectors.
+    Each basis is a unitary matrix whose columns are the basis vectors; its
+    local POVM is ``_frame_povm`` of its bras.
     """
-    bases = [as_operator(u) for u in bases]
-    _check_unitary(bases)
-    dims = tuple(int(d) for d in dims)
-    if len(bases) != partition.n_blocks:
-        raise ValidationError(f"{len(bases)} bases for {partition.n_blocks} blocks")
-    local = [Povm._built(u.T[:, :, None] * u.T.conj()[:, None, :], class_tag="General") for u in bases]
+    local = _frame_povm([dagger(as_operator(u)) for u in bases], "General")
+    if len(local) != partition.n_blocks:
+        raise ValidationError(f"{len(local)} bases for {partition.n_blocks} blocks")
     return ProductPovm(local, partition.blocks, dims, "LOStar")
 
 
 def lo_povm(povms: Sequence[Povm], partition: PartitionSpec, dims) -> Povm:
     """Tensor product of one local POVM per block."""
-    dims = tuple(int(d) for d in dims)
     if len(povms) != partition.n_blocks:
         raise ValidationError(f"{len(povms)} local POVMs for {partition.n_blocks} blocks")
     return ProductPovm(povms, partition.blocks, dims, "LO")
@@ -417,10 +404,7 @@ def _try_product_operator(effect: np.ndarray, partition: PartitionSpec, dims):
     tr = float(np.real(np.trace(effect)))
     if tr <= PRODUCT_TOL:
         return None
-    parts = []
-    for block in partition.blocks:
-        marg = partial_trace(effect, dims, block)
-        parts.append(marg / tr)
+    parts = [partial_trace(effect, dims, block) / tr for block in partition.blocks]
     rebuilt = tr * _product_effects([p[None] for p in parts], partition.blocks, dims)[0]
     if _exceeds_scaled(opnorm(rebuilt - effect), PRODUCT_TOL, effect):
         return None

@@ -56,29 +56,33 @@ def operator_to_json(mat: np.ndarray, dims) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    """Whether a decoded JSON value is a float, or an int that a float holds; true and false are not."""
+    return isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max
+
+
 def _decode_dims(payload, name: str) -> tuple[int, ...]:
     """The "dims" of a JSON payload: a nonempty list of positive integers (2.0 reads as 2)."""
     dims = payload.get("dims") if isinstance(payload, dict) else None
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(n, (int, float)) and float(n).is_integer() and n >= 1 for n in dims
+        _is_number(n) and float(n).is_integer() and n >= 1 for n in dims
     ):
         raise ValidationError(f'{name} must be a JSON object whose "dims" is a list of positive integers')
     return tuple(int(n) for n in dims)
 
 
 def _decode_operator(entry, d: int, name: str) -> np.ndarray:
-    """The d x d matrix of a row-major {"re": [...], "im": [...]} entry; "im" defaults to zeros."""
+    """The d x d matrix of a row-major {"re", "im"} entry of flat number lists; "im" defaults to 0."""
     if not isinstance(entry, dict) or "re" not in entry:
         raise ValidationError(f'{name} must be a JSON object with an "re" field')
     parts = []
     for key in ("re", "im"):
-        try:
-            part = np.asarray(entry.get(key, np.zeros(d * d)), dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f'{name} "{key}" is not a list of numbers') from None
-        if part.size != d * d:
-            raise ValidationError(f'{name} "{key}" has {part.size} entries, expected {d * d}')
-        parts.append(part)
+        part = entry.get(key, [0.0] * (d * d))
+        if not isinstance(part, list) or not all(_is_number(x) for x in part):
+            raise ValidationError(f'{name} "{key}" is not a list of numbers')
+        if len(part) != d * d:
+            raise ValidationError(f'{name} "{key}" has {len(part)} entries, expected {d * d}')
+        parts.append(np.array(part, dtype=float))
     return (parts[0] + 1j * parts[1]).reshape(d, d)
 
 
@@ -216,8 +220,10 @@ def _write_manifest(path: Path, config: dict, t0: float, outputs: list[str]):
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
-def _echo_fail(err: Exception):
+def _fail(err: Exception):
+    """A validation failure: one error line, then exit 2."""
     click.echo(f"error: {err}", err=True)
+    sys.exit(EXIT_VALIDATION)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +245,9 @@ def _search_opts(restarts: int, max_iters: int):
     """The --seed/--restarts/--max-iters options of a searching command, with its defaults."""
     return [
         click.option("--seed", default=2025, show_default=True),
-        click.option("--restarts", default=restarts, show_default=True),
+        click.option("--restarts", default=restarts, show_default=True,
+                     help="starts per search; a search runs at least its warm starts: "
+                          "2 for LO*, LOCC1 and CQ, 3 for LO's second search"),
         click.option("--max-iters", default=max_iters, show_default=True),
     ]
 
@@ -267,8 +275,7 @@ def entropy(state, file, povm_file, nats):
                 f"POVM dimension {povm.d} does not match state dimension {rho.d}"
             )
     except (ValidationError, KeyError, json.JSONDecodeError) as err:
-        _echo_fail(err)
-        sys.exit(EXIT_VALIDATION)
+        _fail(err)
     s_m = observational_entropy(rho, povm)
     s = von_neumann(rho)
     sandwich = recovery_bounds(rho, povm)
@@ -327,8 +334,7 @@ def gap(state, file, klass, partition, seed, restarts, max_iters, nats, witness_
             cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
             result = CLASS_OPTIMIZERS[klass](rho, part, cfg)
     except (ValidationError, KeyError, json.JSONDecodeError) as err:
-        _echo_fail(err)
-        sys.exit(EXIT_VALIDATION)
+        _fail(err)
     unit = "nats" if nats else "bits"
     payload = {
         "class": klass,
@@ -367,8 +373,7 @@ def scan(state, file, klass, seed, restarts, max_iters, out):
         cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
         result = scan_partitions(rho, klass, cfg, state_name=state or file)
     except (ValidationError, json.JSONDecodeError) as err:
-        _echo_fail(err)
-        sys.exit(EXIT_VALIDATION)
+        _fail(err)
     out_path = Path(out)
     out_path.write_text(result.to_csv())
     json_path = out_path.with_suffix(".json")
@@ -391,8 +396,7 @@ def robustness(state, file, klass, seed, restarts, max_iters, out):
         cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
         result = robustness_scan(rho, klass, cfg)
     except (ValidationError, json.JSONDecodeError) as err:
-        _echo_fail(err)
-        sys.exit(EXIT_VALIDATION)
+        _fail(err)
     csv_text = robustness_to_csv(state or file, klass, result)
     out_path = Path(out)
     out_path.write_text(csv_text)
@@ -414,11 +418,16 @@ def reproduce(figure, out_dir, seed, restarts, max_iters):
     try:
         cfg = OptConfig(seed=seed, restarts=restarts, max_iters=max_iters)
     except ValidationError as err:
-        _echo_fail(err)
-        sys.exit(EXIT_VALIDATION)
+        _fail(err)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
+
+    def write(name: str, text: str):
+        path = out_dir / name
+        path.write_text(text)
+        outputs.append(str(path))
+
     if figure == "werner-curves":
         lines = ["d,lambda,s_measured_bits,s_state_bits,gap_bits"]
         for d in (2, 3, 4, 5):
@@ -427,39 +436,24 @@ def reproduce(figure, out_dir, seed, restarts, max_iters):
                 lines.append(
                     f"{d},{lam:.2f},{w.s_measured_bits:.9f},{w.s_state_bits:.9f},{w.gap_bits:.9f}"
                 )
-        path = out_dir / "werner_curves.csv"
-        path.write_text("\n".join(lines) + "\n")
-        outputs.append(str(path))
+        write("werner_curves.csv", "\n".join(lines) + "\n")
     elif figure == "multipartite-scan":
         for name in ("ghz(4)", "w(4)", "two-bell"):
             rho = _parse_state_spec(name)
             stem = name.replace("(", "").replace(")", "").replace(",", "_")
-            scan_res = scan_partitions(rho, "lostar", cfg, state_name=name)
-            path = out_dir / f"scan_{stem}.csv"
-            path.write_text(scan_res.to_csv())
-            outputs.append(str(path))
+            write(f"scan_{stem}.csv", scan_partitions(rho, "lostar", cfg, state_name=name).to_csv())
             rob = robustness_scan(rho, "lostar", cfg)
-            path = out_dir / f"robustness_{stem}.csv"
-            path.write_text(robustness_to_csv(name, "lostar", rob))
-            outputs.append(str(path))
+            write(f"robustness_{stem}.csv", robustness_to_csv(name, "lostar", rob))
     elif figure == "trine":
-        rho = _parse_state_spec("trine")
-        part = PartitionSpec.full(2)
-        rows = ["class,gap_bits"]
-        rows.append(f"lostar,{minimize_lostar(rho, part, cfg).gap_bits:.9f}")
-        rows.append(f"lo,{minimize_lo(rho, part, cfg).gap_bits:.9f}")
-        path = out_dir / "trine.csv"
-        path.write_text("\n".join(rows) + "\n")
-        outputs.append(str(path))
+        rho, part = _parse_state_spec("trine"), PartitionSpec.full(2)
+        star, lo = minimize_lostar(rho, part, cfg), minimize_lo(rho, part, cfg)
+        write("trine.csv", f"class,gap_bits\nlostar,{star.gap_bits:.9f}\nlo,{lo.gap_bits:.9f}\n")
     else:  # w-family
         rows = ["n,gap_bits"]
         for n in (2, 3, 4):
-            rho = _parse_state_spec(f"w({n})")
-            res = minimize_lostar(rho, PartitionSpec.full(n), cfg)
+            res = minimize_lostar(_parse_state_spec(f"w({n})"), PartitionSpec.full(n), cfg)
             rows.append(f"{n},{res.gap_bits:.9f}")
-        path = out_dir / "w_family.csv"
-        path.write_text("\n".join(rows) + "\n")
-        outputs.append(str(path))
+        write("w_family.csv", "\n".join(rows) + "\n")
     config = {"seed": seed, "restarts": restarts, "max_iters": max_iters}
     _write_manifest(out_dir / f"{figure}.manifest.json", config, t0, outputs)
     for o in outputs:

@@ -31,6 +31,7 @@ CLUSTER_TOL = 1e-8
 TOL_PURE = 1e-9  # is_pure: purity at least 1 - TOL_PURE
 TOL_PURE_VECTOR = 1e-8  # pure_vector rejects a purity below 1 - TOL_PURE_VECTOR
 TOL_PROJECTIVE = 1e-8  # is_projective: largest ||M_i M_j - delta_ij M_i||
+ZERO_ROW = 1e-7  # _frame_povm drops a frame row of at most this norm: it is no outcome
 GRAM_MIN, GRAM_MAX = 1e-250, 1e250  # opnorm: range of Tr(A^dag A) taken without rescaling
 
 CLASS_TAGS = (
@@ -532,11 +533,39 @@ class Povm:
 
     @staticmethod
     def from_basis(basis: np.ndarray, class_tag: str = "General") -> "Povm":
-        """Rank-1 projective POVM from the columns of a unitary."""
-        u = as_operator(basis)
-        if opnorm(u @ dagger(u) - np.eye(u.shape[0])) > 1e-9:
-            raise ValidationError("basis matrix is not unitary")
-        return Povm._built(np.einsum("ai,bi->iab", u, u.conj(), order="C"), class_tag=class_tag)
+        """Rank-1 projective POVM from the columns of a unitary: ``_frame_povm`` of its bras."""
+        return _frame_povm(dagger(as_operator(basis)), class_tag)
+
+
+def _frame_povm(frames, class_tag: str = "Unverified"):
+    """Validated POVM of a frame's rows: effect |q_i^*><q_i^*| for each row q_i of norm above ZERO_ROW.
+
+    The kept rows Q must be finite and an isometry (unitary, for a basis's
+    bras): ||Q^dag Q - 1|| <= TOL_COMPLETE.  The effects are Hermitian PSD
+    dyads summing to Q^dag Q, so this is ``validate_povm``'s completeness
+    test, the only one they can fail; frames of one shape are checked as one
+    stack, ``opnorm`` only where d max |X_ij| >= ||X|| exceeds the tolerance.
+    One (m, d) array gives one ``Povm``; a sequence, a list.
+    """
+    single = isinstance(frames, np.ndarray) and frames.ndim == 2
+    frames = [frames] if single else list(frames)
+    povms = [None] * len(frames)
+    for m, d in dict.fromkeys(np.shape(q) for q in frames):
+        index = [i for i, q in enumerate(frames) if np.shape(q) == (m, d)]
+        stack = np.array([frames[i] for i in index], dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValidationError("frame contains NaN or Inf entries")
+        live = np.linalg.norm(stack, axis=-1) > ZERO_ROW
+        kept = stack * live[..., None]  # a dropped row adds exact zeros to Q^dag Q
+        residual = dagger(kept) @ kept - np.eye(d)
+        for j in np.flatnonzero(d * np.abs(residual).max(axis=(1, 2)) > TOL_COMPLETE):
+            gap = opnorm(residual[j])
+            if gap > TOL_COMPLETE:
+                what = "basis not unitary" if m == d else "frame not an isometry"
+                raise ValidationError(f"{what}: completeness violation of norm {gap:.3e}")
+        for i, q, rows in zip(index, stack, live):
+            povms[i] = Povm._built(q[rows].conj()[:, :, None] * q[rows][:, None, :], class_tag=class_tag)
+    return povms[0] if single else povms
 
 
 @dataclass(frozen=True)
@@ -629,11 +658,7 @@ class Spectrum:
     multiplicities: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
-        d = self.projectors[0].shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
+        return np.einsum("k,kab->ab", self.eigenvalues, self.projectors)
 
 
 def spectral(op) -> Spectrum:

@@ -21,6 +21,7 @@ state and POVM: ``coarse_grain`` builds its output unchecked, with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -291,21 +292,11 @@ def tensor_oe_decompose(
 ) -> TensorOeDecomposition:
     """Decompose S_{M1 (x) ... (x) Mn}(rho) = sum_k S_{Mk}(rho_k) - I(joint)."""
     povms = list(povms)
-    marginals = []
-    for block, povm in zip(partition.blocks, povms):
-        marginals.append(observational_entropy(rho.reduced(block), povm))
-    joint_povm = lo_povm(povms, partition, rho.dims)
-    p_joint = probabilities(rho, joint_povm)
-    shape = tuple(m.n_outcomes for m in povms)
-    pt = p_joint.reshape(shape)
-    # product of the outcome-distribution marginals
-    prod = np.ones_like(pt)
-    for k in range(len(shape)):
-        axes = tuple(i for i in range(len(shape)) if i != k)
-        mk = pt.sum(axis=axes)
-        view = [1] * len(shape)
-        view[k] = shape[k]
-        prod = prod * mk.reshape(view)
+    marginals = [observational_entropy(rho.reduced(b), m) for b, m in zip(partition.blocks, povms)]
+    pt = probabilities(rho, lo_povm(povms, partition, rho.dims)).reshape([m.n_outcomes for m in povms])
+    # product of the outcome-distribution marginals, first block slowest
+    margins = [pt.sum(axis=tuple(i for i in range(pt.ndim) if i != k)) for k in range(pt.ndim)]
+    prod = functools.reduce(np.multiply.outer, margins)
     mutual = relative_entropy(pt.ravel(), prod.ravel())
     total = float(sum(marginals) - mutual)
     return TensorOeDecomposition(tuple(marginals), mutual, total)

@@ -37,7 +37,10 @@ basis per outcome path, the last block measured in its conditional
 eigenbasis; on a pure state the tree also stops before the second-to-last
 block, whose optimal basis is its conditional eigenbasis in closed form.
 ``_tree_protocol`` reads the witness protocol off the winning tree, filled
-with those eigenbases, after one forward pass of the same factor.
+with those eigenbases, after one forward pass of the same factor.  Every
+witness's local POVMs and protocol nodes, and ``cq_gap``'s classical
+basis, come from ``core._frame_povm``, whose isometry check is their one
+validation.
 ``sep_gap_heuristic`` runs the LO* and one-way LOCC searches again at the
 caller's config and returns the best of their witnesses and, when it is a
 product basis, rho's eigenbasis.  ``werner_analytic`` is exact in closed
@@ -72,10 +75,12 @@ from .classes import (
     product_vector_factors,
 )
 from .core import (
+    ZERO_ROW,
     DensityMatrix,
     PartitionSpec,
     Povm,
     ValidationError,
+    _frame_povm,
     dagger,
     opnorm,
     partial_trace,
@@ -98,12 +103,16 @@ LS_FTOL = 1e-3  # a line search accepts a step that lowers f by this share of th
 EPS = np.finfo(float).eps  # a pair with s.y at most EPS (-g.d) is not stored
 ENTROPY_TOL = 1e-6  # restarts this close to the best count as agreeing
 CQ_TOL = 1e-9  # largest off-diagonal block norm of a CQ state in its classical basis
-ZERO_ROW = 1e-7  # a frame row of at most this norm is dropped: it is no outcome
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Knobs shared by all search-based minimizers."""
+    """Knobs shared by all search-based minimizers.
+
+    A search never drops a warm start, so it runs max(restarts, warm starts):
+    ``restarts=1`` runs 2 for LO*, one-way LOCC and CQ (the computational and
+    marginal eigenbases) and 3 for LO's second search (the LO* optimum too).
+    """
 
     seed: int = 2025
     restarts: int = 64
@@ -258,11 +267,6 @@ def _chart(theta: np.ndarray, base: np.ndarray):
 
 def _pad_rows(q: np.ndarray, m: int) -> np.ndarray:
     return np.vstack([q, np.zeros((m - q.shape[0], q.shape[1]), dtype=complex)])
-
-
-def _frame_povm(q: np.ndarray) -> Povm:
-    """Validated POVM of a frame's nonzero rows (effects |row><row|); the frame must be an isometry."""
-    return Povm(np.array([np.outer(row.conj(), row) for row in q if np.linalg.norm(row) > ZERO_ROW]))
 
 
 def _random_frame(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
@@ -705,7 +709,7 @@ def _product_search(
 ) -> OptResult:
     """LO* search, then, when ``lo``, the LO search seeded with the LO* optimum.
 
-    ``hold=(block, frame)`` keeps that block measured by the row frame ``frame``.
+    ``hold=(block, frame, povm)`` keeps that block measured by ``frame``, whose POVM is ``povm``.
     The LO restarts start from the LO* warm starts padded with zero rows,
     and restart 1 from the polished LO* bases, so the LO result can only
     improve on the projective optimum found with the same budget.
@@ -716,7 +720,7 @@ def _product_search(
     if hold is None:
         objective = product
     else:
-        held, frame = hold
+        held, frame, held_povm = hold
         free.remove(held)
 
         def objective(qs):  # the held block's frame inserted, one per restart, its gradient dropped
@@ -743,11 +747,14 @@ def _product_search(
             10_000,
             cfg,
         )
-    if hold is not None:
-        frames.insert(held, frame)
     if lo:
-        witness = lo_povm([_frame_povm(q) for q in frames], partition, rho.dims)
+        local = _frame_povm(frames)
+        if hold is not None:
+            local.insert(held, held_povm)
+        witness = lo_povm(local, partition, rho.dims)
     else:
+        if hold is not None:
+            frames.insert(held, frame)
         witness = lostar_povm([dagger(q) for q in frames], partition, rho.dims)
     return _result(rho, observational_entropy(rho, witness), witness, values, converged, records)
 
@@ -869,16 +876,16 @@ def _tree_protocol(blocks, levels: list[np.ndarray]) -> ConditionalMeasurement:
 
     Node k on a path measures ``blocks[k]`` with the rows of that path's
     frame; row i of a frame leads to path ``path * rows + i`` of the next
-    level.  Rows dropped by ``_frame_povm`` get no child, so every node has
-    one child per outcome.
+    level.  A row of norm at most ZERO_ROW is no outcome and gets no child;
+    ``_frame_povm`` is handed the frame cut to the other rows, one per child.
     """
 
     def node(k: int, path: int) -> ConditionalMeasurement:
         frame = levels[k][path]
-        povm = _frame_povm(frame)
+        rows = np.flatnonzero(np.linalg.norm(frame, axis=1) > ZERO_ROW)
+        povm = _frame_povm(frame[rows])
         if k + 1 == len(levels):
             return ConditionalMeasurement(blocks[k], povm)
-        rows = [i for i, row in enumerate(frame) if np.linalg.norm(row) > ZERO_ROW]
         return ConditionalMeasurement(
             blocks[k], povm, tuple(node(k + 1, path * len(frame) + i) for i in rows)
         )
@@ -904,9 +911,7 @@ class WernerAnalytic:
 
 def werner_witness(d: int) -> Povm:
     """The optimal two-outcome POVM (diagonal projector, off-diagonal projector)."""
-    diag = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        diag[i * d + i, i * d + i] = 1.0
+    diag = np.diag(np.eye(d, dtype=complex).ravel())  # |ii><ii| summed over i
     off = np.eye(d * d) - diag
     return Povm(np.array([diag, off]), ("diag", "offdiag"), "SEP")
 
@@ -970,12 +975,14 @@ def cq_gap(
         raise ValidationError("classical_block must be 0 or 1")
     dc = rho.dims[classical_block]
     basis = np.asarray(classical_basis, dtype=complex)
-    if basis.shape != (dc, dc) or not opnorm(basis @ dagger(basis) - np.eye(dc)) <= 1e-9:
+    if basis.shape != (dc, dc):
         raise ValidationError(f"classical_basis must be a {dc} x {dc} unitary")
+    try:
+        hold = (classical_block, dagger(basis), _frame_povm(dagger(basis)))
+    except ValidationError as err:
+        raise ValidationError(f"classical_basis: {err}") from None
     _check_cq(rho, basis, classical_block)
-    return _product_search(
-        rho, PartitionSpec.full(2), cfg, klass == "lo", hold=(classical_block, dagger(basis))
-    )
+    return _product_search(rho, PartitionSpec.full(2), cfg, klass == "lo", hold)
 
 
 # ---------------------------------------------------------------------------

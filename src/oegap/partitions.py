@@ -54,13 +54,9 @@ def enumerate_partitions(n: int, shape: str | None = None) -> list[PartitionSpec
         if any(s < 1 for s in sizes) or sum(sizes) != n:
             raise ValidationError(f"shape {shape!r} is not a partition of {n}")
         wanted = "+".join(str(s) for s in sizes)
-    out = []
-    for spec in _set_partitions(list(range(n))):
-        p = PartitionSpec(tuple(tuple(b) for b in spec))
-        if shape is None or p.shape_string() == wanted:
-            out.append(p)
-    out.sort(key=lambda p: (p.n_blocks, str(p)))
-    return out
+    out = [PartitionSpec(tuple(tuple(b) for b in spec)) for spec in _set_partitions(list(range(n)))]
+    out = [p for p in out if shape is None or p.shape_string() == wanted]
+    return sorted(out, key=lambda p: (p.n_blocks, str(p)))
 
 
 def _set_partitions(items: list[int]):

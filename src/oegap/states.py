@@ -8,15 +8,33 @@ Catalog entries are addressable by name for the CLI, e.g. ``werner(3,0.7)``.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, ValidationError, as_operator, embed
+from .core import MAX_DIM, DensityMatrix, ValidationError, as_operator, embed
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+
+
+def _size(n, name: str) -> int:
+    """A catalog size as an int of at least 2; an integral float reads as its integer, as JSON dims do."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValidationError(f"{name} must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+def _dimension(base: int, power: int) -> int:
+    """base ** power, or ``DensityMatrix``'s cap error before any array is built; power is bounded first."""
+    if power >= MAX_DIM.bit_length() or base**power > MAX_DIM:  # base >= 2
+        shown = base**power if power * base.bit_length() <= 64 else f"{base}^{power}"
+        raise ValidationError(f"invalid state: dimension {shown} exceeds the supported cap of {MAX_DIM}")
+    return base**power
 
 
 def _dm_from_vector(vec: np.ndarray, dims) -> DensityMatrix:
@@ -27,9 +45,7 @@ def _dm_from_vector(vec: np.ndarray, dims) -> DensityMatrix:
 
 def bell() -> DensityMatrix:
     """Two-qubit Bell pair (|00> + |11>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / np.sqrt(2)
-    return _dm_from_vector(v, (2, 2))
+    return _dm_from_vector(bell_vector(), (2, 2))
 
 
 def bell_vector() -> np.ndarray:
@@ -40,34 +56,27 @@ def bell_vector() -> np.ndarray:
 
 def ghz(n: int) -> DensityMatrix:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValidationError("ghz(n) requires n >= 2")
-    v = np.zeros(2**n, dtype=complex)
+    n = _size(n, "ghz(n)")
+    v = np.zeros(_dimension(2, n), dtype=complex)
     v[0] = v[-1] = 1 / np.sqrt(2)
     return _dm_from_vector(v, (2,) * n)
 
 
 def w_vector(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValidationError("w(n) requires n >= 2")
-    v = np.zeros(2**n, dtype=complex)
-    for k in range(n):
-        v[1 << (n - 1 - k)] = 1 / np.sqrt(n)
+    n = _size(n, "w(n)")
+    v = np.zeros(_dimension(2, n), dtype=complex)
+    v[1 << np.arange(n)] = 1 / np.sqrt(n)  # the n states with one excitation
     return v
 
 
 def w(n: int) -> DensityMatrix:
     """n-qubit W state: uniform superposition of single-excitation basis states."""
-    return _dm_from_vector(w_vector(n), (2,) * n)
+    return _dm_from_vector(w_vector(n), (2,) * int(n))  # w_vector checks n first
 
 
 def flip_operator(d: int) -> np.ndarray:
     """Swap operator F on two d-level systems."""
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    return np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def symmetric_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +88,8 @@ def symmetric_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def werner(d: int, lam: float) -> DensityMatrix:
     """Werner state (1-lam) * sym/w+ + lam * antisym/w- on two qudits."""
-    if d < 2:
-        raise ValidationError("werner requires d >= 2")
+    d = _size(d, "werner(d, lambda)")
+    _dimension(d, 2)
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"werner parameter must lie in [0, 1], got {lam}")
     plus, minus = symmetric_projectors(d)
@@ -180,20 +189,9 @@ def domino_basis() -> list[tuple[np.ndarray, np.ndarray]]:
 
 def domino_state(probs=None) -> DensityMatrix:
     """Mixture of the domino-basis projectors with strictly positive, distinct weights."""
-    pairs = domino_basis()
-    if probs is None:
-        probs = np.arange(1, 10, dtype=float)
-        probs /= probs.sum()
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != 9 or np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValidationError("domino mixture needs 9 strictly positive weights summing to 1")
-    if len(np.unique(np.round(probs, 12))) != 9:
+    if probs is not None and len(np.unique(np.round(np.asarray(probs, dtype=float), 12))) != 9:
         raise ValidationError("domino mixture weights must be pairwise distinct")
-    mat = np.zeros((9, 9), dtype=complex)
-    for p, (a, b) in zip(probs, pairs):
-        v = np.kron(a, b)
-        mat += p * np.outer(v, v.conj())
-    return DensityMatrix(mat, (3, 3))
+    return _product_mixture("domino", domino_basis(), probs)
 
 
 def tiles_upb() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -212,13 +210,17 @@ def tiles_upb() -> list[tuple[np.ndarray, np.ndarray]]:
 
 def tiles_upb_state(probs=None) -> DensityMatrix:
     """Mixture of the tiles-UPB projectors; its kernel projector is PPT entangled."""
-    pairs = tiles_upb()
+    return _product_mixture("tiles", tiles_upb(), probs)
+
+
+def _product_mixture(name: str, pairs, probs) -> DensityMatrix:
+    """sum_k p_k |a_k b_k><a_k b_k| on two qutrits; by default p_k is proportional to k."""
     if probs is None:
-        probs = np.arange(1, 6, dtype=float)
+        probs = np.arange(1, len(pairs) + 1, dtype=float)
         probs /= probs.sum()
     probs = np.asarray(probs, dtype=float)
-    if len(probs) != 5 or np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValidationError("tiles mixture needs 5 strictly positive weights summing to 1")
+    if len(probs) != len(pairs) or np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-10:
+        raise ValidationError(f"{name} mixture needs {len(pairs)} strictly positive weights summing to 1")
     mat = np.zeros((9, 9), dtype=complex)
     for p, (a, b) in zip(probs, pairs):
         v = np.kron(a, b)

@@ -22,7 +22,7 @@ from oegap.classes import (
     product_vector_factors,
     rank1_refine,
 )
-from oegap.core import PartitionSpec, Povm, ValidationError, permute_subsystems, schmidt
+from oegap.core import PartitionSpec, Povm, ValidationError, _frame_povm, dagger, permute_subsystems, schmidt
 from oegap.entropy import chain_entropy, observational_entropy, shannon
 from oegap.optimize import ppt_gap_w3, werner_witness
 from oegap.states import bell, symmetric_projectors, trine_vectors, w
@@ -105,7 +105,8 @@ def test_lo_agrees_with_lostar_on_bases():
     ua, ub = random_unitary(rng, 2), random_unitary(rng, 2)
     a = lostar_povm([ua, ub], FULL2, (2, 2))
     b = lo_povm([Povm.from_basis(ua), Povm.from_basis(ub)], FULL2, (2, 2))
-    assert np.allclose(a.effects, b.effects)
+    # both take each basis's local POVM from _frame_povm of its bras: the same bits
+    assert np.array_equal(a.effects, b.effects)
 
 
 def test_lo_product_of_trivial_is_trivial():
@@ -324,7 +325,11 @@ def _built_from_validated(rng):
     product = lo_povm(local, part, dims)
     stoch = rng.uniform(size=(3, product.n_outcomes))
     stoch = StochasticMap(stoch / stoch.sum(axis=0))
+    frame = random_unitary(rng, 5)[:, :3]  # a Haar 5 x 3 isometry
+    padded = np.vstack([dagger(random_unitary(rng, 3)), np.zeros((2, 3))])
     return {
+        "frame_povm": lambda: _frame_povm(frame),
+        "frame_povm_padded": lambda: _frame_povm(padded),
         "lostar_povm": lambda: lostar_povm(bases, part, dims),
         "lo_povm": lambda: lo_povm(local, part, dims),
         "flatten_locc": lambda: flatten_locc(protocol, dims),
@@ -335,7 +340,9 @@ def _built_from_validated(rng):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("builder", ["lostar_povm", "lo_povm", "flatten_locc", "cpp_apply", "from_basis", "retag"])
+@pytest.mark.parametrize("builder", [
+    "lostar_povm", "lo_povm", "flatten_locc", "cpp_apply", "from_basis", "retag", "frame_povm", "frame_povm_padded",
+])
 def test_builders_of_validated_parts_equal_the_validated_construction(monkeypatch, builder, seed):
     # a POVM built from validated parts is not validated again, and is the very POVM the
     # public constructor makes of its effects, labels and tag: bit-equal and read-only

@@ -128,6 +128,19 @@ MALFORMED_PAYLOADS = [  # command, payload, a fragment of the error line
     pytest.param("gap", _state_payload(dims=[2.5]), DIMS_ERROR, id="state-dims-fraction"),
     pytest.param("gap", _state_payload(dims=["x"]), DIMS_ERROR, id="state-dims-text"),
     pytest.param("gap", _state_payload(re=[1.0, 0.0, 0.0, 1.0]), "trace differs from 1", id="state-trace-2"),
+    # JSON true is not 1, and the format is row-major flat lists: a nested list is no operator
+    pytest.param("gap", _state_payload(dims=[True, 2]), DIMS_ERROR, id="state-dims-bool"),
+    pytest.param("entropy", _povm_payload(dims=[2, True]), DIMS_ERROR, id="povm-dims-bool"),
+    pytest.param("gap", _state_payload(re=[0.5, False, False, 0.5]), 'operator "re" is not a list of numbers', id="state-re-bool"),
+    pytest.param("gap", _state_payload(im=[False] * 4), 'operator "im" is not a list of numbers', id="state-im-bool"),
+    pytest.param("entropy", _povm_payload({"re": [True] + [0.0] * 15}), 'effect 0 "re" is not a list of numbers', id="povm-re-bool"),
+    pytest.param("gap", {"dims": [2], "re": [[0.5, 0], [0, 0.5]]}, 'operator "re" is not a list of numbers', id="state-re-nested"),
+    pytest.param("gap", _state_payload(re=[[0.5, 0], [0, 0.5]], im=[[0, 0], [0, 0]]), 'operator "re" is not a list of numbers', id="state-re-im-nested"),
+    pytest.param("gap", _state_payload(im=[[0.0] * 2] * 2), 'operator "im" is not a list of numbers', id="state-im-nested"),
+    pytest.param("entropy", _povm_payload({"im": [[0.0] * 4] * 4}), 'effect 0 "im" is not a list of numbers', id="povm-im-nested"),
+    # an integer beyond the float range is no number a matrix entry or a dimension can hold
+    pytest.param("gap", _state_payload(re=[10**400, 0, 0, 0.5]), 'operator "re" is not a list of numbers', id="state-re-huge-int"),
+    pytest.param("gap", _state_payload(dims=[10**400]), DIMS_ERROR, id="state-dims-huge-int"),
 ]
 
 
@@ -260,6 +273,26 @@ def test_cmd_gap_unknown_class():
     runner = CliRunner()
     result = runner.invoke(main, ["gap", "--state", "bell", "--class", "nonsense"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("spec, fragment", [
+    ("w(2.5)", "w(n) must be an integer >= 2, got 2.5"),
+    ("ghz(1.5)", "ghz(n) must be an integer >= 2, got 1.5"),
+    ("werner(2.5,0.3)", "werner(d, lambda) must be an integer >= 2, got 2.5"),
+    ("w(9)", "dimension 512 exceeds the supported cap of 256"),
+])
+def test_cmd_gap_rejects_catalog_sizes_in_one_line(spec, fragment):
+    result = CliRunner().invoke(main, ["gap", "--state", spec, "--class", "lostar", "--restarts", "1"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+    assert fragment in result.output
+
+
+def test_cmd_gap_reads_an_integral_float_size_as_its_integer():
+    runs = [CliRunner().invoke(main, ["gap", "--state", spec, "--class", "lostar", "--restarts", "1"])
+            for spec in ("ghz(3.0)", "ghz(3)")]
+    assert [r.exit_code for r in runs] == [0, 0]
+    assert [json.loads(r.output)["gap"] for r in runs][0] == json.loads(runs[1].output)["gap"]
 
 
 def test_cmd_gap_malformed_partition():

@@ -9,6 +9,8 @@ from oegap.core import (
     PartitionSpec,
     Povm,
     ValidationError,
+    _frame_povm,
+    dagger,
     is_hermitian,
     opnorm,
     partial_trace,
@@ -417,6 +419,73 @@ def test_validate_povm_completeness_matches_reference(factor):
             assert got == validate_povm_reference(stack)
             if factor != 1.0:
                 assert bool(got) == (factor > 1.0)
+
+
+def _frame_effects(q: np.ndarray) -> np.ndarray:
+    """The dyads |q_i^*><q_i^*| of a frame's rows, one outer product at a time."""
+    return np.array([np.outer(row.conj(), row) for row in q])
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (9, 4)], ids=str)
+@pytest.mark.parametrize("off", [0.5e-9, 1e-8])
+def test_frame_povm_decides_a_frame_as_validate_povm_decides_its_effects(shape, off):
+    # one column stretched and the whole frame scaled: ||Q^dag Q - 1|| is 0.5e-9 (accepted
+    # by the spectral norm, though d max |X_ij| exceeds the tolerance) or 1e-8 (rejected)
+    rng = np.random.default_rng(83)
+    m, d = shape
+    base = random_unitary(rng, m)[:, :d]
+    stretched = base.copy()
+    stretched[:, 0] *= np.sqrt(1 + off)
+    for q in (stretched, np.sqrt(1 + off) * base):
+        rejected = bool(validate_povm(_frame_effects(q)))
+        assert rejected == (off > 1e-9)
+        if rejected:
+            what = "not unitary" if m == d else "not an isometry"
+            with pytest.raises(ValidationError, match=f"{what}: completeness violation"):
+                _frame_povm(q)
+        else:
+            assert np.array_equal(_frame_povm(q).effects, _frame_effects(q))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+def test_frame_povm_rejects_a_non_finite_row(bad):
+    rng = np.random.default_rng(89)
+    good = random_unitary(rng, 4)[:, :2]
+    q = good.copy()
+    q[1] = [bad, 0.0]
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        _frame_povm(q)
+    with pytest.raises(ValidationError, match="NaN or Inf"):  # among good frames too
+        _frame_povm([good, q, good])
+
+
+def test_frame_povm_drops_zero_rows_and_checks_each_frame_of_a_list():
+    rng = np.random.default_rng(97)
+    u = random_unitary(rng, 3)
+    padded = np.vstack([dagger(u)[:1], np.zeros((1, 3)), dagger(u)[1:], 1e-8 * np.ones((1, 3))])
+    povm = _frame_povm(padded)
+    assert povm.n_outcomes == 3 and np.array_equal(povm.effects, Povm.from_basis(u).effects)
+    frames = [random_unitary(rng, 4)[:, :2], dagger(u), padded, random_unitary(rng, 4)[:, :2]]
+    together = _frame_povm(frames)
+    assert [p.n_outcomes for p in together] == [4, 3, 3, 4]
+    for alone, p in zip(frames, together):
+        assert np.array_equal(_frame_povm(alone).effects, p.effects)
+    bent = frames[-1] * np.sqrt(1 + 1e-8)
+    with pytest.raises(ValidationError, match="not an isometry"):
+        _frame_povm(frames[:-1] + [bent])
+    # a dropped row is no outcome, so it cannot make up a completeness deficit either:
+    # the kept row falls 1.000005e-9 short, and the dropped one would add 1e-14
+    short = np.array([[np.sqrt(1 - 1e-9 - 5e-15)], [1e-7]], dtype=complex)
+    assert validate_povm(_frame_effects(short[:1]))
+    with pytest.raises(ValidationError, match="not an isometry"):
+        _frame_povm(short)
+
+
+def test_from_basis_rejects_a_basis_that_is_not_unitary():
+    with pytest.raises(ValidationError, match="not unitary"):
+        Povm.from_basis(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match="not unitary"):
+        Povm.from_basis(np.array([[1.0, 0.0], [0.0, 0.0]]))  # a zero column: one outcome short
 
 
 def test_validate_povm_matches_reference_outside_the_gram_range():

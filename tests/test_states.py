@@ -209,6 +209,37 @@ def test_from_catalog_leaves_builder_errors_alone(monkeypatch):
         from_catalog("broken", 3)
 
 
+@pytest.mark.parametrize("name, args", [("w", (9,)), ("ghz", (9,)), ("werner", (17, 0.5))])
+def test_catalog_sizes_above_the_cap_fail_before_any_array_is_built(monkeypatch, name, args):
+    # the states' builders see a numpy whose every function raises when called
+    import oegap.states
+
+    class NoArrays:
+        def __getattr__(self, attr):
+            def build(*args, **kwargs):
+                raise AssertionError(f"np.{attr} called before the cap was checked")
+
+            return build
+
+    monkeypatch.setattr(oegap.states, "np", NoArrays())
+    with pytest.raises(ValidationError, match=r"invalid state: dimension \d+ exceeds the supported cap of 256"):
+        from_catalog(name, *args)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("w", (2.5,)), ("ghz", (True,)), ("ghz", ("3",)), ("werner", (2.5, 0.3)), ("w", (float("nan"),)), ("w", (1,)),
+])
+def test_catalog_sizes_must_be_integers_of_at_least_2(name, args):
+    with pytest.raises(ValidationError, match="must be an integer >= 2"):
+        from_catalog(name, *args)
+
+
+def test_catalog_sizes_read_integral_floats_as_integers():
+    for name, args, same in (("w", (3.0,), (3,)), ("ghz", (4.0,), (4,)), ("werner", (3.0, 0.7), (3, 0.7))):
+        a, b = from_catalog(name, *args), from_catalog(name, *same)
+        assert a.dims == b.dims and np.array_equal(a.mat, b.mat)
+
+
 def test_from_catalog_dispatch():
     rho = from_catalog("werner", 3, 0.7)
     assert rho.dims == (3, 3)
